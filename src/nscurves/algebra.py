@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
-    ExponentNotDivisible,
     NonUnitLeadingCoefficient,
     ResidueObstruction,
     TruncationTooShallow,
@@ -108,9 +107,6 @@ class WeightedPoly:
         if len(weights) == 1:
             return weights.pop()
         return None
-
-    def lambda_subscripts(self) -> set[int]:
-        return {k for key in self.terms for k, _ in key}
 
     # -- ring operations --
 
@@ -494,32 +490,6 @@ class LaurentSeries:
             inv.append(acc * WeightedPoly.const(-1 / c0))
         return LaurentSeries(-v, inv, -v + rel)
 
-    def nth_root(self, n: int) -> "LaurentSeries":
-        """Series n-th root; needs n | low and leading coefficient 1."""
-        if n <= 0:
-            raise ValueError("root index must be positive")
-        if self.is_zero():
-            raise NonUnitLeadingCoefficient("cannot take a root of the zero series")
-        v, lead = self.leading()
-        if v % n != 0:
-            raise ExponentNotDivisible(
-                f"lowest exponent {v} is not divisible by {n}"
-            )
-        if not (lead.is_constant() and lead.constant_value() == 1):
-            raise NonUnitLeadingCoefficient(
-                f"n-th root requires leading coefficient 1, got {lead.to_text()}"
-            )
-        rel = self.relative_order()
-        # Solve r**n = a for a power series r = 1 + ..., one order at a time:
-        # the xi^k coefficient of r**n is n*r_k plus terms in lower r_j only.
-        a = self.shift(-v)  # power series with constant term 1
-        root: list[WeightedPoly] = [ONE]
-        for k in range(1, rel):
-            partial = LaurentSeries(0, root + [ZERO] * (rel - k), rel) ** n
-            defect = a.coeff(k) - partial.coeff(k)
-            root.append(defect / n)
-        return LaurentSeries(v // n, root, v // n + rel)
-
     def differentiate(self) -> "LaurentSeries":
         coeffs = [
             c * WeightedPoly.const(self.low + t)
@@ -576,5 +546,19 @@ def _require_poly(value) -> WeightedPoly:
 
 
 def residue_of_product(a: LaurentSeries, b: LaurentSeries) -> WeightedPoly:
-    """res(a*b) without forming the full product."""
-    return (a * b).residue()
+    """res(a*b) without forming the full product.
+
+    Raises TruncationTooShallow exactly when ``(a*b).residue()`` would: when
+    the product is truncated at or below xi^-1.
+    """
+    if min(a.low + b.trunc, b.low + a.trunc) <= -1:
+        raise TruncationTooShallow(
+            "series truncated before xi^-1; residue is not determined"
+        )
+    # above the truncation check, every a_t b_(-1-t) in range is known
+    acc = ZERO
+    for t in range(a.low, -b.low):
+        ca, cb = a.coeffs[t - a.low], b.coeffs[-1 - t - b.low]
+        if ca and cb:
+            acc = acc + ca * cb
+    return acc

@@ -22,6 +22,7 @@ from .errors import (
     NotCoprime,
     OrderExceedsSupport,
     SymbolicLambda,
+    TruncationTooShallow,
 )
 from .expansions import (
     associated_second_kind,
@@ -155,7 +156,15 @@ def cmd_formulas(args) -> int:
         return 2
     fam = make_family(args.n, args.s, "sym")
     cfg = _config(args)
-    system = build_inversion_system(fam)
+    order = cfg.truncation_order
+    try:
+        system = build_inversion_system(fam, order)
+    except TruncationTooShallow as exc:
+        if order is None:
+            raise
+        raise ValueError(
+            f"truncation order {order} is too shallow for the ({fam.n},{fam.s}) system"
+        ) from exc
     if args.check_golden:
         name = f"system_{args.n}_{args.s}.json"
         store = resources.files("nscurves") / "golden" / name

@@ -194,10 +194,6 @@ class CurveFamily:
             w += 1
         return self._monomials[:count]
 
-    def gap_index(self, w: int) -> int:
-        """Position of the gap w in the ordered gap sequence (0-based)."""
-        return self.gaps.index(w)
-
     # -- coefficient access --
 
     def lambda_terms(self) -> list[tuple[int, int, int, LambdaValue]]:

@@ -13,11 +13,7 @@ class NSCurveError(Exception):
 # --- exact algebra ---
 
 class NonUnitLeadingCoefficient(NSCurveError):
-    """Series inversion or root extraction needs an invertible constant lead."""
-
-
-class ExponentNotDivisible(NSCurveError):
-    """n-th root of a series whose lowest exponent is not a multiple of n."""
+    """Series inversion needs an invertible constant lead."""
 
 
 class ResidueObstruction(NSCurveError):
@@ -47,10 +43,6 @@ class RootFindingFailure(NSCurveError):
 
 
 # --- expansions at infinity ---
-
-class NewtonStall(NSCurveError):
-    """Newton iteration for the branch parameterization stopped improving."""
-
 
 class UnsolvableCorrection(NSCurveError):
     """The triangular system for second-kind corrections became singular."""

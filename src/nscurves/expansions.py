@@ -2,12 +2,17 @@
 
 With x = xi^-n and y = xi^-s h(xi), the curve equation becomes
 
-    -h^n + 1 + sum_k lambda_k xi^k h^(j_k) = 0,        h(0) = 1,
+    -h^n + 1 + sum_k lambda_k xi^k h^(j_k) = 0,        h(0) = 1.
 
-solved by Newton iteration on h.  Everything else is series bookkeeping on
-top of h: each basis monomial y^j x^i pulls back to xi^(-weight) h^j, the
-form dx/(df/dy) pulls back to xi^(2g-1) (1 + ...) dxi, and the two
-differential bases are
+Every k is at least 1, so the xi^m coefficient of the left side is -n h_m
+plus terms in h_1 .. h_(m-1) only.  The branch is therefore solved in one
+pass over m: keep the coefficient tables of h^p for p = 0 .. n, form their
+xi^m entries with h_m still 0, read h_m off the equation, and add p h_m to
+each [h^p]_m.  The same tables give df/dy and the pullbacks of y^j.
+
+Everything else is series bookkeeping on top of h: each basis monomial
+y^j x^i pulls back to xi^(-weight) h^j, the form dx/(df/dy) pulls back to
+xi^(2g-1) (1 + ...) dxi, and the two differential bases are
 
     du_w  = M_(2g-1-w) dx/(df/dy) = xi^(w-1) (1 + ...) dxi,   w a gap,
     dr_l  = (l M_l + corrections) dx/(df/dy) = l xi^(-l-1) (1 + ...) dxi.
@@ -22,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LaurentSeries, WeightedPoly, residue_of_product
+from .algebra import ONE, ZERO, LaurentSeries, WeightedPoly, residue_of_product
 from .curves import CurveFamily, EntireRationalFn, Monomial
-from .errors import NewtonStall, UnsolvableCorrection
+from .errors import UnsolvableCorrection
 
 
 def default_order(fam: CurveFamily) -> int:
@@ -44,17 +49,14 @@ class InfinityChart:
     dyf_series: LaurentSeries
     dx_series: LaurentSeries
     dxdyf_series: LaurentSeries
+    h_powers: list[LaurentSeries]  # h^0 .. h^(n-1)
 
     def __post_init__(self):
-        n = self.fam.n
-        self._h_pow = [LaurentSeries.one(self.order)]
-        for _ in range(1, n):
-            self._h_pow.append(self._h_pow[-1] * self.h_series)
-        self._hj_dxdyf = [p * self.dxdyf_series for p in self._h_pow]
+        self._hj_dxdyf = [p * self.dxdyf_series for p in self.h_powers]
 
     def mono_series(self, mono: Monomial) -> LaurentSeries:
         """The pullback of y^j x^i: xi^(-sato_weight) h^j."""
-        return self._h_pow[mono.j].shift(-mono.sato_weight)
+        return self.h_powers[mono.j].shift(-mono.sato_weight)
 
     def mono_dxdyf(self, mono: Monomial) -> LaurentSeries:
         """The pullback of y^j x^i dx/(df/dy), per dxi."""
@@ -77,42 +79,49 @@ def expand_at_infinity(fam: CurveFamily, order: int | None = None) -> InfinityCh
         raise ValueError("expansion order must be at least 2")
     n, s = fam.n, fam.s
     lam = fam.exact_lambda()
-    terms = [(k, j) for k, j, _, _ in fam.lambda_terms()]
+    terms = [(k, j, lam[k]) for k, j, _, _ in fam.lambda_terms()]
 
-    def curve_eq(h: LaurentSeries) -> LaurentSeries:
-        val = LaurentSeries.one(order) - h ** n
-        for k, j in terms:
-            val = val + (h ** j).shift(k).scale(lam[k]).truncated(order)
-        return val
+    # powers[p][t] is the xi^t coefficient of h^p, for p = 0 .. n
+    powers = [[ONE] for _ in range(n + 1)]
+    h = powers[1]
+    for m in range(1, order):
+        # [h^p]_m = p h_m + rest[p], where rest[0] = rest[1] = 0 and
+        # rest[p] = rest[p-1] + sum_(0<i<m) h_i [h^(p-1)]_(m-i)
+        rest = [ZERO, ZERO]
+        for p in range(2, n + 1):
+            acc, lower = rest[p - 1], powers[p - 1]
+            for i in range(1, m):
+                if h[i] and lower[m - i]:
+                    acc = acc + h[i] * lower[m - i]
+            rest.append(acc)
+        # the xi^m coefficient of the branch equation, with every k >= 1
+        drive = -rest[n]
+        for k, j, value in terms:
+            if k <= m and powers[j][m - k]:
+                drive = drive + value * powers[j][m - k]
+        h_m = drive / n
+        for p, coeffs in enumerate(powers):
+            coeffs.append(rest[p] + h_m * p)
 
-    def curve_eq_dy(h: LaurentSeries) -> LaurentSeries:
-        val = (h ** (n - 1)).scale(-n)
-        for k, j in terms:
-            if j:
-                val = val + (h ** (j - 1)).shift(k).scale(lam[k] * j).truncated(order)
-        return val
-
-    h = LaurentSeries.one(order)
-    for _ in range(order.bit_length() + 4):
-        defect = curve_eq(h)
-        if defect.is_zero():
-            break
-        h = (h - defect * curve_eq_dy(h).invert()).truncated(order)
-    else:
-        raise NewtonStall(
-            f"branch solve at infinity did not converge at order {order}"
-        )
-
-    x_series = LaurentSeries.monomial(-n, 1, -n + order)
-    y_series = h.shift(-s)
     # df/dy = xi^(s-ns) * (the h-derivative of the transformed equation)
-    dyf_series = curve_eq_dy(h).shift(s - n * s)
+    dyf = [c * -n for c in powers[n - 1]]
+    for k, j, value in terms:
+        if j:
+            factor, lower = value * j, powers[j - 1]
+            for t in range(k, order):
+                if lower[t - k]:
+                    dyf[t] = dyf[t] + lower[t - k] * factor
+    h_powers = [LaurentSeries(0, coeffs, order) for coeffs in powers[:n]]
+    x_series = LaurentSeries.monomial(-n, 1, -n + order)
+    y_series = h_powers[1].shift(-s)
+    dyf_series = LaurentSeries(0, dyf, order).shift(s - n * s)
     dx_series = LaurentSeries.monomial(-n - 1, -n, -n - 1 + order)
     dxdyf_series = dx_series * dyf_series.invert()
     lead_exp, lead = dxdyf_series.leading()
     assert lead_exp == n * s - n - s - 1 and lead == WeightedPoly.one()
     return InfinityChart(
-        fam, order, h, x_series, y_series, dyf_series, dx_series, dxdyf_series
+        fam, order, h_powers[1], x_series, y_series, dyf_series, dx_series,
+        dxdyf_series, h_powers,
     )
 
 

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nscurves.algebra import LaurentSeries, WeightedPoly
+from nscurves.algebra import LaurentSeries, WeightedPoly, residue_of_product
 from nscurves.errors import (
-    ExponentNotDivisible,
     NonUnitLeadingCoefficient,
     ResidueObstruction,
     TruncationTooShallow,
@@ -169,44 +168,6 @@ def test_invert_with_symbolic_tail():
     assert (s * inv).coeff(0) == 1
 
 
-# --- n-th root oracle: binomial series ---
-
-def binomial_series_coeff(alpha: Fraction, k: int) -> Fraction:
-    """C(alpha, k) computed directly, independent of the series code."""
-    num, den = Fraction(1), Fraction(1)
-    for t in range(k):
-        num *= alpha - t
-        den *= t + 1
-    return num / den
-
-
-def test_nth_root_binomial_oracle():
-    # (1 + xi)^(1/3) has coefficients C(1/3, k)
-    s = LaurentSeries.from_terms({0: 1, 1: 1}, 10)
-    r = s.nth_root(3)
-    for k in range(10):
-        assert r.coeff(k) == WeightedPoly.const(
-            binomial_series_coeff(Fraction(1, 3), k)
-        )
-
-
-def test_nth_root_with_shift_and_roundtrip():
-    l4 = WeightedPoly.gen(4)
-    s = LaurentSeries.from_terms({-6: 1, -4: l4, -3: Fraction(1, 2)}, 3)
-    r = s.nth_root(2)
-    assert r.low == -3
-    back = r * r
-    for e in range(back.low, back.trunc):
-        assert back.coeff(e) == s.coeff(e)
-
-
-def test_nth_root_errors():
-    with pytest.raises(ExponentNotDivisible):
-        LaurentSeries.from_terms({-3: 1}, 4).nth_root(2)
-    with pytest.raises(NonUnitLeadingCoefficient):
-        LaurentSeries.from_terms({0: 2}, 4).nth_root(2)
-
-
 # --- calculus ---
 
 def test_integrate_termwise_oracle():
@@ -268,3 +229,23 @@ def test_series_invert_roundtrip(s):
     prod = s * s.invert()
     assert prod.coeff(0) == 1
     assert all(e == 0 for e, _ in prod.items())
+
+
+@st.composite
+def truncated_series(draw):
+    """A series with symbolic coefficients, possibly zero, truncated anywhere."""
+    low = draw(st.integers(-6, 3))
+    coeffs = draw(st.lists(weighted_polys(), max_size=6))
+    return LaurentSeries(low, coeffs, low + len(coeffs))
+
+
+@given(truncated_series(), truncated_series())
+@settings(max_examples=200, deadline=None)
+def test_residue_of_product_matches_product(a, b):
+    try:
+        expected = (a * b).residue()
+    except TruncationTooShallow:
+        with pytest.raises(TruncationTooShallow):
+            residue_of_product(a, b)
+    else:
+        assert residue_of_product(a, b) == expected

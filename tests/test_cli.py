@@ -78,6 +78,22 @@ def test_formulas_check_golden_passes(capsys, n, s, m):
     assert out.strip() == f"PASS system_{n}_{s}.json"
 
 
+def test_formulas_order_is_honoured(capsys):
+    code, out, _ = run(
+        capsys, "formulas", "5", "9", "1", "--order", "8", "--check-golden"
+    )
+    assert code == 0
+    assert out.strip() == "PASS system_5_9.json"
+
+
+def test_formulas_rejects_shallow_order(capsys):
+    code, out, err = run(capsys, "formulas", "5", "9", "1", "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "truncation order 3 is too shallow" in err
+
+
 def test_formulas_json_emission_parses(capsys):
     code, out, _ = run(capsys, "formulas", "3", "5", "1", "--format", "json")
     assert code == 0

@@ -7,9 +7,10 @@ with symbolic lambda so every identity is exact.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nscurves.algebra import LaurentSeries, WeightedPoly, residue_of_product
-from nscurves.curves import EntireRationalFn, make_family
+from nscurves.curves import EntireRationalFn, admissible_indices, make_family
 from nscurves.errors import ResidueObstruction, ZetaLeakage
 from nscurves.expansions import (
     SecondKindBasis,
@@ -42,6 +43,33 @@ def test_h_satisfies_transformed_equation(n, s):
     for k, j, _, value in fam.lambda_terms():
         residual = residual + (h ** j).shift(k).scale(value).truncated(chart.order)
     assert residual.is_zero()
+
+
+@st.composite
+def rational_families(draw):
+    """One of the golden shapes with small-height rational lambda."""
+    n, s, ext = draw(st.sampled_from(GOLDEN_FAMILIES))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    lam = {k: draw(values) for k in admissible_indices(n, s, ext)}
+    return make_family(n, s, lam, extended=ext)
+
+
+@given(rational_families(), st.integers(2, 12))
+@settings(max_examples=60, deadline=None)
+def test_branch_recursion_satisfies_equation(fam, order):
+    # checked with plain series products and powers, not with the recursion
+    chart = expand_at_infinity(fam, order)
+    n, h = fam.n, chart.h_series
+    assert h.leading() == (0, ONE) and h.trunc == order
+    residual = LaurentSeries.one(order) - h ** n
+    dy = (h ** (n - 1)).scale(-n)
+    for k, j, _, value in fam.lambda_terms():
+        residual = residual + (h ** j).shift(k).scale(value).truncated(order)
+        if j:
+            dy = dy + (h ** (j - 1)).shift(k).scale(value * j).truncated(order)
+    assert residual.is_zero() and residual.trunc == order
+    assert chart.dyf_series == dy.shift(fam.s - n * fam.s)
+    assert chart.h_powers == [h ** p for p in range(n)]
 
 
 @pytest.mark.parametrize("n,s", [(2, 5), (3, 7), (4, 5), (5, 9)])
