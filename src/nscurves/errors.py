@@ -78,6 +78,10 @@ class SpecialDivisor(NSCurveError):
 
 # --- hyperelliptic numerics ---
 
+class NotTwoSheeted(NSCurveError, ValueError):
+    """A hyperelliptic routine was given a curve that is not y^2 = p(x)."""
+
+
 class BranchCollision(NSCurveError):
     """Two branch points coincide within tolerance; the curve is degenerate."""
 

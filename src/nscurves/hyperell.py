@@ -7,6 +7,7 @@ characteristic, up to a gauge factor exp(quadratic) that the wp functions
 do not see; the Abel map combines the series tail at infinity with sheet-
 tracked continuation.
 """
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,6 +19,7 @@ from .divisors import Divisor
 from .errors import (
     BranchCollision,
     NonSymmetricTau,
+    NotTwoSheeted,
     OnThetaDivisor,
     PathThroughBranchPoint,
     SheetLoss,
@@ -31,21 +33,37 @@ KAPPA_SIGN = -1.0
 
 THETA_TAIL = 1e-13
 
+# numeric gates: largest relative y step between adjacent nodes, relative
+# closure residual of a contour, relative distance of a landing from a sheet
+MAX_SHEET_STEP = 0.75
+CLOSURE_TOL = 1e-6
+LANDING_TOL = 1e-4
+
+
+def _require_y_squared(fam: CurveFamily) -> None:
+    """Raise NotTwoSheeted unless the curve reads y^2 = p(x)."""
+    if fam.n != 2:
+        raise NotTwoSheeted(f"y^2 = p(x) needs n = 2, not n = {fam.n}")
+    on_y = [k for k, j, _, _ in fam.lambda_terms() if j]
+    if on_y:
+        raise NotTwoSheeted(
+            f"y^2 = p(x) has no y term, but lambda_{on_y[0]} multiplies y"
+        )
+
 
 def _require_two_sheets(fam: CurveFamily) -> None:
-    if fam.n != 2:
-        raise ValueError("period machinery covers two-sheeted curves only")
+    _require_y_squared(fam)
     if fam.genus > 2:
         raise ValueError("the dual differential table stops at genus 2")
 
 
 def curve_polynomial(fam: CurveFamily) -> np.ndarray:
     """y^2 = p(x): ascending coefficients of p, degree 2g+1."""
+    _require_y_squared(fam)
     lam = fam.numeric_lambda()
     p = np.zeros(fam.s + 1, dtype=complex)
     p[fam.s] = 1.0
-    for k, j, i, _ in fam.lambda_terms():
-        assert j == 0
+    for k, _, i, _ in fam.lambda_terms():
         p[i] += lam[k]
     return p
 
@@ -92,41 +110,58 @@ def hyperelliptic_from_branch_points(es: Sequence[complex]) -> CurveFamily:
 # -- sheet-tracked quadrature ------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _gl_nodes(panels: int, nodes: int, a: float, b: float):
+    """Composite Gauss-Legendre rule on [a, b]; cached, so read-only."""
     base, weights = np.polynomial.legendre.leggauss(nodes)
-    ts, ws = [], []
     edges = np.linspace(a, b, panels + 1)
-    for left, right in zip(edges[:-1], edges[1:]):
-        half = (right - left) / 2
-        ts.append(half * base + (left + right) / 2)
-        ws.append(half * weights)
-    return np.concatenate(ts), np.concatenate(ws)
+    half = ((edges[1:] - edges[:-1]) / 2)[:, None]
+    ts = (half * base + ((edges[:-1] + edges[1:]) / 2)[:, None]).ravel()
+    ws = (half * weights).ravel()
+    ts.flags.writeable = ws.flags.writeable = False
+    return ts, ws
 
 
 def _track_sheet(p: np.ndarray, xs: np.ndarray, y_start: complex | None):
-    ys = np.empty(len(xs), dtype=complex)
-    prev = y_start
-    for idx, x in enumerate(xs):
-        root = np.sqrt(complex(np.polyval(p[::-1], x)))
-        if prev is not None and abs(-root - prev) < abs(root - prev):
-            root = -root
-        ys[idx] = prev = root
-    return ys
+    """sqrt(p) along xs, each value on the sheet nearer the one before.
+
+    The first value is compared with y_start (None: the principal root).  A
+    root r whose predecessor q is on the same sheet flips when |r + q| <
+    |r - q|; one on the other sheet keeps r unless |r - q| < |r + q|.  So
+    the sign is a running parity of flips, and a tie |r + q| = |r - q|
+    restarts it at the principal root.  np.hypot rounds as abs() of one
+    complex does (np.abs over a complex array need not), so every
+    comparison is bit for bit that of a node-by-node walk.
+    """
+    roots = np.sqrt(np.polyval(p[::-1], xs))
+    prev = np.concatenate(([0j if y_start is None else y_start], roots[:-1]))
+    plus, minus = roots + prev, roots - prev
+    near = np.hypot(plus.real, plus.imag)
+    far = np.hypot(minus.real, minus.imag)
+    flips = np.cumsum(near < far)
+    restart = np.maximum.accumulate(
+        np.where(near == far, np.arange(len(roots)), -1)
+    )
+    since_restart = flips - np.where(restart >= 0, flips[restart], 0)
+    return np.where(since_restart % 2 == 1, -roots, roots)
 
 
 def _integrate_along(
-    fam: CurveFamily,
+    p: np.ndarray,
     numerators: list[np.ndarray],
     xs: np.ndarray,
     dxs: np.ndarray,
     ws: np.ndarray,
     y_start: complex | None,
 ):
-    p = curve_polynomial(fam)
     ys = _track_sheet(p, xs, y_start)
     steps = np.abs(np.diff(ys)) / np.maximum(np.abs(ys[:-1]), 1e-12)
-    if np.any(steps > 0.75):
-        raise SheetLoss("y jumped between adjacent quadrature nodes")
+    worst = float(np.max(steps, initial=0.0))
+    if worst > MAX_SHEET_STEP:
+        raise SheetLoss(
+            f"y jumped between adjacent quadrature nodes "
+            f"(worst relative step {worst:.3g} > {MAX_SHEET_STEP})"
+        )
     out = np.array(
         [
             np.sum(ws * np.polyval(num[::-1], xs) * dxs / (-2.0 * ys))
@@ -137,7 +172,7 @@ def _integrate_along(
 
 
 def _ellipse_integral(
-    fam: CurveFamily,
+    p: np.ndarray,
     numerators: list[np.ndarray],
     center: complex,
     ax: float,
@@ -148,11 +183,14 @@ def _ellipse_integral(
     ts, ws = _gl_nodes(panels, nodes, 0.0, 2.0 * math.pi)
     xs = center + ax * np.cos(ts) + 1j * ay * np.sin(ts)
     dxs = -ax * np.sin(ts) + 1j * ay * np.cos(ts)
-    vals, ys = _integrate_along(fam, numerators, xs, dxs, ws, None)
-    p = curve_polynomial(fam)
+    vals, ys = _integrate_along(p, numerators, xs, dxs, ws, None)
     closing = _track_sheet(p, np.array([xs[0]]), ys[-1])[0]
-    if abs(closing - ys[0]) > 1e-6 * max(1.0, abs(ys[0])):
-        raise SheetLoss("contour did not return to its starting sheet")
+    scale = max(1.0, abs(ys[0]))
+    if abs(closing - ys[0]) > CLOSURE_TOL * scale:
+        raise SheetLoss(
+            f"contour did not return to its starting sheet (closure "
+            f"residual {abs(closing - ys[0]) / scale:.3e} > {CLOSURE_TOL:g})"
+        )
     return vals
 
 
@@ -192,6 +230,8 @@ class PeriodData:
     kappa: np.ndarray
     characteristic: tuple[np.ndarray, np.ndarray]
     legendre_defect: float
+    # u at the end of the series leg from infinity, and the point it ends at
+    infinity_leg: tuple[np.ndarray, CurvePoint]
 
 
 def _tau_from_signs(omega, omega_prime, flips_a, flips_b):
@@ -226,6 +266,7 @@ def compute_periods(
             "pair/tail contours need real branch points; "
             "this curve has complex ones"
         )
+    p = curve_polynomial(fam)
     du = _du_numerators(g)
     dr = _dr_numerators(fam)
     omega = np.zeros((g, g), dtype=complex)
@@ -239,7 +280,7 @@ def compute_periods(
         center = (lo + hi) / 2
         ax = abs(hi - lo) / 2 + 0.45 * spacing
         ay = max(0.4 * spacing, 0.5 * ax)
-        vals = _ellipse_integral(fam, du + dr, center, ax, ay, panels, nodes)
+        vals = _ellipse_integral(p, du + dr, center, ax, ay, panels, nodes)
         omega[:, k] = vals[:g]
         eta[:, k] = vals[g:]
         lo_b, hi_b = es[2 * k + 1], es[2 * g]
@@ -247,7 +288,7 @@ def compute_periods(
         ax_b = abs(hi_b - lo_b) / 2 + 0.45 * spacing
         ay_b = max(0.4 * spacing, 0.5 * ax_b)
         omega_prime[:, k] = _ellipse_integral(
-            fam, du, center_b, ax_b, ay_b, panels, nodes
+            p, du, center_b, ax_b, ay_b, panels, nodes
         )
     chosen = None
     for mask_a in range(2 ** (g - 1)):
@@ -283,6 +324,7 @@ def compute_periods(
         kappa,
         (np.full(g, 0.5), np.full(g, 0.5)),
         defect,
+        _series_leg(fam, p, es),
     )
     data.characteristic = _riemann_characteristic(data)
     return data
@@ -446,9 +488,10 @@ def _series_inv_sqrt(q: np.ndarray, order: int) -> np.ndarray:
 SERIES_ORDER = 52
 
 
-def _tail_series(fam: CurveFamily):
-    # u_w(xi) = integral of xi^(w-1) / h(xi) with h = y xi^s at infinity
-    p = curve_polynomial(fam)
+def _series_leg(fam: CurveFamily, p: np.ndarray, es: np.ndarray):
+    # u_w(xi) = integral of xi^(w-1) / h(xi) with h = y xi^s at infinity,
+    # summed out to xi0, well inside the disc the branch points leave clear
+    xi0 = min(0.35, 0.5 / math.sqrt(float(np.max(np.abs(es))) + 1e-9))
     q = np.zeros(SERIES_ORDER, dtype=complex)
     deg = fam.s
     for i in range(deg + 1):
@@ -456,14 +499,8 @@ def _tail_series(fam: CurveFamily):
         if e < SERIES_ORDER:
             q[e] += p[i]
     hinv = _series_inv_sqrt(q, SERIES_ORDER)
-    return hinv
-
-
-def _series_leg(fam: CurveFamily, xi0: float):
-    g = fam.genus
-    hinv = _tail_series(fam)
-    u = np.zeros(g, dtype=complex)
-    for k in range(1, g + 1):
+    u = np.zeros(fam.genus, dtype=complex)
+    for k in range(1, fam.genus + 1):
         w = 2 * k - 1
         exps = w + np.arange(SERIES_ORDER)
         u[k - 1] = np.sum(hinv * xi0 ** exps / exps)
@@ -521,8 +558,8 @@ def abel_map(
     if point is None:
         return np.zeros(g, dtype=complex)
     es = periods.branch_points
-    xi0 = min(0.35, 0.5 / math.sqrt(float(np.max(np.abs(es))) + 1e-9))
-    u, here = _series_leg(fam, xi0)
+    u, here = periods.infinity_leg
+    u = u.copy()
     du = _du_numerators(g)
     clearance = 0.2 * min(
         abs(es[a] - es[b]) for a in range(len(es)) for b in range(a + 1, len(es))
@@ -535,17 +572,19 @@ def abel_map(
         ts, ws = _gl_nodes(panels, nodes, 0.0, 1.0)
         xs = seg_start + ts * (seg_end - seg_start)
         dxs = np.full(len(ts), seg_end - seg_start, dtype=complex)
-        vals, ys = _integrate_along(fam, du, xs, dxs, ws, y_prev)
+        vals, ys = _integrate_along(p, du, xs, dxs, ws, y_prev)
         u = u + vals
         y_prev = _track_sheet(p, np.array([seg_end]), ys[-1])[0]
     y_scale = max(1.0, abs(point.y))
-    if abs(y_prev - point.y) <= 1e-4 * y_scale:
+    if abs(y_prev - point.y) <= LANDING_TOL * y_scale:
         return u
-    if abs(y_prev + point.y) <= 1e-4 * y_scale:
+    if abs(y_prev + point.y) <= LANDING_TOL * y_scale:
         return -u
+    miss = min(abs(y_prev - point.y), abs(y_prev + point.y)) / y_scale
     raise SheetLoss(
-        f"continuation landed at y = {y_prev:.6g}, "
-        f"matching neither sheet over x = {point.x:.6g}"
+        f"continuation landed at y = {y_prev:.6g}, matching neither sheet "
+        f"over x = {point.x:.6g} (nearest sheet {miss:.3e} away, "
+        f"tolerance {LANDING_TOL:g})"
     )
 
 
@@ -578,11 +617,13 @@ def _riemann_characteristic(periods: PeriodData):
                 np.linalg.solve(periods.omega, u), periods.tau
             )
         )
+    # the cutoff depends on tau alone, not on the characteristic
+    radius = theta_context(periods.tau).radius
     best, runner, winner = np.inf, np.inf, None
     for bits in range(4 ** g):
         d1 = np.array([(bits >> i) & 1 for i in range(g)]) / 2.0
         d2 = np.array([(bits >> (g + i)) & 1 for i in range(g)]) / 2.0
-        ctx = theta_context(periods.tau, (d1, d2))
+        ctx = ThetaContext(periods.tau, (d1, d2), radius)
         score = 0.0
         for z in probes:
             (val,), scale = theta_with_derivs(z, ctx, order=0)

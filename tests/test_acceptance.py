@@ -16,6 +16,7 @@ from nscurves.abelian import (
     log_sigma_derivative_expansion,
 )
 from nscurves.algebra import WeightedPoly
+from nscurves.cli import _max_recovery_error
 from nscurves.curves import check_nondegenerate, make_family
 from nscurves.divisors import (
     chi_polynomial,
@@ -148,15 +149,6 @@ def test_criterion_4_divisor_round_trip():
         f"criterion 4 (divisor round trip < 1e-6): PASS "
         f"[4 families x 20 divisors, worst {worst:.1e}, {elapsed:.1f}s]"
     )
-
-
-def _max_recovery_error(got, want):
-    order = lambda p: (p.x.real, p.x.imag, p.y.real, p.y.imag)
-    worst = 0.0
-    for a, b in zip(sorted(got, key=order), sorted(want, key=order)):
-        scale = max(1.0, abs(b.x), abs(b.y))
-        worst = max(worst, abs(a.x - b.x) / scale, abs(a.y - b.y) / scale)
-    return worst
 
 
 def test_criterion_5_hyperelliptic_end_to_end():

@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nscurves.curves import CurvePoint, make_family
 from nscurves.divisors import make_divisor
 from nscurves.errors import (
     BranchCollision,
+    NotTwoSheeted,
+    NSCurveError,
     OnThetaDivisor,
     SheetLoss,
     SpecialDivisor,
 )
 from nscurves.hyperell import (
+    _gl_nodes,
+    _track_sheet,
     abel_map,
     abel_map_divisor,
     branch_points,
@@ -59,6 +64,26 @@ def test_curve_polynomial_matches_lambda():
     fam = genus1_family()
     p = curve_polynomial(fam)
     assert np.allclose(p, [0.4, -1.25, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        # lambda_5 sits on y^1 x^1: read as a y^2 = p(x) term it would land in p
+        make_family(3, 4, {5: 0.5, 12: 1.0}),
+        # two sheets, but lambda_3 multiplies y: y^2 = x^3 + 0.5 y
+        make_family(2, 3, {3: 0.5}, extended=True),
+    ],
+    ids=["three-sheets", "y-term"],
+)
+def test_curve_polynomial_refuses_non_y_squared(fam):
+    with pytest.raises(NotTwoSheeted) as info:
+        curve_polynomial(fam)
+    assert isinstance(info.value, NSCurveError)
+    assert isinstance(info.value, ValueError)
+    for public in (compute_periods, branch_points):
+        with pytest.raises(NotTwoSheeted):
+            public(fam)
 
 
 def test_branch_points_recovered():
@@ -118,8 +143,94 @@ def test_legendre_symmetry_of_eta_omega_inverse():
 
 
 def test_coarse_quadrature_loses_the_sheet():
-    with pytest.raises(SheetLoss):
+    with pytest.raises(SheetLoss, match=r"worst relative step [0-9.e+-]+ > 0\.75"):
         compute_periods(genus2_family(), panels=1, nodes=2)
+
+
+# -- sheet tracking and quadrature rules -------------------------------------
+
+
+def _track_sheet_by_node(p, xs, y_start):
+    # the node-by-node walk that _track_sheet replaces, kept as its oracle
+    ys = np.empty(len(xs), dtype=complex)
+    prev = y_start
+    for idx, x in enumerate(xs):
+        root = np.sqrt(complex(np.polyval(p[::-1], x)))
+        if prev is not None and abs(-root - prev) < abs(root - prev):
+            root = -root
+        ys[idx] = prev = root
+    return ys
+
+
+def _gl_nodes_by_panel(panels, nodes, a, b):
+    # the panel-by-panel rule that _gl_nodes replaces, kept as its oracle
+    base, weights = np.polynomial.legendre.leggauss(nodes)
+    ts, ws = [], []
+    edges = np.linspace(a, b, panels + 1)
+    for left, right in zip(edges[:-1], edges[1:]):
+        half = (right - left) / 2
+        ts.append(half * base + (left + right) / 2)
+        ws.append(half * weights)
+    return np.concatenate(ts), np.concatenate(ws)
+
+
+_coord = st.floats(-2.5, 2.5, allow_nan=False, allow_infinity=False)
+_complex = st.builds(complex, _coord, _coord)
+
+
+@st.composite
+def sheet_paths(draw):
+    genus = draw(st.sampled_from([1, 2]))
+    lam = {k: draw(_complex) for k in range(4, 4 * genus + 3, 2)}
+    p = curve_polynomial(make_family(2, 2 * genus + 1, lam))
+    panels, nodes = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        ts, _ = _gl_nodes(panels, nodes, 0.0, 2.0 * math.pi)
+        ax, ay = draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))
+        xs = draw(_complex) + ax * np.cos(ts) + 1j * ay * np.sin(ts)
+    else:
+        ts, _ = _gl_nodes(panels, nodes, 0.0, 1.0)
+        start, end = draw(_complex), draw(_complex)
+        xs = start + ts * (end - start)
+    y_start = draw(st.one_of(st.none(), st.just(0j), _complex))
+    return p, xs, y_start
+
+
+# y^2 = x^3 - x along [-1/2, 1/2]: the middle node of an odd rule is the
+# branch point 0 itself, so the walk meets two ties in a row there
+_THROUGH_ZERO = (
+    curve_polynomial(make_family(2, 3, {4: -1.0})),
+    -0.5 + _gl_nodes(1, 5, 0.0, 1.0)[0].astype(complex),
+    -0.3 + 0.1j,
+)
+
+
+@given(sheet_paths())
+@example(_THROUGH_ZERO)
+@settings(max_examples=200, deadline=None)
+def test_track_sheet_matches_node_by_node_walk(case):
+    p, xs, y_start = case
+    got = _track_sheet(p, xs, y_start)
+    want = _track_sheet_by_node(p, xs, y_start)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "panels,nodes,a,b",
+    [(1, 2, 0.0, 1.0), (32, 16, 0.0, 2.0 * math.pi), (7, 5, -1.5, 0.25)],
+)
+def test_gl_nodes_match_panel_loop_and_stay_read_only(panels, nodes, a, b):
+    ts, ws = _gl_nodes(panels, nodes, a, b)
+    want_ts, want_ws = _gl_nodes_by_panel(panels, nodes, a, b)
+    assert ts.tobytes() == want_ts.tobytes()
+    assert ws.tobytes() == want_ws.tobytes()
+    with pytest.raises(ValueError):
+        ts[0] = 9.0
+    with pytest.raises(ValueError):
+        ws *= 2.0
+    again_ts, again_ws = _gl_nodes(panels, nodes, a, b)
+    assert again_ts.tobytes() == want_ts.tobytes()
+    assert again_ws.tobytes() == want_ws.tobytes()
 
 
 def test_genus2_characteristic_is_the_standard_one():
@@ -228,6 +339,15 @@ def test_abel_of_infinity_is_zero():
     fam = genus1_family()
     per = compute_periods(fam)
     assert np.all(abel_map(fam, per, None) == 0)
+
+
+def test_abel_landing_off_the_curve_reports_its_miss():
+    fam = genus1_family()
+    per = compute_periods(fam)
+    P = fam.lift_x_to_points(1.3 + 0.4j)[0]
+    miss = r"nearest sheet [0-9.e+-]+ away, tolerance 0\.0001"
+    with pytest.raises(SheetLoss, match=miss):
+        abel_map(fam, per, CurvePoint(P.x, 1.5 * P.y))
 
 
 def test_abel_odd_under_sheet_swap():
