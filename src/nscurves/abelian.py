@@ -34,6 +34,7 @@ from .expansions import (
     FirstKindBasis,
     SecondKindBasis,
     associated_second_kind,
+    derivation_order,
     expand_at_infinity,
     first_kind_basis,
     second_kind_count,
@@ -369,12 +370,14 @@ def build_inversion_system(
 ) -> InversionSystem:
     """Derive the full inversion system of a family from scratch.
 
-    The default expansion order min(2g+n+2, n+6) is enough for every
-    residue this derivation takes: the pairing windows close at exponent
-    distances bounded by n, independently of the genus.
+    The series at infinity are expanded to `order`, by default to
+    `derivation_order(fam)`: the level count, the shallowest order whose
+    coefficients cover every T_p and every residue the derivation reads.
+    A deeper order gives the same system.  An order too shallow for it
+    raises `TruncationTooShallow`, never a different system.
     """
     if order is None:
-        order = min(2 * fam.genus + fam.n + 2, fam.n + 6)
+        order = derivation_order(fam)
     count = second_kind_count(fam)
     chart = expand_at_infinity(fam, order)
     first = first_kind_basis(chart)

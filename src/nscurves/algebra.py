@@ -498,7 +498,12 @@ class LaurentSeries:
         return LaurentSeries(self.low - 1, coeffs, self.trunc - 1)
 
     def integrate(self) -> "LaurentSeries":
-        """Term-wise antiderivative with zero constant term."""
+        """Term-wise antiderivative with zero constant term.
+
+        A nonzero known residue raises ResidueObstruction.  A residue past the
+        truncation is unknown and is read as zero; callers integrate only
+        differentials whose residue is zero, such as one with a single pole.
+        """
         res = self._get(-1)
         if not res.is_zero():
             raise ResidueObstruction(

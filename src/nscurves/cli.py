@@ -26,6 +26,7 @@ from .errors import (
 )
 from .expansions import (
     associated_second_kind,
+    derivation_order,
     expand_at_infinity,
     first_kind_basis,
 )
@@ -53,16 +54,6 @@ class Config:
     seed: int
     output: Path | None
 
-    def resolved_order(self, fam) -> int:
-        order = self.truncation_order
-        if order is None:
-            order = 2 * fam.genus + fam.n + 2
-        if order < 2 * fam.genus + 2:
-            raise ValueError(
-                f"truncation order {order} is below 2g+2 = {2 * fam.genus + 2}"
-            )
-        return order
-
     def emit(self, text: str) -> None:
         if self.output is None:
             print(text, end="" if text.endswith("\n") else "\n")
@@ -79,6 +70,28 @@ def _config(args) -> Config:
         getattr(args, "seed", 0),
         Path(args.output) if getattr(args, "output", None) else None,
     )
+
+
+def _derive(derivation, fam, order: int | None):
+    """Run derivation(fam, order), by default at `derivation_order(fam)`.
+
+    An explicit order too shallow for the derivation is invalid input; at
+    the default order TruncationTooShallow is a fault and propagates.
+    """
+    try:
+        return derivation(fam, derivation_order(fam) if order is None else order)
+    except TruncationTooShallow as exc:
+        if order is None:
+            raise
+        raise ValueError(
+            f"truncation order {order} is too shallow for the ({fam.n},{fam.s}) system"
+        ) from exc
+
+
+def _differential_bases(fam, order: int):
+    chart = expand_at_infinity(fam, order)
+    first = first_kind_basis(chart)
+    return first, associated_second_kind(chart, first)
 
 
 def sigma_weight(n: int, s: int) -> Fraction:
@@ -108,7 +121,7 @@ def cmd_info(args) -> int:
 def cmd_expand(args) -> int:
     fam = make_family(args.n, args.s, "sym")
     cfg = _config(args)
-    chart = expand_at_infinity(fam, cfg.resolved_order(fam))
+    chart = expand_at_infinity(fam, cfg.truncation_order)
     first = first_kind_basis(chart)
     entries = {
         "x": chart.x_series.to_text(),
@@ -127,9 +140,7 @@ def cmd_expand(args) -> int:
 def cmd_differentials(args) -> int:
     fam = make_family(args.n, args.s, "sym")
     cfg = _config(args)
-    chart = expand_at_infinity(fam, cfg.resolved_order(fam))
-    first = first_kind_basis(chart)
-    second = associated_second_kind(chart, first)
+    first, second = _derive(_differential_bases, fam, cfg.truncation_order)
     du = {
         f"du_{w}": f"({mono.as_text()}) dx / f_y"
         for w, mono in zip(first.gaps, first.numerators)
@@ -156,15 +167,7 @@ def cmd_formulas(args) -> int:
         return 2
     fam = make_family(args.n, args.s, "sym")
     cfg = _config(args)
-    order = cfg.truncation_order
-    try:
-        system = build_inversion_system(fam, order)
-    except TruncationTooShallow as exc:
-        if order is None:
-            raise
-        raise ValueError(
-            f"truncation order {order} is too shallow for the ({fam.n},{fam.s}) system"
-        ) from exc
+    system = _derive(build_inversion_system, fam, cfg.truncation_order)
     if args.check_golden:
         name = f"system_{args.n}_{args.s}.json"
         store = resources.files("nscurves") / "golden" / name

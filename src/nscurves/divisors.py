@@ -21,13 +21,10 @@ from .errors import (
     RootFindingFailure,
     SpecialDivisor,
 )
+from .expansions import second_kind_count
 
 CLUSTER_TOL = 1e-7
 COLLAPSE_TOL = 1e-10
-
-
-def _function_count(fam: CurveFamily) -> int:
-    return 2 if fam.n == 2 else fam.n - 1
 
 
 def _poly_at(coeffs: np.ndarray, x: complex) -> complex:
@@ -148,7 +145,7 @@ class NumericRSystem:
     rho: list[list[np.ndarray]]
 
     def __post_init__(self):
-        count = _function_count(self.fam)
+        count = second_kind_count(self.fam)
         assert len(self.rho) == count
         bound = 2 * self.fam.genus
         for l, row in enumerate(self.rho):
@@ -203,7 +200,7 @@ def rfunctions_from_divisor(
         raise ValueError(f"need a degree-{g} divisor, got {len(divisor)} points")
     if divisor.special:
         raise SpecialDivisor("divisor contains a full fiber over one x")
-    count = _function_count(fam)
+    count = second_kind_count(fam)
     extras = list(extra)
     if len(extras) > count - 1:
         raise ValueError(f"at most {count - 1} auxiliary points are used")
@@ -247,7 +244,7 @@ def numeric_system(
     """Evaluate a derived symbolic system at given zeta/wp values."""
     fam = system.fam
     lam = fam.numeric_lambda()
-    count = _function_count(fam)
+    count = second_kind_count(fam)
     rho = [
         [np.zeros(0, dtype=complex) for _ in range(count)] for _ in range(count)
     ]

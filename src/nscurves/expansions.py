@@ -33,7 +33,10 @@ from .errors import UnsolvableCorrection
 
 
 def default_order(fam: CurveFamily) -> int:
-    """Truncation order used when none is requested: 2g + n + 2."""
+    """Display depth of `expand_at_infinity` when no order is given: 2g + n + 2.
+
+    Derivations do not use it; they expand to `derivation_order`.
+    """
     return 2 * fam.genus + fam.n + 2
 
 
@@ -173,6 +176,27 @@ def second_kind_count(fam: CurveFamily) -> int:
     return 2 if fam.n == 2 else fam.n - 1
 
 
+def derivation_order(fam: CurveFamily) -> int:
+    """The shallowest relative order the inversion derivation can run at.
+
+    It is the level count c = `second_kind_count(fam)`.  The derivation reads
+    the series only through T_0 .. T_(c-1) and the coefficients of r_l at
+    xi^(-1-p) for p < c.  At relative order c, du_1 is known through xi^(c-1),
+    which covers T_(c-1).  Each dr_l, with its lead at xi^(-l-1), is known
+    below xi^(c-l-1).  So r_l is known below xi^(c-l), which covers xi^-1.  The
+    pairing residues res(u_w dr_l), w < l <= c, are known as well.  The
+    deepest of these, w = 1 and l = c, needs exactly order c.  Deeper
+    coefficients are never read.
+
+    Every `LaurentSeries` carries its provable truncation.  So an order below
+    this one raises `TruncationTooShallow` and never yields a different
+    system.  The top dr_c is known only below xi^-1.  `integrate` reads its
+    unknown residue as zero, which is exact: a differential whose only pole
+    is at infinity has zero residue there.
+    """
+    return second_kind_count(fam)
+
+
 def associated_second_kind(
     chart: InfinityChart, first: FirstKindBasis
 ) -> SecondKindBasis:
@@ -201,7 +225,8 @@ def associated_second_kind(
             dr = dr + chart.mono_dxdyf(basis_mono).scale(fix)
         numerators.append(EntireRationalFn(coeffs))
         dr_series.append(dr)
-        # res(dr) = 0 is forced (single pole); integrate() would raise otherwise
+        # res(dr) = 0 is forced (single pole), so integrate() may read it as
+        # zero where dr is truncated at xi^-1, as the top dr is at derivation_order
         r_series.append(dr.integrate())
     return SecondKindBasis(fam, numerators, dr_series, r_series)
 

@@ -6,9 +6,11 @@ and independent of the stretching index m, which the tests exercise by
 comparing the smallest two members of each family.
 """
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nscurves.abelian import (
     AbelianExpr,
@@ -21,8 +23,12 @@ from nscurves.abelian import (
 )
 from nscurves.algebra import WeightedPoly
 from nscurves.curves import make_family
-from nscurves.errors import OrderExceedsSupport
-from nscurves.expansions import expand_at_infinity, first_kind_basis
+from nscurves.errors import OrderExceedsSupport, TruncationTooShallow
+from nscurves.expansions import (
+    derivation_order,
+    expand_at_infinity,
+    first_kind_basis,
+)
 
 L = WeightedPoly.gen
 
@@ -363,6 +369,28 @@ def test_r_function_weights_are_homogeneous():
             for mono, coeff in fn.terms.items():
                 assert coeff.weight is not None, (mono, coeff)
                 assert mono.sato_weight + coeff.weight == fn.weight
+
+
+@st.composite
+def small_shapes(draw):
+    """A symbolic family: n in 2..5, s coprime to n, s <= n+8, either shape."""
+    n = draw(st.integers(2, 5))
+    s = draw(
+        st.sampled_from([s for s in range(n + 1, n + 9) if math.gcd(n, s) == 1])
+    )
+    return make_family(n, s, extended=draw(st.booleans()))
+
+
+@given(small_shapes(), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_derivation_order_is_the_shallowest_that_works(fam, extra):
+    order = derivation_order(fam)
+    system = emit_system(build_inversion_system(fam), fmt="json")
+    deeper = build_inversion_system(fam, order + extra)
+    assert emit_system(deeper, fmt="json") == system
+    if order > 2:  # order 1 is refused by expand_at_infinity itself
+        with pytest.raises(TruncationTooShallow):
+            build_inversion_system(fam, order - 1)
 
 
 # -- emission ----------------------------------------------------------------

@@ -54,10 +54,24 @@ def test_expand_json_lists_gap_series(capsys):
     assert data["u_1"].startswith("xi + -1/10*l4*xi^5")
 
 
-def test_expand_rejects_shallow_order(capsys):
-    code, _, err = run(capsys, "expand", "2", "5", "--order", "3")
+def test_expand_accepts_any_order_from_two(capsys):
+    code, out, _ = run(capsys, "expand", "5", "9", "--order", "8")
+    assert code == 0
+    assert out.startswith("x = xi^-5 + O(xi^3)\n")
+
+
+def test_expand_rejects_order_below_two(capsys):
+    code, out, err = run(capsys, "expand", "2", "5", "--order", "1")
     assert code == 2
-    assert "2g+2" in err
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_differentials_rejects_shallow_order(capsys):
+    code, out, err = run(capsys, "differentials", "5", "9", "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation order 3 is too shallow for the (5,9) system\n"
 
 
 def test_differentials_show_corrected_numerator(capsys):
