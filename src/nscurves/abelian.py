@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import WeightedPoly
+from .algebra import WeightedPoly, product_text, signed_sum_text
 from .curves import CurveFamily, EntireRationalFn, Monomial
 from .errors import OrderExceedsSupport, ZetaLeakage
 from .expansions import (
@@ -216,25 +216,12 @@ class AbelianExpr:
         return f"AbelianExpr({self.to_text()})"
 
     def to_text(self) -> str:
-        chunks = []
-        if not self.constant.is_zero():
-            chunks.append(self.constant.to_text())
-        for sym, c in self.canonical_terms():
-            coeff = c.to_text()
-            if coeff == "1":
-                chunks.append(sym.to_text())
-            elif coeff == "-1":
-                chunks.append(f"-{sym.to_text()}")
-            else:
-                if " " in coeff:
-                    coeff = f"({coeff})"
-                chunks.append(f"{coeff}*{sym.to_text()}")
-        if not chunks:
-            return "0"
-        text = chunks[0]
-        for chunk in chunks[1:]:
-            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return text
+        chunks = [] if self.constant.is_zero() else [self.constant.to_text()]
+        chunks += [
+            product_text(c.to_text(), sym.to_text())
+            for sym, c in self.canonical_terms()
+        ]
+        return signed_sum_text(chunks)
 
 
 def _multisets_bounded(values: tuple[int, ...], budget: int) -> list[tuple[int, ...]]:

@@ -19,7 +19,7 @@ here:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     NonUnitLeadingCoefficient,
@@ -223,8 +223,6 @@ class WeightedPoly:
         return f"WeightedPoly({self.to_text()})"
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
         chunks = []
         for key, coeff in self.sorted_terms():
             factors = "*".join(
@@ -238,10 +236,7 @@ class WeightedPoly:
                 chunks.append(f"-{factors}")
             else:
                 chunks.append(f"{coeff}*{factors}")
-        text = chunks[0]
-        for chunk in chunks[1:]:
-            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return text
+        return signed_sum_text(chunks)
 
     def to_latex(self) -> str:
         if not self.terms:
@@ -258,6 +253,27 @@ class WeightedPoly:
         for chunk in chunks[1:]:
             text += f" {chunk}" if chunk.startswith("-") else f" + {chunk}"
         return text
+
+
+def signed_sum_text(chunks: Sequence[str]) -> str:
+    """Rendered terms joined by " + ", a leading minus folded into " - "."""
+    if not chunks:
+        return "0"
+    text = chunks[0]
+    for chunk in chunks[1:]:
+        text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
+    return text
+
+
+def product_text(coeff: str, factor: str) -> str:
+    """coeff*factor, a coefficient of 1 or -1 dropped, a sum parenthesized."""
+    if coeff == "1":
+        return factor
+    if coeff == "-1":
+        return f"-{factor}"
+    if " " in coeff:
+        coeff = f"({coeff})"
+    return coeff if factor == "1" else f"{coeff}*{factor}"
 
 
 def _latex_rat(q: Fraction, bare_one: bool = True) -> str:

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .algebra import WeightedPoly, as_fraction
+from .algebra import WeightedPoly, as_fraction, product_text, signed_sum_text
 from .errors import (
     BranchCollision,
     InvalidLambdaIndex,
@@ -119,24 +119,12 @@ class EntireRationalFn:
         return hash(frozenset(self.coefficients.items()))
 
     def as_text(self) -> str:
-        parts = []
-        for m, c in self.sorted_terms():
-            coeff = c.to_text()
-            if coeff == "1":
-                chunk = m.as_text()
-            elif coeff == "-1":
-                chunk = f"-{m.as_text()}"
-            else:
-                if " " in coeff:
-                    coeff = f"({coeff})"
-                chunk = coeff if m.as_text() == "1" else f"{coeff}*{m.as_text()}"
-            parts.append(chunk)
-        if not parts:
-            return "0"
-        text = parts[0]
-        for chunk in parts[1:]:
-            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return text
+        return signed_sum_text(
+            [
+                product_text(c.to_text(), m.as_text())
+                for m, c in self.sorted_terms()
+            ]
+        )
 
     def __repr__(self) -> str:
         return f"EntireRationalFn({self.as_text()})"

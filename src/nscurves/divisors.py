@@ -183,6 +183,23 @@ def _trimmed(coeffs: np.ndarray, floor: float) -> np.ndarray:
     return np.asarray(coeffs[:keep], dtype=complex)
 
 
+def _coefficient_row(terms, count: int) -> list[np.ndarray]:
+    """Sum of value * x^i y^j over (monomial, value) terms, per power of y.
+
+    Entry j holds the ascending x coefficients of the y^j part, trimmed;
+    each coefficient sums its values in the order the terms come.
+    """
+    row = [np.zeros(0, dtype=complex) for _ in range(count)]
+    for mono, value in terms:
+        arr = row[mono.j]
+        if len(arr) <= mono.i:
+            grown = np.zeros(mono.i + 1, dtype=complex)
+            grown[: len(arr)] = arr
+            row[mono.j] = arr = grown
+        arr[mono.i] += value
+    return [_trimmed(arr, 0.0) for arr in row]
+
+
 def rfunctions_from_divisor(
     fam: CurveFamily,
     divisor: Divisor,
@@ -226,15 +243,7 @@ def rfunctions_from_divisor(
             ]
         )
         coeffs /= np.max(np.abs(coeffs))
-        row = [np.zeros(0, dtype=complex) for _ in range(count)]
-        for mono, c in zip(monos, coeffs):
-            arr = row[mono.j]
-            if len(arr) <= mono.i:
-                grown = np.zeros(mono.i + 1, dtype=complex)
-                grown[: len(arr)] = arr
-                row[mono.j] = arr = grown
-            arr[mono.i] += c
-        rho.append([_trimmed(arr, 0.0) for arr in row])
+        rho.append(_coefficient_row(zip(monos, coeffs), count))
     return NumericRSystem(fam, rho)
 
 
@@ -246,19 +255,17 @@ def numeric_system(
     lam = fam.numeric_lambda()
     count = second_kind_count(fam)
     rho = [
-        [np.zeros(0, dtype=complex) for _ in range(count)] for _ in range(count)
+        _coefficient_row(
+            (
+                (mono, coeff.eval_numeric(symbol_values, lam))
+                for fn in system.r_functions
+                if fn.level == level
+                for mono, coeff in fn.terms.items()
+            ),
+            count,
+        )
+        for level in range(1, count + 1)
     ]
-    for fn in system.r_functions:
-        row = rho[fn.level - 1]
-        for mono, coeff in fn.terms.items():
-            value = coeff.eval_numeric(symbol_values, lam)
-            arr = row[mono.j]
-            if len(arr) <= mono.i:
-                grown = np.zeros(mono.i + 1, dtype=complex)
-                grown[: len(arr)] = arr
-                row[mono.j] = arr = grown
-            arr[mono.i] += value
-    rho = [[_trimmed(arr, 0.0) for arr in row] for row in rho]
     return NumericRSystem(fam, rho)
 
 

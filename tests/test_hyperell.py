@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from nscurves import hyperell
 from nscurves.curves import CurvePoint, make_family
 from nscurves.divisors import make_divisor
 from nscurves.errors import (
@@ -16,7 +17,11 @@ from nscurves.errors import (
     SpecialDivisor,
 )
 from nscurves.hyperell import (
+    ThetaContext,
+    _check_riemann_characteristic,
     _gl_nodes,
+    _reduce_modulo_lattice,
+    _riemann_characteristic,
     _track_sheet,
     abel_map,
     abel_map_divisor,
@@ -27,6 +32,7 @@ from nscurves.hyperell import (
     report_payload,
     theta,
     theta_context,
+    theta_with_derivs,
     verify_inversion,
     wp_from_theta,
 )
@@ -233,11 +239,95 @@ def test_gl_nodes_match_panel_loop_and_stay_read_only(panels, nodes, a, b):
     assert again_ws.tobytes() == want_ws.tobytes()
 
 
+# -- characteristic of the Riemann constants ---------------------------------
+
+
 def test_genus2_characteristic_is_the_standard_one():
     per = compute_periods(genus2_family())
-    d1, d2 = per.characteristic
+    d1, d2 = per.theta.characteristic
     assert np.allclose(d1, [0.5, 0.5])
     assert np.allclose(d2, [0.0, 0.5])
+
+
+def _all_characteristics(g):
+    for bits in range(4 ** g):
+        d1 = np.array([(bits >> i) & 1 for i in range(g)]) / 2.0
+        d2 = np.array([(bits >> (g + i)) & 1 for i in range(g)]) / 2.0
+        yield d1, d2
+
+
+def _riemann_characteristic_by_search(periods):
+    # the numeric search the closed form replaced, kept as its oracle: the
+    # one half characteristic whose theta vanishes on probes in A(W_{g-1})
+    fam = periods.fam
+    g = fam.genus
+    if g == 1:
+        probes = [np.zeros(1, dtype=complex)]  # A(W_0) = {0}
+    else:
+        probes = []
+        for x in (0.37 + 0.21j, -0.54 + 0.39j, 1.13 - 0.27j):
+            u = abel_map(fam, periods, fam.lift_x_to_points(x)[0])
+            probes.append(
+                _reduce_modulo_lattice(np.linalg.solve(periods.omega, u), periods.tau)
+            )
+    radius = theta_context(periods.tau).radius
+    best, runner, winner = np.inf, np.inf, None
+    for d1, d2 in _all_characteristics(g):
+        ctx = ThetaContext(periods.tau, (d1, d2), radius)
+        score = 0.0
+        for z in probes:
+            (val,), scale = theta_with_derivs(z, ctx, order=0)
+            score = max(score, abs(val) / scale)
+        if score < best:
+            best, runner, winner = score, best, (d1, d2)
+        elif score < runner:
+            runner = score
+    assert best <= 1e-6 and best <= 1e-3 * runner, (best, runner)
+    return winner
+
+
+@st.composite
+def spaced_branch_points(draw):
+    # real branch points more than 0.25 apart, as in random_genus2
+    genus = draw(st.sampled_from([1, 2]))
+    size = 2 * genus + 1
+    es = np.sort(draw(st.lists(st.floats(-2.2, 2.2), min_size=size, max_size=size)))
+    assume(min(np.diff(es)) > 0.25)
+    return es - es.mean()
+
+
+@given(spaced_branch_points())
+@settings(max_examples=40, deadline=None)
+def test_closed_form_characteristic_matches_the_search(es):
+    per = compute_periods(hyperelliptic_from_branch_points(es))
+    want = _riemann_characteristic_by_search(per)
+    got = per.theta.characteristic
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("make", [genus1_family, genus2_family], ids=["g1", "g2"])
+def test_only_the_closed_form_passes_the_gate(make):
+    per = compute_periods(make())
+    g = per.fam.genus
+    passing = []
+    for d1, d2 in _all_characteristics(g):
+        ctx = ThetaContext(per.tau, (d1, d2), per.theta.radius)
+        try:
+            _check_riemann_characteristic(ctx, per.omega, per.infinity_leg[0])
+        except OnThetaDivisor:
+            continue
+        passing.append((d1.tolist(), d2.tolist()))
+    want = _riemann_characteristic(g)
+    assert passing == [(want[0].tolist(), want[1].tolist())]
+
+
+def test_wrong_characteristic_fails_the_gate_with_its_margin(monkeypatch):
+    even = (np.zeros(2), np.zeros(2))
+    monkeypatch.setattr(hyperell, "_riemann_characteristic", lambda g: even)
+    margin = r"\|theta\|/scale [0-9.e+-]+ > 1e-06"
+    with pytest.raises(OnThetaDivisor, match=margin):
+        compute_periods(genus2_family())
 
 
 # -- theta -------------------------------------------------------------------
