@@ -15,7 +15,13 @@ import numpy as np
 
 from .abelian import build_inversion_system, emit_system
 from .curves import family_from_text, make_family
-from .divisors import random_divisor, rfunctions_from_divisor, solve_divisor
+from .divisors import (
+    make_divisor,
+    random_divisor,
+    rfunctions_from_divisor,
+    sample_points,
+    solve_divisor,
+)
 from .errors import (
     InvalidLambdaIndex,
     NSCurveError,
@@ -243,13 +249,7 @@ def cmd_hyper_demo(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     fam = _demo_family(args.g, rng)
     periods = compute_periods(fam)
-    points = []
-    for _ in range(args.g):
-        x = rng.normal(0.0, 1.4) + 1j * rng.normal(0.0, 1.4)
-        points.append(fam.lift_x_to_points(x)[int(rng.integers(2))])
-    from .divisors import make_divisor
-
-    divisor = make_divisor(fam, points)
+    divisor = make_divisor(fam, sample_points(fam, rng, args.g, scale=1.4))
     report = verify_inversion(fam, divisor, periods)
     worst = max(c.abs_err for c in report)
     payload = {

@@ -133,7 +133,9 @@ class EntireRationalFn:
 class CurveFamily:
     """An (n,s) curve with exact (possibly symbolic) or numeric coefficients."""
 
-    __slots__ = ("n", "s", "extended", "lam", "genus", "gaps", "_index_map", "_monomials")
+    __slots__ = (
+        "n", "s", "extended", "lam", "genus", "gaps", "_index_map", "_monomials", "_y_terms"
+    )
 
     def __init__(
         self,
@@ -152,6 +154,7 @@ class CurveFamily:
         self.gaps = _gap_sequence(n, s)
         assert len(self.gaps) == self.genus
         self._monomials: list[Monomial] = []
+        self._y_terms: list[tuple[int, int, complex]] | None = None
 
     # -- basis bookkeeping --
 
@@ -224,33 +227,68 @@ class CurveFamily:
 
     # -- numeric curve evaluation --
 
+    def _y_row(self, x: complex) -> list[complex]:
+        # y_poly as a Python list.  The numeric (row, power of x, lambda)
+        # terms are built on first use; ``lam`` is never reassigned after
+        # construction, so they cannot go stale.
+        if self._y_terms is None:
+            lam = self.numeric_lambda()
+            self._y_terms = [
+                (self.n - j, i, lam[k]) for k, j, i, _ in self.lambda_terms()
+            ]
+        row = [0j] * (self.n + 1)
+        row[0] = -1.0 + 0j
+        row[self.n] = x ** self.s
+        for r, i, value in self._y_terms:
+            row[r] += value * x ** i
+        return row
+
     def y_poly(self, x: complex) -> np.ndarray:
         """Coefficients (highest first) of f(x, .) as a polynomial in y."""
-        lam = self.numeric_lambda()
-        coeffs = np.zeros(self.n + 1, dtype=complex)
-        coeffs[0] = -1.0
-        coeffs[self.n] = x ** self.s
-        for k, j, i, _ in self.lambda_terms():
-            coeffs[self.n - j] += lam[k] * x ** i
-        return coeffs
+        return np.array(self._y_row(x), dtype=complex)
 
     def eval_f(self, x: complex, y: complex) -> complex:
-        return complex(np.polyval(self.y_poly(x), y))
+        value = 0j
+        for coeff in self._y_row(x):
+            value = value * y + coeff
+        return complex(value)
 
     def eval_dyf(self, x: complex, y: complex) -> complex:
         return complex(np.polyval(np.polyder(self.y_poly(x)), y))
 
+    def lift_fibers(self, xs: Sequence[complex]) -> list[list[CurvePoint]]:
+        """All n points of the fiber over each x, each fiber sorted by (re y, im y).
+
+        One eigensolve takes the stacked companion matrices of every x; each
+        fiber's roots equal ``np.roots(self.y_poly(x))`` bit for bit.
+        """
+        if len(xs) == 0:
+            return []
+        n = self.n
+        polys = np.array([self._y_row(x) for x in xs], dtype=complex)
+        companion = np.zeros((len(polys), n, n), dtype=complex)
+        companion[:, 0, :] = -polys[:, 1:] / polys[:, :1]
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        roots = np.linalg.eigvals(companion)
+        roots = np.take_along_axis(
+            roots, np.lexsort((roots.imag, roots.real)), axis=-1
+        )
+        value = np.zeros_like(roots)
+        for coeff in polys.T:
+            value = value * roots + coeff[:, None]
+        scale = np.maximum(1.0, np.abs(polys).max(axis=1))
+        bad = np.abs(value) > 1e-6 * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** n
+        if bad.any():
+            x = xs[int(np.nonzero(bad.any(axis=1))[0][0])]
+            raise RootFindingFailure(f"fiber root at x={x} fails the residual check")
+        return [
+            [CurvePoint(complex(x), y) for y in fiber]
+            for x, fiber in zip(xs, roots.tolist())
+        ]
+
     def lift_x_to_points(self, x: complex) -> list[CurvePoint]:
         """All n points of the fiber over x, sorted for determinism."""
-        poly = self.y_poly(x)
-        roots = np.roots(poly)
-        if len(roots) != self.n:
-            raise RootFindingFailure(f"fiber over x={x} did not yield {self.n} roots")
-        scale = max(1.0, float(np.max(np.abs(poly))))
-        for y in roots:
-            if abs(self.eval_f(x, y)) > 1e-6 * scale * max(1.0, abs(y)) ** self.n:
-                raise RootFindingFailure(f"fiber root at x={x} fails the residual check")
-        return [CurvePoint(complex(x), complex(y)) for y in sorted(roots, key=lambda z: (z.real, z.imag))]
+        return self.lift_fibers([x])[0]
 
     # -- display --
 

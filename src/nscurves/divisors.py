@@ -6,7 +6,7 @@ interpolation determinant.  Backward: the coefficient grid of those
 functions determines the divisor again, by eliminating y into a degree-g
 polynomial in x and reading y off the null space of the evaluated grid.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ from .curves import CurveFamily, CurvePoint
 from .errors import (
     DegenerateDeterminant,
     DegreeCollapse,
+    MalformedGrid,
     NullSpaceDimensionError,
     RootFindingFailure,
     SpecialDivisor,
@@ -25,6 +26,9 @@ from .expansions import second_kind_count
 
 CLUSTER_TOL = 1e-7
 COLLAPSE_TOL = 1e-10
+# a repeated root's chosen fiber points must beat the next candidate's grid
+# residual by this factor, or the grid cannot tell them apart
+FIBER_GAP = 1e6
 
 
 def _poly_at(coeffs: np.ndarray, x: complex) -> complex:
@@ -48,12 +52,12 @@ class Divisor:
         return len(self.points)
 
 
-def _fiber_matches(fam: CurveFamily, group: list[CurvePoint], tol: float) -> bool:
-    # does the group's y multiset exhaust a whole fiber over its x?
-    x = sum(p.x for p in group) / len(group)
-    fiber = [p.y for p in fam.lift_x_to_points(x)]
+def _fiber_matches(
+    group: list[CurvePoint], fiber: list[CurvePoint], tol: float
+) -> bool:
+    # does the group's y multiset exhaust the fiber over its x?
     left = [p.y for p in group]
-    for y in fiber:
+    for y in (p.y for p in fiber):
         scale = max(1.0, abs(y))
         hit = next((i for i, c in enumerate(left) if abs(c - y) <= tol * scale), None)
         if hit is None:
@@ -77,9 +81,9 @@ def _analyze_points(
                 break
         else:
             groups.append([p])
-    special = any(
-        len(g) >= fam.n and _fiber_matches(fam, g, 1e-6) for g in groups
-    )
+    full = [g for g in groups if len(g) >= fam.n]
+    fibers = fam.lift_fibers([sum(p.x for p in g) / len(g) for g in full])
+    special = any(_fiber_matches(g, f, 1e-6) for g, f in zip(full, fibers))
     return special, worst
 
 
@@ -94,12 +98,26 @@ def make_divisor(
     return Divisor(pts, special, worst)
 
 
+def sample_points(
+    fam: CurveFamily, rng: np.random.Generator, count: int, scale: float = 1.0
+) -> list[CurvePoint]:
+    """``count`` random curve points, x complex normal, sheet uniform.
+
+    Every (x, sheet) pair is drawn first, in the order that drawing the points
+    one at a time would use, and then all fibers are lifted in one batch.
+    """
+    draws = []
+    for _ in range(count):
+        x = complex(rng.normal(scale=scale), rng.normal(scale=scale))
+        draws.append((x, int(rng.integers(fam.n))))
+    fibers = fam.lift_fibers([x for x, _ in draws])
+    return [fiber[sheet] for fiber, (_, sheet) in zip(fibers, draws)]
+
+
 def sample_point(
     fam: CurveFamily, rng: np.random.Generator, scale: float = 1.0
 ) -> CurvePoint:
-    x = complex(rng.normal(scale=scale), rng.normal(scale=scale))
-    fiber = fam.lift_x_to_points(x)
-    return fiber[int(rng.integers(len(fiber)))]
+    return sample_points(fam, rng, 1, scale)[0]
 
 
 def random_divisor(
@@ -107,7 +125,7 @@ def random_divisor(
 ) -> Divisor:
     """A generic non-special divisor; redraws on the measure-zero failures."""
     for _ in range(64):
-        pts = [sample_point(fam, rng, scale) for _ in range(fam.genus)]
+        pts = sample_points(fam, rng, fam.genus, scale)
         special, worst = _analyze_points(fam, pts, CLUSTER_TOL)
         if not special and worst <= 1e-8:
             return Divisor(tuple(pts), False, worst)
@@ -143,21 +161,40 @@ class NumericRSystem:
 
     fam: CurveFamily
     rho: list[list[np.ndarray]]
+    # eval_grid's Horner table, built on first use: (degree + 1, rows,
+    # columns), highest power first, zero-padded
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         count = second_kind_count(self.fam)
-        assert len(self.rho) == count
+        if len(self.rho) != count:
+            raise MalformedGrid(f"grid has {len(self.rho)} rows, expected {count}")
         bound = 2 * self.fam.genus
         for l, row in enumerate(self.rho):
-            assert len(row) == count
+            if len(row) != count:
+                raise MalformedGrid(
+                    f"row {l} has {len(row)} columns, expected {count}"
+                )
             for j, coeffs in enumerate(row):
-                limit = (bound + l - j * self.fam.s) // self.fam.n
-                assert len(coeffs) - 1 <= max(limit, -1), (l, j)
+                limit = max((bound + l - j * self.fam.s) // self.fam.n, -1)
+                if len(coeffs) - 1 > limit:
+                    raise MalformedGrid(
+                        f"rho[{l}][{j}] has degree {len(coeffs) - 1}, "
+                        f"above its bound {limit}"
+                    )
 
     def eval_grid(self, x: complex) -> np.ndarray:
-        return np.array(
-            [[_poly_at(c, x) for c in row] for row in self.rho], dtype=complex
-        )
+        if self._table is None:
+            depth = max(len(c) for row in self.rho for c in row)
+            table = np.zeros((depth, len(self.rho), len(self.rho[0])), dtype=complex)
+            for l, row in enumerate(self.rho):
+                for j, coeffs in enumerate(row):
+                    table[depth - len(coeffs) :, l, j] = coeffs[::-1]
+            self._table = table
+        grid = np.zeros(self._table.shape[1:], dtype=complex)
+        for layer in self._table:
+            grid = grid * x + layer
+        return grid
 
     def residual_at(self, p: CurvePoint) -> float:
         """Largest relative value of any row function at the point."""
@@ -206,11 +243,13 @@ def rfunctions_from_divisor(
     extra: Sequence[CurvePoint] = (),
     seed: int = 0,
 ) -> NumericRSystem:
-    """Interpolation determinants through the divisor, row by row.
+    """Interpolating functions through the divisor, row by row.
 
-    Function l vanishes on the divisor plus l auxiliary points; auxiliary
-    points beyond those supplied come from a seeded generator so repeated
-    runs agree.
+    Function l vanishes on the divisor plus l auxiliary points: its
+    coefficients span the kernel of the interpolation matrix, so they are
+    the interpolation determinant's cofactors up to scale.  Auxiliary points
+    beyond those supplied come from a seeded generator so repeated runs
+    agree.
     """
     g = fam.genus
     if len(divisor) != g:
@@ -222,26 +261,22 @@ def rfunctions_from_divisor(
     if len(extras) > count - 1:
         raise ValueError(f"at most {count - 1} auxiliary points are used")
     rng = np.random.default_rng(seed)
-    while len(extras) < count - 1:
-        extras.append(sample_point(fam, rng))
+    extras += sample_points(fam, rng, count - 1 - len(extras))
+    # row l reads the first g + l points and the first g + l + 1 monomials
+    points = list(divisor.points) + extras
+    monos = fam.monomial_basis(g + count)
+    table = np.array(
+        [[m.eval(p.x, p.y) for m in monos] for p in points], dtype=complex
+    )
     rho: list[list[np.ndarray]] = []
     for l in range(count):
-        pts = list(divisor.points) + extras[:l]
-        monos = fam.monomial_basis(g + l + 1)
-        matrix = np.array(
-            [[m.eval(p.x, p.y) for m in monos] for p in pts], dtype=complex
-        )
-        sv = np.linalg.svd(matrix, compute_uv=False)
+        _, sv, vh = np.linalg.svd(table[: g + l, : g + l + 1])
         if sv[-1] <= 1e-10 * sv[0]:
             raise DegenerateDeterminant(
                 f"weight-{2 * g + l} interpolation matrix is rank deficient"
             )
-        coeffs = np.array(
-            [
-                (-1) ** k * np.linalg.det(np.delete(matrix, k, axis=1))
-                for k in range(g + l + 1)
-            ]
-        )
+        # the last right singular vector spans the kernel: the row's function
+        coeffs = vh[-1].conj()
         coeffs /= np.max(np.abs(coeffs))
         rho.append(_coefficient_row(zip(monos, coeffs), count))
     return NumericRSystem(fam, rho)
@@ -306,9 +341,14 @@ def chi_polynomial(sys: NumericRSystem) -> np.ndarray:
         det = _poly_det(sys.rho)
     chi = np.zeros(g + 1, dtype=complex)
     chi[: len(det)] = det[: g + 1]
-    assert len(det) <= g + 1 or np.max(np.abs(det[g + 1 :])) <= 1e-9 * np.max(
-        np.abs(det)
-    )
+    if len(det) > g + 1:
+        excess = np.max(np.abs(det[g + 1 :]))
+        limit = 1e-9 * np.max(np.abs(det))
+        if excess > limit:
+            raise MalformedGrid(
+                f"det has coefficients of size {excess:.3e} above degree {g}, "
+                f"over the limit {limit:.3e}"
+            )
     scale = np.max(np.abs(chi))
     if scale == 0.0 or abs(chi[g]) <= COLLAPSE_TOL * scale:
         raise DegreeCollapse(
@@ -336,17 +376,24 @@ def _clustered_roots(
 
 
 def _fiber_best_y(
-    sys: NumericRSystem, x: complex, mu: int
+    fam: CurveFamily, grid: np.ndarray, x: complex, mu: int
 ) -> list[complex]:
     # multiplicity > 1: rank the fiber candidates by grid residual
-    grid = sys.eval_grid(x)
     scored = []
-    for p in sys.fam.lift_x_to_points(x):
+    for p in fam.lift_x_to_points(x):
         yvec = np.array(
             [p.y ** j for j in range(grid.shape[1])], dtype=complex
         )
         scored.append((float(np.linalg.norm(grid @ yvec)), p.y))
     scored.sort(key=lambda t: t[0])
+    if len(scored) > mu:
+        kept, rival = scored[mu - 1][0], scored[mu][0]
+        # "not >" also refuses two exact zeros
+        if not rival > FIBER_GAP * kept:
+            raise NullSpaceDimensionError(
+                f"fiber over x={x:.6g} is ambiguous: residual {rival:.3e} of the "
+                f"next candidate is not {FIBER_GAP:.0e} times {kept:.3e}"
+            )
     return [y for _, y in scored[:mu]]
 
 
@@ -373,20 +420,20 @@ def solve_divisor(sys: NumericRSystem, cluster_tol: float = CLUSTER_TOL) -> Divi
             )
             continue
         grid = sys.eval_grid(x)
-        sv = np.linalg.svd(grid, compute_uv=False)
+        _, sv, vh = np.linalg.svd(grid)
         null_dim = int(np.sum(sv <= 1e-8 * max(sv[0], 1.0)))
         if null_dim != mu:
             raise NullSpaceDimensionError(
                 f"kernel dimension {null_dim} != multiplicity {mu} over x={x:.6g}"
             )
         if mu == 1:
-            kernel = np.linalg.svd(grid)[2][-1].conj()
+            kernel = vh[-1].conj()
             if abs(kernel[0]) <= 1e-10 * np.linalg.norm(kernel):
                 raise NullSpaceDimensionError(
                     f"kernel vector has no constant part over x={x:.6g}"
                 )
             points.append(CurvePoint(x, complex(kernel[1] / kernel[0])))
         else:
-            points.extend(CurvePoint(x, y) for y in _fiber_best_y(sys, x, mu))
+            points.extend(CurvePoint(x, y) for y in _fiber_best_y(fam, grid, x, mu))
     special, worst = _analyze_points(fam, points, cluster_tol)
     return Divisor(tuple(points), special, worst)

@@ -68,6 +68,10 @@ class DegreeCollapse(NSCurveError):
     """The degree of the x-elimination polynomial dropped below the genus."""
 
 
+class MalformedGrid(NSCurveError, ValueError):
+    """A coefficient grid has the wrong shape or a degree above its bound."""
+
+
 class NullSpaceDimensionError(NSCurveError):
     """The evaluated coefficient matrix does not have a one-dimensional kernel."""
 

@@ -2,8 +2,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_golden import GOLDEN_TARGETS
 from nscurves.algebra import WeightedPoly
 from nscurves.curves import (
     admissible_indices,
@@ -18,6 +21,16 @@ from nscurves.errors import (
     NotCoprime,
     SymbolicLambda,
 )
+
+SHAPES = [(n, s, ext) for _, n, s, ext in GOLDEN_TARGETS]
+
+
+def unit_family(n, s, extended, rng):
+    """Every admissible lambda uniform in [-1, 1]."""
+    lam = {
+        k: rng.uniform(-1.0, 1.0) for k in admissible_indices(n, s, extended)
+    }
+    return make_family(n, s, lam, extended=extended)
 
 
 def test_family_validation():
@@ -139,6 +152,19 @@ def test_eval_and_fiber_25():
         assert abs(fam.eval_f(p.x, p.y)) < 1e-9
         assert abs(p.y ** 2 - (x ** 5 - x)) < 1e-9
     assert abs(fam.eval_dyf(points[0].x, points[0].y) + 2 * points[0].y) < 1e-12
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_batch_lift_equals_np_roots(n, s, ext, seed):
+    rng = np.random.default_rng(seed)
+    fam = unit_family(n, s, ext, rng)
+    xs = [complex(rng.normal(), rng.normal()) for _ in range(6)]
+    for x, fiber in zip(xs, fam.lift_fibers(xs)):
+        want = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
+        assert [p.y for p in fiber] == [complex(y) for y in want]
+        assert all(p.x == x for p in fiber)
 
 
 def test_fiber_full_size_at_generic_x():

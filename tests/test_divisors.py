@@ -1,10 +1,14 @@
 """Forward construction and backward recovery of divisors."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_curves import SHAPES, unit_family
 from nscurves.curves import CurvePoint, make_family
 from nscurves.divisors import (
+    CLUSTER_TOL,
     NumericRSystem,
+    _analyze_points,
     chi_polynomial,
     divisor_from_payload,
     divisor_payload,
@@ -16,6 +20,7 @@ from nscurves.divisors import (
 from nscurves.errors import (
     DegenerateDeterminant,
     DegreeCollapse,
+    MalformedGrid,
     NullSpaceDimensionError,
     RootFindingFailure,
     SpecialDivisor,
@@ -51,6 +56,42 @@ def max_point_error(got, want):
 
 
 # -- divisor bookkeeping -----------------------------------------------------
+
+
+def _random_divisor_one_at_a_time(fam, rng, scale=1.0):
+    # the draw loop before batching: one np.roots fiber per drawn point
+    for _ in range(64):
+        pts = []
+        for _ in range(fam.genus):
+            x = complex(rng.normal(scale=scale), rng.normal(scale=scale))
+            fiber = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
+            pts.append(CurvePoint(x, complex(fiber[int(rng.integers(len(fiber)))])))
+        special, worst = _analyze_points(fam, pts, CLUSTER_TOL)
+        if not special and worst <= 1e-8:
+            return pts
+    raise RootFindingFailure("could not sample a non-special divisor")
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_batched_draw_equals_one_at_a_time(n, s, ext, seed):
+    fam = unit_family(n, s, ext, np.random.default_rng(seed))
+    got = random_divisor(fam, np.random.default_rng(seed))
+    want = _random_divisor_one_at_a_time(fam, np.random.default_rng(seed))
+    assert list(got.points) == want
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_every_row_vanishes_on_its_points(n, s, ext, seed):
+    rng = np.random.default_rng(seed)
+    fam = unit_family(n, s, ext, rng)
+    divisor = random_divisor(fam, rng)
+    sys = rfunctions_from_divisor(fam, divisor, seed=seed)
+    for p in divisor.points:
+        assert sys.residual_at(p) < 1e-10
 
 
 def test_divisor_validation_rejects_off_curve():
@@ -161,6 +202,35 @@ def test_chi_is_trivial_for_two_sheets():
     assert np.array_equal(chi_polynomial(sys), sys.rho[0][0])
 
 
+def _grid_34(rows):
+    return NumericRSystem(family(3, 4), rows)
+
+
+def test_grid_with_wrong_row_count_refused():
+    with pytest.raises(MalformedGrid, match="1 rows, expected 2"):
+        _grid_34([[np.ones(1), np.ones(1)]])
+
+
+def test_grid_with_wrong_column_count_refused():
+    with pytest.raises(MalformedGrid, match="row 1 has 3 columns, expected 2"):
+        _grid_34([[np.ones(1), np.ones(1)], [np.ones(1), np.ones(1), np.ones(1)]])
+
+
+def test_grid_entry_above_its_degree_bound_refused():
+    # (3,4): rho[0][1] multiplies y, so its degree is at most (6 - 4) // 3 = 0
+    with pytest.raises(MalformedGrid, match=r"rho\[0\]\[1\] has degree 1, above its bound 0"):
+        _grid_34([[np.ones(3), np.ones(2)], [np.ones(3), np.ones(2)]])
+
+
+def test_det_above_degree_g_refused():
+    # a valid grid edited after construction: det gains an x^4 term at g = 3
+    one = np.ones(1, dtype=complex)
+    sys = _grid_34([[np.ones(3, dtype=complex), one], [np.ones(3, dtype=complex), one]])
+    sys.rho[0][0] = np.ones(5, dtype=complex)
+    with pytest.raises(MalformedGrid, match="above degree 3, over the limit"):
+        chi_polynomial(sys)
+
+
 def test_degree_collapse_refused():
     fam = family(2, 5)
     sys = NumericRSystem(
@@ -200,17 +270,29 @@ def test_row_scaling_leaves_solution_unchanged():
     assert max_point_error(a.points, b.points) < 1e-9
 
 
-def test_repeated_x_distinct_y_round_trip():
+def _two_points_over_one_x(n, s):
     # two points over one x are legitimate as long as the fiber is not full
-    fam = family(3, 4)
-    rng = np.random.default_rng(41)
+    fam = family(n, s)
     fiber = fam.lift_x_to_points(0.6 - 0.3j)
-    third = random_divisor(fam, rng).points[0]
-    divisor = make_divisor(fam, [fiber[0], fiber[1], third])
+    rest = random_divisor(fam, np.random.default_rng(41)).points[: fam.genus - 2]
+    divisor = make_divisor(fam, [fiber[0], fiber[1], *rest])
     assert not divisor.special
-    sys = rfunctions_from_divisor(fam, divisor)
+    return divisor, rfunctions_from_divisor(fam, divisor)
+
+
+def test_repeated_x_distinct_y_round_trip():
+    # (4,5): the rows reach y^2, so the fiber's other two points stay off them
+    divisor, sys = _two_points_over_one_x(4, 5)
     recovered = solve_divisor(sys)
     assert max_point_error(recovered.points, divisor.points) < 1e-6
+
+
+def test_repeated_x_on_trigonal_fiber_is_ambiguous():
+    # (3,4): every row is a(x) + b(x) y, so both points force a = b = 0 at x
+    # and the rows vanish on the whole fiber; no y can be chosen
+    _, sys = _two_points_over_one_x(3, 4)
+    with pytest.raises(NullSpaceDimensionError, match=r"ambiguous: residual .* is not 1e\+06 times"):
+        solve_divisor(sys)
 
 
 def test_null_space_dimension_guard():
