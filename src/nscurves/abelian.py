@@ -328,18 +328,6 @@ class RFunction:
     def sorted_terms(self) -> list[tuple[Monomial, AbelianExpr]]:
         return sorted(self.terms.items(), key=lambda mc: -mc[0].sato_weight)
 
-    def eval_numeric(
-        self,
-        x: complex,
-        y: complex,
-        symbol_values: Mapping[AbelianSymbol, complex],
-        lam: Mapping[int, complex],
-    ) -> complex:
-        total = 0j
-        for mono, coeff in self.terms.items():
-            total += coeff.eval_numeric(symbol_values, lam) * mono.eval(x, y)
-        return total
-
 
 @dataclass
 class InversionSystem:

@@ -238,22 +238,6 @@ class WeightedPoly:
                 chunks.append(f"{coeff}*{factors}")
         return signed_sum_text(chunks)
 
-    def to_latex(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for key, coeff in self.sorted_terms():
-            factors = " ".join(
-                f"\\lambda_{{{k}}}" + (f"^{{{e}}}" if e > 1 else "")
-                for k, e in key
-            )
-            body = _latex_rat(coeff, bare_one=not factors)
-            chunks.append(f"{body} {factors}".strip())
-        text = chunks[0]
-        for chunk in chunks[1:]:
-            text += f" {chunk}" if chunk.startswith("-") else f" + {chunk}"
-        return text
-
 
 def signed_sum_text(chunks: Sequence[str]) -> str:
     """Rendered terms joined by " + ", a leading minus folded into " - "."""
@@ -274,18 +258,6 @@ def product_text(coeff: str, factor: str) -> str:
     if " " in coeff:
         coeff = f"({coeff})"
     return coeff if factor == "1" else f"{coeff}*{factor}"
-
-
-def _latex_rat(q: Fraction, bare_one: bool = True) -> str:
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    if q.denominator == 1:
-        body = str(q.numerator)
-        if q.numerator == 1 and not bare_one:
-            body = ""
-    else:
-        body = f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
-    return sign + body
 
 
 def _coerce_poly(value) -> WeightedPoly:

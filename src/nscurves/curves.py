@@ -104,12 +104,6 @@ class EntireRationalFn:
             self.coefficients.items(), key=lambda mc: -mc[0].sato_weight
         )
 
-    def eval(self, x: complex, y: complex, lam: Mapping[int, complex]) -> complex:
-        total = 0j
-        for m, c in self.coefficients.items():
-            total += c.eval_numeric(lam) * m.eval(x, y)
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntireRationalFn):
             return NotImplemented

@@ -169,6 +169,8 @@ class NumericRSystem:
         count = second_kind_count(self.fam)
         if len(self.rho) != count:
             raise MalformedGrid(f"grid has {len(self.rho)} rows, expected {count}")
+        # complex throughout, so det and Horner never mix in a float array
+        self.rho = [[np.asarray(c, dtype=complex) for c in row] for row in self.rho]
         bound = 2 * self.fam.genus
         for l, row in enumerate(self.rho):
             if len(row) != count:
@@ -283,10 +285,21 @@ def rfunctions_from_divisor(
 
 
 def numeric_system(
-    system: InversionSystem, symbol_values: Mapping[AbelianSymbol, complex]
+    system: InversionSystem,
+    fam: CurveFamily,
+    symbol_values: Mapping[AbelianSymbol, complex],
 ) -> NumericRSystem:
-    """Evaluate a derived symbolic system at given zeta/wp values."""
-    fam = system.fam
+    """Evaluate a derived system of fam's shape on the numeric curve fam.
+
+    The system may be derived with lambda symbolic (``fam.symbolic_twin()``)
+    or at fam's own lambda.  The lambda values are read from fam, the wp
+    values from symbol_values.
+    """
+    if fam.family_label() != system.fam.family_label():
+        raise ValueError(
+            f"system of {system.fam.family_label()} cannot be evaluated on "
+            f"{fam.family_label()}"
+        )
     lam = fam.numeric_lambda()
     count = second_kind_count(fam)
     rho = [

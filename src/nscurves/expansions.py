@@ -57,21 +57,11 @@ class InfinityChart:
     def __post_init__(self):
         self._hj_dxdyf = [p * self.dxdyf_series for p in self.h_powers]
 
-    def mono_series(self, mono: Monomial) -> LaurentSeries:
-        """The pullback of y^j x^i: xi^(-sato_weight) h^j."""
-        return self.h_powers[mono.j].shift(-mono.sato_weight)
-
     def mono_dxdyf(self, mono: Monomial) -> LaurentSeries:
         """The pullback of y^j x^i dx/(df/dy), per dxi."""
         return self._hj_dxdyf[mono.j].shift(
             -mono.j * self.fam.s - mono.i * self.fam.n
         )
-
-    def fn_dxdyf(self, fn: EntireRationalFn) -> LaurentSeries:
-        total = LaurentSeries.zero(self.order)
-        for mono, coeff in fn.sorted_terms():
-            total = total + self.mono_dxdyf(mono).scale(coeff)
-        return total
 
 
 def expand_at_infinity(fam: CurveFamily, order: int | None = None) -> InfinityChart:

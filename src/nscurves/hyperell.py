@@ -7,7 +7,10 @@ characteristic of the vector of Riemann constants, which is a constant of
 the fixed homology basis; it is written down in closed form and checked by
 one theta value per curve.  Sigma is so known up to a gauge factor
 exp(quadratic) that the wp functions do not see.  The Abel map combines the
-series tail at infinity with sheet-tracked continuation.
+series tail at infinity with sheet-tracked continuation.  The closing check
+reads the inversion system that the exact layer derives for the shape, with
+lambda symbolic, at the wp values of A(D); the du numerators come from that
+system too.
 """
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import CurveFamily, CurvePoint
-from .divisors import Divisor
+from .abelian import InversionSystem, build_inversion_system
+from .curves import CurveFamily, CurvePoint, make_family
+from .divisors import Divisor, _poly_at, numeric_system
 from .errors import (
     BranchCollision,
     NonSymmetricTau,
@@ -91,8 +95,6 @@ def branch_points(fam: CurveFamily) -> np.ndarray:
 
 def hyperelliptic_from_branch_points(es: Sequence[complex]) -> CurveFamily:
     """The (2, 2g+1) family whose finite branch points are the given es."""
-    from .curves import make_family
-
     es = [complex(e) for e in es]
     if len(es) % 2 != 1:
         raise ValueError("need an odd number of finite branch points")
@@ -200,12 +202,18 @@ def _ellipse_integral(
     return vals
 
 
-def _du_numerators(g: int) -> list[np.ndarray]:
-    # gap 2k-1 pairs with numerator x^(g-k); rows in ascending gap order
+@functools.lru_cache(maxsize=8)
+def _derived_system(n: int, s: int, extended: bool) -> InversionSystem:
+    """The shape's exact inversion system, lambda symbolic; cached, so read-only."""
+    return build_inversion_system(make_family(n, s, "sym", extended=extended))
+
+
+def _du_numerators(fam: CurveFamily) -> list[np.ndarray]:
+    # the exact layer's du numerators, one x^i per gap in ascending gap order
     out = []
-    for k in range(1, g + 1):
-        num = np.zeros(g - k + 1, dtype=complex)
-        num[g - k] = 1.0
+    for mono in _derived_system(fam.n, fam.s, fam.extended).first.numerators:
+        num = np.zeros(mono.i + 1, dtype=complex)
+        num[mono.i] = 1.0
         out.append(num)
     return out
 
@@ -278,7 +286,7 @@ def compute_periods(
             "this curve has complex ones"
         )
     p = curve_polynomial(fam)
-    du = _du_numerators(g)
+    du = _du_numerators(fam)
     dr = _dr_numerators(fam)
     omega = np.zeros((g, g), dtype=complex)
     omega_prime = np.zeros((g, g), dtype=complex)
@@ -594,7 +602,7 @@ def abel_map(
     es = periods.branch_points
     u, here = periods.infinity_leg
     u = u.copy()
-    du = _du_numerators(g)
+    du = _du_numerators(fam)
     clearance = 0.2 * min(
         abs(es[a] - es[b]) for a in range(len(es)) for b in range(a + 1, len(es))
     )
@@ -662,12 +670,13 @@ def verify_inversion(
     divisor: Divisor,
     periods: PeriodData | None = None,
 ) -> list[IdentityCheck]:
-    """Check the closed-form inversion identities on a concrete divisor.
+    """Check a concrete divisor against the derived inversion system.
 
-    Computes u = A(D) and the wp values there, then compares both sides of
-    the degree-g polynomial identities: the x-coordinates through the
-    elementary symmetric functions, the y-coordinates through the odd wp
-    values.
+    Computes u = A(D) and the wp values there, and evaluates the exact
+    layer's system at them.  Its y-free function R_2g is monic of degree g
+    in x with roots the x_k, so its coefficients must give the elementary
+    symmetric functions e_k(x); R_2g+1 = rho_0(x) + rho_1(x) y vanishes on
+    D, so each y_k must be -rho_0(x_k)/rho_1(x_k).
     """
     _require_two_sheets(fam)
     g = fam.genus
@@ -679,23 +688,34 @@ def verify_inversion(
         periods = compute_periods(fam)
     u = abel_map_divisor(fam, periods, divisor)
     vals = wp_from_theta(u, periods)
-    checks: list[IdentityCheck] = []
-    if g == 1:
-        p = divisor.points[0]
-        checks.append(IdentityCheck("x = wp_11", p.x, vals.wp(1, 1)))
-        checks.append(
-            IdentityCheck("y = -wp_111/2", p.y, -0.5 * vals.wp(1, 1, 1))
+    derived = _derived_system(fam.n, fam.s, fam.extended)
+    symbols = {
+        sym: vals.wp(*sym.indices)
+        for fn in derived.r_functions
+        for coeff in fn.terms.values()
+        for sym in coeff.terms
+    }
+    system = numeric_system(derived, fam, symbols)
+    chi = system.rho[0][0]
+    rho0, rho1 = system.rho[1]
+    e = [1 + 0j] + [0j] * g  # prod (X + x_k) = sum e_k X^(g-k)
+    for p in divisor.points:
+        for k in range(g, 0, -1):
+            e[k] += p.x * e[k - 1]
+    checks = [
+        IdentityCheck(
+            f"e_{k}(x) from R_{2 * g}",
+            e[k],
+            complex((-1) ** k * chi[g - k] / chi[g]),
         )
-        return checks
-    x1, x2 = (p.x for p in divisor.points)
-    checks.append(IdentityCheck("x1 + x2 = wp_11", x1 + x2, vals.wp(1, 1)))
-    checks.append(IdentityCheck("x1 x2 = -wp_13", x1 * x2, -vals.wp(1, 3)))
+        for k in range(1, g + 1)
+    ]
     for idx, p in enumerate(divisor.points, 1):
         checks.append(
             IdentityCheck(
-                f"y{idx} = -(x{idx} wp_111 + wp_113)/2",
+                f"y_{idx} from R_{2 * g + 1}",
                 p.y,
-                -0.5 * (p.x * vals.wp(1, 1, 1) + vals.wp(1, 1, 3)),
+                -_poly_at(rho0, p.x) / _poly_at(rho1, p.x),
             )
         )
     return checks

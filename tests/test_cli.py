@@ -178,7 +178,7 @@ def test_hyper_demo_genus1(capsys):
     data = json.loads(out)
     assert data["curve"]["s"] == 3
     assert data["max_abs_err"] < 1e-6
-    assert [r["identity"] for r in data["report"]] == ["x = wp_11", "y = -wp_111/2"]
+    assert [r["identity"] for r in data["report"]] == ["e_1(x) from R_2", "y_1 from R_3"]
 
 
 def test_hyper_demo_genus2_deterministic(capsys):

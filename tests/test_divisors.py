@@ -1,9 +1,12 @@
 """Forward construction and backward recovery of divisors."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_curves import SHAPES, unit_family
+from nscurves.abelian import build_inversion_system
 from nscurves.curves import CurvePoint, make_family
 from nscurves.divisors import (
     CLUSTER_TOL,
@@ -13,6 +16,7 @@ from nscurves.divisors import (
     divisor_from_payload,
     divisor_payload,
     make_divisor,
+    numeric_system,
     random_divisor,
     rfunctions_from_divisor,
     solve_divisor,
@@ -231,6 +235,15 @@ def test_det_above_degree_g_refused():
         chi_polynomial(sys)
 
 
+def test_float_grid_gives_the_chi_of_its_complex_twin():
+    # det adds its complex running sum into each term in place, so a float64
+    # entry must reach it as complex
+    rows = [[[1.0, 2.0, 1.0], [0.5]], [[0.2, -0.4, 0.2], [0.1, 1.0]]]
+    floats = _grid_34([[np.array(c) for c in row] for row in rows])
+    twin = _grid_34([[np.array(c, dtype=complex) for c in row] for row in rows])
+    assert np.array_equal(chi_polynomial(floats), chi_polynomial(twin))
+
+
 def test_degree_collapse_refused():
     fam = family(2, 5)
     sys = NumericRSystem(
@@ -242,6 +255,51 @@ def test_degree_collapse_refused():
     )
     with pytest.raises(DegreeCollapse):
         chi_polynomial(sys)
+
+
+# -- derived systems at numeric lambda ---------------------------------------
+
+
+def _padded(a, b):
+    size = max(len(a), len(b))
+    return np.pad(a, (0, size - len(a))), np.pad(b, (0, size - len(b)))
+
+
+# the (2,7) and (3,4) systems carry no lambda; (3,5) and (4,7) do
+@pytest.mark.parametrize("n,s", [(2, 7), (3, 4), (3, 5), (4, 7)])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_numeric_system_commutes_with_specialisation(n, s, data):
+    # the symbolic system read at numeric lambda is the system derived there
+    twin = build_inversion_system(make_family(n, s, "sym"))
+    small = st.tuples(
+        st.integers(-4, 4).filter(bool), st.integers(1, 4)
+    ).map(lambda pq: Fraction(*pq))
+    fam = make_family(n, s, {k: data.draw(small) for k in twin.fam.lam})
+    symbols = {
+        sym
+        for fn in twin.r_functions
+        for coeff in fn.terms.values()
+        for sym in coeff.terms
+    }
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = {sym: complex(*rng.normal(size=2)) for sym in symbols}
+    got = numeric_system(twin, fam, values)
+    want = numeric_system(build_inversion_system(fam), fam, values)
+    for got_row, want_row in zip(got.rho, want.rho):
+        for a, b in zip(got_row, want_row):
+            a, b = _padded(a, b)
+            scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_numeric_system_refuses_another_shape(extended):
+    system = build_inversion_system(make_family(3, 4, extended=extended))
+    with pytest.raises(ValueError, match="cannot be evaluated on"):
+        numeric_system(system, make_family(3, 4, {6: 0.5}, extended=not extended), {})
+    with pytest.raises(ValueError, match="cannot be evaluated on"):
+        numeric_system(system, family(2, 5), {})
 
 
 # -- backward recovery -------------------------------------------------------
