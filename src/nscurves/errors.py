@@ -86,6 +86,10 @@ class NotTwoSheeted(NSCurveError, ValueError):
     """A hyperelliptic routine was given a curve that is not y^2 = p(x)."""
 
 
+class UnsupportedGenus(NSCurveError, ValueError):
+    """The curve's genus is above the largest the numeric layer covers."""
+
+
 class BranchCollision(NSCurveError):
     """Two branch points coincide within tolerance; the curve is degenerate."""
 

@@ -191,9 +191,20 @@ def test_hyper_demo_genus2_deterministic(capsys):
     assert first == second
 
 
+def test_hyper_demo_genus3(capsys):
+    code, out, _ = run(capsys, "hyper-demo", "3", "--seed", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["curve"]["s"] == 7
+    assert data["max_abs_err"] < 1e-6
+    assert len(data["report"]) == 6
+
+
 def test_hyper_demo_rejects_other_genus(capsys):
-    code, _, err = run(capsys, "hyper-demo", "3")
-    assert code == 2
+    for genus in ("0", "4"):
+        code, _, err = run(capsys, "hyper-demo", genus)
+        assert code == 2
+        assert "the demo covers genus 1 to 3" in err
 
 
 # -- output flag -------------------------------------------------------------

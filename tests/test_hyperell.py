@@ -1,11 +1,14 @@
 """Numeric period, theta, and inversion checks on two-sheeted curves."""
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nscurves import hyperell
+from nscurves.algebra import WeightedPoly, residue_of_product
 from nscurves.curves import CurvePoint, make_family
 from nscurves.divisors import make_divisor
 from nscurves.errors import (
@@ -15,10 +18,13 @@ from nscurves.errors import (
     OnThetaDivisor,
     SheetLoss,
     SpecialDivisor,
+    UnsupportedGenus,
 )
+from nscurves.expansions import expand_at_infinity, first_kind_basis
 from nscurves.hyperell import (
     ThetaContext,
     _check_riemann_characteristic,
+    _dr_numerators,
     _gl_nodes,
     _reduce_modulo_lattice,
     _riemann_characteristic,
@@ -151,6 +157,71 @@ def test_legendre_symmetry_of_eta_omega_inverse():
 def test_coarse_quadrature_loses_the_sheet():
     with pytest.raises(SheetLoss, match=r"worst relative step [0-9.e+-]+ > 0\.75"):
         compute_periods(genus2_family(), panels=1, nodes=2)
+
+
+def test_genus_above_the_cap_refused_before_any_theta_sum(monkeypatch):
+    def no_theta(*args, **kwargs):
+        raise AssertionError("a theta lattice was built")
+
+    monkeypatch.setattr(hyperell, "_lattice", no_theta)
+    monkeypatch.setattr(hyperell, "theta_context", no_theta)
+    fam = hyperelliptic_from_branch_points(np.arange(9) - 4.0)
+    assert fam.genus == 4
+    with pytest.raises(UnsupportedGenus, match="genus 4 is above 3") as info:
+        compute_periods(fam)
+    assert isinstance(info.value, NSCurveError)
+    assert isinstance(info.value, ValueError)
+
+
+# -- second-kind differentials -----------------------------------------------
+
+
+@pytest.mark.parametrize("s", [3, 5, 7, 9])
+def test_baker_rows_are_residue_duals_of_du(s):
+    # exact, lambda symbolic: res(u_w dr_k) is 1 for w = 2k - 1, else 0
+    fam = make_family(2, s, "sym")
+    chart = expand_at_infinity(fam)
+    first = first_kind_basis(chart)
+    p = np.zeros(s + 1, dtype=object)
+    p[s] = 1
+    for _, _, i, value in fam.lambda_terms():
+        p[i] = p[i] + value
+    dr = [
+        functools.reduce(
+            operator.add,
+            [
+                chart.mono_dxdyf(fam.monomial_of_weight(2 * m)).scale(c)
+                for m, c in enumerate(row)
+                if c
+            ],
+        )
+        for row in _dr_numerators(p)
+    ]
+    assert len(dr) == fam.genus
+    for a, u in enumerate(first.u_series):
+        for b, form in enumerate(dr):
+            assert residue_of_product(u, form) == WeightedPoly.const(int(a == b))
+
+
+def _dr_table(fam):
+    # the genus-1/2 table that Baker's closed form replaced, kept as its oracle
+    if fam.genus == 1:
+        return [np.array([0.0, 1.0], dtype=complex)]
+    lam4 = fam.numeric_lambda().get(4, 0.0)
+    return [
+        np.array([0.0, 0.0, 1.0], dtype=complex),
+        np.array([0.0, lam4, 0.0, 3.0], dtype=complex),
+    ]
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_baker_rows_equal_the_old_table_bit_for_bit(genus):
+    rng = np.random.default_rng(genus)
+    for _ in range(50):
+        lam = {k: complex(*rng.normal(size=2)) for k in range(4, 4 * genus + 3, 2)}
+        fam = make_family(2, 2 * genus + 1, lam)
+        got = _dr_numerators(curve_polynomial(fam))
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in _dr_table(fam)]
 
 
 # -- sheet tracking and quadrature rules -------------------------------------
@@ -499,6 +570,29 @@ def test_genus2_inversion_identities_random():
         report = verify_inversion(fam, D, per)
         assert len(report) == 4
         assert max(c.abs_err for c in report) < 1e-6
+
+
+@st.composite
+def genus3_branch_points(draw):
+    # seven real branch points, adjacent ones more than 0.25 apart; drawn as
+    # gaps, since rejecting unspaced draws would keep about one in twenty
+    gaps = st.floats(0.25, 0.7, exclude_min=True)
+    es = np.cumsum([0.0] + draw(st.lists(gaps, min_size=6, max_size=6)))
+    return es - es.mean()
+
+
+@given(genus3_branch_points(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_genus3_inversion_closes_the_loop(es, seed):
+    fam = hyperelliptic_from_branch_points(es)
+    per = compute_periods(fam)
+    assert per.legendre_defect < 1e-10
+    rng = np.random.default_rng(seed)
+    D = make_divisor(fam, [random_point(fam, rng) for _ in range(3)])
+    assume(not D.special)
+    report = verify_inversion(fam, D, per)
+    assert len(report) == 6
+    assert max(c.abs_err for c in report) < 1e-6
 
 
 def _closed_form_rhs(divisor, vals):
