@@ -51,11 +51,19 @@ class AbelianSymbol:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        rank = len(self.indices)
         if self.kind == "zeta":
-            assert len(self.indices) == 1
+            if rank != 1:
+                raise ValueError(f"zeta takes one index, not {rank}")
         elif self.kind == "wp":
-            assert 2 <= len(self.indices) <= MAX_WP_RANK
-            assert self.indices == tuple(sorted(self.indices))
+            if rank > MAX_WP_RANK:
+                raise OrderExceedsSupport(
+                    f"wp of rank {rank} is above the supported {MAX_WP_RANK}"
+                )
+            if rank < 2:
+                raise ValueError(f"wp takes at least two indices, not {rank}")
+            if self.indices != tuple(sorted(self.indices)):
+                raise ValueError(f"wp indices {self.indices} are not sorted")
         else:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
 

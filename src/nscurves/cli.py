@@ -6,7 +6,6 @@ Reports are deterministic for a fixed seed, byte for byte.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -54,29 +53,13 @@ INVALID_INPUT = (
 )
 
 
-@dataclass
-class Config:
-    truncation_order: int | None
-    tolerance: float
-    seed: int
-    output: Path | None
-
-    def emit(self, text: str) -> None:
-        if self.output is None:
-            print(text, end="" if text.endswith("\n") else "\n")
-        else:
-            self.output.write_text(
-                text if text.endswith("\n") else text + "\n"
-            )
-
-
-def _config(args) -> Config:
-    return Config(
-        getattr(args, "order", None),
-        getattr(args, "tolerance", 1e-6),
-        getattr(args, "seed", 0),
-        Path(args.output) if getattr(args, "output", None) else None,
-    )
+def _emit(args, text: str) -> None:
+    """Write text, newline-terminated, to --output or else to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        print(text, end="")
 
 
 def _derive(derivation, fam, order: int | None):
@@ -107,7 +90,6 @@ def sigma_weight(n: int, s: int) -> Fraction:
 
 def cmd_info(args) -> int:
     fam = make_family(args.n, args.s, "sym")
-    cfg = _config(args)
     weight = sigma_weight(args.n, args.s)
     value = weight.numerator if weight.denominator == 1 else weight
     lines = [
@@ -121,14 +103,13 @@ def cmd_info(args) -> int:
         lines.append(
             f"             {mono.label:5d}  {mono.sato_weight:6d}  {mono.as_text()}"
         )
-    cfg.emit("\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0
 
 
 def cmd_expand(args) -> int:
     fam = make_family(args.n, args.s, "sym")
-    cfg = _config(args)
-    chart = expand_at_infinity(fam, cfg.truncation_order)
+    chart = expand_at_infinity(fam, args.order)
     first = first_kind_basis(chart)
     entries = {
         "x": chart.x_series.to_text(),
@@ -138,16 +119,15 @@ def cmd_expand(args) -> int:
     for w, series in zip(first.gaps, first.u_series):
         entries[f"u_{w}"] = series.to_text()
     if args.format == "json":
-        cfg.emit(json.dumps(entries, indent=2, sort_keys=False))
+        _emit(args, json.dumps(entries, indent=2, sort_keys=False))
     else:
-        cfg.emit("\n".join(f"{k} = {v}" for k, v in entries.items()))
+        _emit(args, "\n".join(f"{k} = {v}" for k, v in entries.items()))
     return 0
 
 
 def cmd_differentials(args) -> int:
     fam = make_family(args.n, args.s, "sym")
-    cfg = _config(args)
-    first, second = _derive(_differential_bases, fam, cfg.truncation_order)
+    first, second = _derive(_differential_bases, fam, args.order)
     du = {
         f"du_{w}": f"({mono.as_text()}) dx / f_y"
         for w, mono in zip(first.gaps, first.numerators)
@@ -157,11 +137,11 @@ def cmd_differentials(args) -> int:
         for level, fn in enumerate(second.numerators, 1)
     }
     if args.format == "json":
-        cfg.emit(json.dumps({"first_kind": du, "second_kind": dr}, indent=2))
+        _emit(args, json.dumps({"first_kind": du, "second_kind": dr}, indent=2))
     else:
         lines = [f"{k} = {v}" for k, v in du.items()]
         lines += [f"{k} = {v}" for k, v in dr.items()]
-        cfg.emit("\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0
 
 
@@ -173,8 +153,7 @@ def cmd_formulas(args) -> int:
         )
         return 2
     fam = make_family(args.n, args.s, "sym")
-    cfg = _config(args)
-    system = _derive(build_inversion_system, fam, cfg.truncation_order)
+    system = _derive(build_inversion_system, fam, args.order)
     if args.check_golden:
         name = f"system_{args.n}_{args.s}.json"
         store = resources.files("nscurves") / "golden" / name
@@ -196,7 +175,7 @@ def cmd_formulas(args) -> int:
                 return 1
         print(f"FAIL {name}: length mismatch")
         return 1
-    cfg.emit(emit_system(system, fmt=args.format))
+    _emit(args, emit_system(system, fmt=args.format))
     return 0
 
 
@@ -212,8 +191,7 @@ def _max_recovery_error(got, want) -> float:
 def cmd_roundtrip(args) -> int:
     fam = family_from_text(Path(args.curve).read_text())
     fam.numeric_lambda()  # raises SymbolicLambda when coefficients are not fixed
-    cfg = _config(args)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     failed = False
     for trial in range(args.count):
@@ -224,13 +202,13 @@ def cmd_roundtrip(args) -> int:
         )
         recovered = solve_divisor(system)
         err = _max_recovery_error(recovered.points, divisor.points)
-        ok = err < cfg.tolerance
+        ok = err < args.tolerance
         failed = failed or not ok
         rows.append(
             f"trial {trial:02d}  error {err:.3e}  {'PASS' if ok else 'FAIL'}"
         )
     rows.append(f"{'FAIL' if failed else 'PASS'} ({args.count} round trips)")
-    cfg.emit("\n".join(rows))
+    _emit(args, "\n".join(rows))
     return 1 if failed else 0
 
 
@@ -246,8 +224,7 @@ def cmd_hyper_demo(args) -> int:
     # also keeps _demo_family finite: it never returns once 2g * 0.25 > 4.4
     if not 1 <= args.g <= MAX_GENUS:
         raise ValueError(f"the demo covers genus 1 to {MAX_GENUS}")
-    cfg = _config(args)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     fam = _demo_family(args.g, rng)
     periods = compute_periods(fam)
     divisor = make_divisor(fam, sample_points(fam, rng, args.g, scale=1.4))
@@ -272,8 +249,8 @@ def cmd_hyper_demo(args) -> int:
         "report": report_payload(report),
         "max_abs_err": worst,
     }
-    cfg.emit(json.dumps(payload, indent=2))
-    return 0 if worst < cfg.tolerance else 1
+    _emit(args, json.dumps(payload, indent=2))
+    return 0 if worst < args.tolerance else 1
 
 
 def _add_common(sub, order=False, seed=False, tolerance=False, fmt=None):

@@ -90,12 +90,16 @@ class UnsupportedGenus(NSCurveError, ValueError):
     """The curve's genus is above the largest the numeric layer covers."""
 
 
+class ComplexBranchPoints(NSCurveError, ValueError):
+    """The pair/tail contours need real branch points; the curve has others."""
+
+
 class BranchCollision(NSCurveError):
     """Two branch points coincide within tolerance; the curve is degenerate."""
 
 
 class NonSymmetricTau(NSCurveError):
-    """No sign choice for the b-cycles yields a symmetric tau with Im > 0."""
+    """tau is not symmetric with positive-definite imaginary part."""
 
 
 class OnThetaDivisor(NSCurveError):

@@ -26,6 +26,7 @@ from .curves import CurveFamily, CurvePoint, make_family
 from .divisors import Divisor, _poly_at, numeric_system
 from .errors import (
     BranchCollision,
+    ComplexBranchPoints,
     NonSymmetricTau,
     NotTwoSheeted,
     OnThetaDivisor,
@@ -52,6 +53,9 @@ MAX_SHEET_STEP = 0.75
 CLOSURE_TOL = 1e-6
 LANDING_TOL = 1e-4
 CHARACTERISTIC_TOL = 1e-6
+# tau gate: relative symmetry defect, least eigenvalue of sym(Im tau)
+TAU_SYMMETRY_TOL = 1e-8
+TAU_EIGENVALUE_TOL = 1e-12
 
 
 def _require_y_squared(fam: CurveFamily) -> None:
@@ -255,17 +259,39 @@ class PeriodData:
     infinity_leg: tuple[np.ndarray, CurvePoint]
 
 
-def _tau_from_signs(omega, omega_prime, flips_a, flips_b):
-    om = omega * np.asarray(flips_a)[None, :]
-    omp = omega_prime * np.asarray(flips_b)[None, :]
-    return np.linalg.solve(om, omp), om, omp
+def _check_riemann_matrix(tau: np.ndarray) -> None:
+    """Raise NonSymmetricTau unless tau is symmetric with Im tau > 0.
+
+    Both margins are written so that a non-finite tau fails them.
+    """
+    size = max(1.0, float(np.linalg.norm(tau)))
+    defect = float(np.linalg.norm(tau - tau.T)) / size
+    lam_min = float(np.min(np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)))
+    if not (defect <= TAU_SYMMETRY_TOL and lam_min > TAU_EIGENVALUE_TOL):
+        raise NonSymmetricTau(
+            f"tau is not a Riemann matrix (symmetry defect {defect:.3e}, "
+            f"tolerance {TAU_SYMMETRY_TOL:g}; least eigenvalue of sym(Im tau) "
+            f"{lam_min:.3e}, needs > {TAU_EIGENVALUE_TOL:g})"
+        )
 
 
-def _symmetric_positive(tau: np.ndarray) -> bool:
-    if np.linalg.norm(tau - tau.T) > 1e-8 * max(1.0, np.linalg.norm(tau)):
-        return False
-    eigs = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)
-    return bool(np.all(eigs > 1e-12))
+def _orient_b_cycles(
+    omega: np.ndarray, omega_prime: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """tau and omega' after the one b-cycle flip that can pass the gate.
+
+    Flipping a-cycles by D_a and b-cycles by D_b turns omega^-1 omega' into
+    D_a tau_r D_b.  If that passes the gate, so does its conjugate
+    tau_r D_b D_a, so the a-cycles never need a flip; and the diagonal of
+    Im(tau_r D_b) is d_k Im(tau_r)_kk, so d_k = sign Im(tau_r)_kk.
+    """
+    flips = np.sign(np.linalg.solve(omega, omega_prime).diagonal().imag)
+    omega_prime = omega_prime * flips
+    # solved again rather than flipping tau_r's columns, so tau has the bits
+    # of omega^-1 omega' for the flipped omega'
+    tau = np.linalg.solve(omega, omega_prime)
+    _check_riemann_matrix(tau)
+    return tau, omega_prime
 
 
 def compute_periods(
@@ -275,11 +301,12 @@ def compute_periods(
 
     a_k encircles the pair (e_{2k-1}, e_{2k}); b_k encircles the tail set
     e_{2k}..e_{2g+1}.  Contour orientations leave a sign per cycle
-    undetermined, so the signs are searched for the combination that makes
-    tau symmetric with positive-definite imaginary part.  The sign flips
-    cannot move a half-integer characteristic mod 1, so the characteristic
-    of the Riemann constants is that of the basis, written down by
-    _riemann_characteristic; one theta value confirms it (see
+    undetermined.  The a-cycles keep theirs, and each b-cycle's sign is read
+    off the diagonal of Im tau, the one choice that can make tau symmetric
+    with positive-definite imaginary part (see _orient_b_cycles).  The sign
+    flips cannot move a half-integer characteristic mod 1, so the
+    characteristic of the Riemann constants is that of the basis, written
+    down by _riemann_characteristic; one theta value confirms it (see
     _check_riemann_characteristic).
     """
     _require_two_sheets(fam)
@@ -287,7 +314,7 @@ def compute_periods(
     es = branch_points(fam)
     scale = float(np.max(np.abs(es))) + 1.0
     if float(np.max(np.abs(es.imag))) > 1e-9 * scale:
-        raise ValueError(
+        raise ComplexBranchPoints(
             "pair/tail contours need real branch points; "
             "this curve has complex ones"
         )
@@ -306,27 +333,7 @@ def compute_periods(
         omega_prime[:, k] = _ellipse_integral(
             p, du, es[2 * k + 1], es[2 * g], spacing, panels, nodes
         )
-    chosen = None
-    for mask_a in range(2 ** (g - 1)):
-        flips_a = [1.0] + [
-            -1.0 if mask_a >> i & 1 else 1.0 for i in range(g - 1)
-        ]
-        for mask_b in range(2 ** g):
-            flips_b = [-1.0 if mask_b >> i & 1 else 1.0 for i in range(g)]
-            tau, om, omp = _tau_from_signs(
-                omega, omega_prime, flips_a, flips_b
-            )
-            if _symmetric_positive(tau):
-                chosen = (tau, om, omp, np.array(flips_a))
-                break
-        if chosen:
-            break
-    if chosen is None:
-        raise NonSymmetricTau(
-            "no cycle orientation makes tau symmetric with Im > 0"
-        )
-    tau, omega, omega_prime, flips_a = chosen
-    eta = eta * flips_a[None, :]
+    tau, omega_prime = _orient_b_cycles(omega, omega_prime)
     raw = eta @ np.linalg.inv(omega)
     defect = float(np.linalg.norm(raw - raw.T))
     kappa = KAPPA_SIGN * (raw + raw.T) / 2
@@ -390,8 +397,10 @@ def theta_context(
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
     lam_min = float(np.min(np.linalg.eigvalsh(tau.imag)))
-    if lam_min <= 0:
-        raise NonSymmetricTau("Im tau is not positive definite")
+    if not lam_min > 0:
+        raise NonSymmetricTau(
+            f"Im tau is not positive definite (least eigenvalue {lam_min:.3e})"
+        )
     radius = 2
     while radius < 64:
         reach = radius - 0.5 - math.sqrt(g)
@@ -561,7 +570,7 @@ def _segments_avoiding(
     if length < 1e-14:
         return []
     for e in es:
-        t = ((e - start) / direction).real if length else 0.0
+        t = ((e - start) / direction).real
         if 0.02 < t < 0.98:
             foot = start + t * direction
             gap = abs(e - foot)

@@ -12,8 +12,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nscurves
 from nscurves.abelian import (
+    MAX_WP_RANK,
     AbelianExpr,
+    AbelianSymbol,
     build_inversion_system,
     emit_system,
     log_sigma_derivative_expansion,
@@ -54,6 +57,27 @@ def test_symbol_normalization():
     assert wp(3, 1, 1).indices == (1, 1, 3)
     assert zeta(2).weight == 2
     assert wp(1, 1, 3).weight == 5
+
+
+def test_wp_above_the_rank_cap_refused():
+    message = f"wp of rank 6 is above the supported {MAX_WP_RANK}"
+    with pytest.raises(OrderExceedsSupport, match=message):
+        nscurves.wp(1, 1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: nscurves.wp(1), "wp takes at least two indices, not 1"),
+        (lambda: AbelianSymbol("wp", (3, 1)), r"indices \(3, 1\) are not sorted"),
+        (lambda: AbelianSymbol("zeta", (1, 3)), "zeta takes one index, not 2"),
+    ],
+    ids=["rank-1-wp", "unsorted-wp", "two-index-zeta"],
+)
+def test_malformed_symbols_refused(make, message):
+    # raised, not asserted, so python -O refuses them too
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_expr_weight_counts_lambda():

@@ -2,6 +2,7 @@
 import functools
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from nscurves.curves import CurvePoint, make_family
 from nscurves.divisors import make_divisor
 from nscurves.errors import (
     BranchCollision,
+    ComplexBranchPoints,
+    NonSymmetricTau,
     NotTwoSheeted,
     NSCurveError,
     OnThetaDivisor,
@@ -24,8 +27,10 @@ from nscurves.expansions import expand_at_infinity, first_kind_basis
 from nscurves.hyperell import (
     ThetaContext,
     _check_riemann_characteristic,
+    _check_riemann_matrix,
     _dr_numerators,
     _gl_nodes,
+    _orient_b_cycles,
     _reduce_modulo_lattice,
     _riemann_characteristic,
     _track_sheet,
@@ -124,8 +129,10 @@ def test_branch_collision_detected():
 
 def test_complex_branch_geometry_refused():
     fam = make_family(2, 5, {4: -1.0, 6: 0.5, 8: 0.25, 10: -0.75})
-    with pytest.raises(ValueError):
+    with pytest.raises(ComplexBranchPoints, match="need real branch points") as info:
         compute_periods(fam)
+    assert isinstance(info.value, NSCurveError)
+    assert isinstance(info.value, ValueError)
 
 
 # -- periods -----------------------------------------------------------------
@@ -593,6 +600,115 @@ def test_genus3_inversion_closes_the_loop(es, seed):
     report = verify_inversion(fam, D, per)
     assert len(report) == 6
     assert max(c.abs_err for c in report) < 1e-6
+
+
+# -- cycle orientation and the tau gate --------------------------------------
+
+
+def _symmetric_positive(tau):
+    if np.linalg.norm(tau - tau.T) > 1e-8 * max(1.0, np.linalg.norm(tau)):
+        return False
+    eigs = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)
+    return bool(np.all(eigs > 1e-12))
+
+
+def _orient_by_search(omega, omega_prime):
+    # the sign-mask search that _orient_b_cycles replaced, kept as its oracle:
+    # the first a-mask, then b-mask, whose tau passes the gate
+    g = len(omega)
+    for mask_a in range(2 ** (g - 1)):
+        flips_a = [1.0] + [-1.0 if mask_a >> i & 1 else 1.0 for i in range(g - 1)]
+        for mask_b in range(2 ** g):
+            flips_b = [-1.0 if mask_b >> i & 1 else 1.0 for i in range(g)]
+            om = omega * np.asarray(flips_a)[None, :]
+            omp = omega_prime * np.asarray(flips_b)[None, :]
+            tau = np.linalg.solve(om, omp)
+            if _symmetric_positive(tau):
+                return tau, om, omp
+    raise NonSymmetricTau("no cycle orientation makes tau symmetric with Im > 0")
+
+
+@given(st.one_of(spaced_branch_points(), genus3_branch_points()))
+@settings(max_examples=40, deadline=None)
+def test_orientation_matches_the_search_on_real_curves(es):
+    spy = mock.patch.object(
+        hyperell, "_orient_b_cycles", wraps=hyperell._orient_b_cycles
+    )
+    with spy as orient:
+        per = compute_periods(hyperelliptic_from_branch_points(es))
+    want_tau, want_omega, want_omega_prime = _orient_by_search(*orient.call_args.args)
+    assert per.omega.tobytes() == want_omega.tobytes()
+    assert per.omega_prime.tobytes() == want_omega_prime.tobytes()
+    assert per.tau.tobytes() == want_tau.tobytes()
+
+
+@st.composite
+def period_parts(draw, min_genus=1):
+    # omega, tau0 symmetric with Im tau0 > 0, and sign vectors d1, d2: the
+    # periods (omega D1, omega tau0 D2) come with a-cycles flipped too
+    g = draw(st.integers(min_genus, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    omega = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+    assume(np.linalg.cond(omega) < 1e4)
+    re, im = rng.normal(size=(2, g, g))
+    tau0 = (re + re.T) / 2 + 1j * (im @ im.T + 0.1 * np.eye(g))
+    signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=g, max_size=g)
+    return omega, tau0, np.array(draw(signs)), np.array(draw(signs))
+
+
+@given(period_parts())
+@settings(max_examples=200, deadline=None)
+def test_orientation_matches_the_search_under_any_flips(parts):
+    omega, tau0, d1, d2 = parts
+    omega, omega_prime = omega * d1, omega @ tau0 * d2
+    tau, got_omega_prime = _orient_b_cycles(omega, omega_prime)
+    want_tau, want_omega, want_omega_prime = _orient_by_search(omega, omega_prime)
+    assert want_omega.tobytes() == omega.tobytes()  # no a-cycle flip needed
+    assert got_omega_prime.tobytes() == want_omega_prime.tobytes()
+    assert tau.tobytes() == want_tau.tobytes()
+
+
+@given(period_parts(min_genus=2))
+@settings(max_examples=50, deadline=None)
+def test_non_symmetric_tau_refused_by_both(parts):
+    omega, tau0, d1, d2 = parts
+    # |bad_10| > |bad_01|, which no sign flip can even out
+    bad = tau0.copy()
+    bad[1, 0] = tau0[0, 1] + 1.0 + 2.0 * abs(tau0[0, 1])
+    omega, omega_prime = omega * d1, omega @ bad * d2
+    with pytest.raises(NonSymmetricTau):
+        _orient_b_cycles(omega, omega_prime)
+    with pytest.raises(NonSymmetricTau):
+        _orient_by_search(omega, omega_prime)
+
+
+@pytest.mark.parametrize(
+    "tau, margin",
+    [
+        (np.array([[1j, 0.5], [0.2, 1j]]), r"symmetry defect 2\.804e-01"),
+        (-1j * np.eye(2), r"least eigenvalue of sym\(Im tau\) -1\.000e\+00"),
+        (np.full((2, 2), complex(np.nan, np.nan)), "symmetry defect nan"),
+    ],
+    ids=["non-symmetric", "im-negative-definite", "nan"],
+)
+def test_tau_gate_reports_its_margins(tau, margin):
+    with pytest.raises(NonSymmetricTau, match=margin) as info:
+        _check_riemann_matrix(tau)
+    assert "tolerance 1e-08" in str(info.value)
+    assert "needs > 1e-12" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "tau, margin",
+    [
+        (-1j * np.eye(2), r"-1\.000e\+00"),
+        (np.full((2, 2), complex(np.nan, np.nan)), "nan"),
+    ],
+    ids=["im-negative-definite", "nan"],
+)
+def test_theta_context_refuses_im_tau_not_positive(tau, margin):
+    with pytest.raises(NonSymmetricTau, match=f"least eigenvalue {margin}"):
+        theta_context(tau)
 
 
 def _closed_form_rhs(divisor, vals):
