@@ -204,18 +204,6 @@ class WeightedPoly:
             total += value
         return total
 
-    def substitute(self, lam: Mapping[int, "WeightedPoly | Rat"]) -> "WeightedPoly":
-        """Substitute exact values (or other polynomials) for the lambda_k."""
-        total = WeightedPoly.zero()
-        for key, coeff in self.terms.items():
-            term = WeightedPoly.const(coeff)
-            for k, e in key:
-                base = _coerce_poly(lam.get(k, 0))
-                for _ in range(e):
-                    term = term * base
-            total = total + term
-        return total
-
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         return sorted(self.terms.items())
 

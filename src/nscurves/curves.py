@@ -189,9 +189,6 @@ class CurveFamily:
             out.append((k, j, i, self.lam[k]))
         return out
 
-    def is_exact(self) -> bool:
-        return all(isinstance(v, WeightedPoly) for v in self.lam.values())
-
     def exact_lambda(self) -> dict[int, WeightedPoly]:
         vals = {}
         for k, v in self.lam.items():
@@ -246,9 +243,6 @@ class CurveFamily:
         for coeff in self._y_row(x):
             value = value * y + coeff
         return complex(value)
-
-    def eval_dyf(self, x: complex, y: complex) -> complex:
-        return complex(np.polyval(np.polyder(self.y_poly(x)), y))
 
     def lift_fibers(self, xs: Sequence[complex]) -> list[list[CurvePoint]]:
         """All n points of the fiber over each x, each fiber sorted by (re y, im y).

@@ -91,7 +91,7 @@ class UnsupportedGenus(NSCurveError, ValueError):
 
 
 class ComplexBranchPoints(NSCurveError, ValueError):
-    """The pair/tail contours need real branch points; the curve has others."""
+    """The interval periods need real branch points; the curve has others."""
 
 
 class BranchCollision(NSCurveError):
@@ -106,9 +106,9 @@ class OnThetaDivisor(NSCurveError):
     """The argument lies on the theta divisor; kappa functions blow up."""
 
 
-class PathThroughBranchPoint(NSCurveError):
-    """An integration path could not be routed clear of the branch points."""
+class QuadratureNotConverged(NSCurveError):
+    """A quadrature sum moved by more than its tolerance at a finer node count."""
 
 
 class SheetLoss(NSCurveError):
-    """Analytic continuation of y lost track of the sheet."""
+    """A point's y lies on neither sheet over its x."""

@@ -43,15 +43,6 @@ def test_poly_eval_numeric():
     assert p.eval_numeric({2: 5.0}) == pytest.approx(25.0)
 
 
-def test_poly_substitute_exact():
-    l1, l2 = WeightedPoly.gen(1), WeightedPoly.gen(2)
-    p = l2 - l1 * l1
-    assert p.substitute({1: Fraction(2), 2: Fraction(4)}).is_zero()
-    assert p.substitute({1: l1, 2: l2}) == l2 - l1 * l1
-    # absent subscripts read as zero, like eval_numeric
-    assert p.substitute({1: l1}) == -(l1 * l1)
-
-
 @st.composite
 def weighted_polys(draw):
     n_terms = draw(st.integers(0, 4))
