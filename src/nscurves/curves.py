@@ -32,7 +32,15 @@ from .errors import (
     NotCoprime,
     RootFindingFailure,
     SymbolicLambda,
+    above,
+    at_most,
 )
+
+# relative: a fiber root's largest |f|, discriminant coefficients read as zero;
+# check_nondegenerate's default least distance between discriminant roots
+ROOT_RESIDUAL_TOL = 1e-6
+DISCRIMINANT_TRIM = 1e-10
+SPACING_TOL = 1e-8
 
 LambdaValue = Union[WeightedPoly, complex]
 
@@ -265,10 +273,11 @@ class CurveFamily:
         for coeff in polys.T:
             value = value * roots + coeff[:, None]
         scale = np.maximum(1.0, np.abs(polys).max(axis=1))
-        bad = np.abs(value) > 1e-6 * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** n
-        if bad.any():
-            x = xs[int(np.nonzero(bad.any(axis=1))[0][0])]
-            raise RootFindingFailure(f"fiber root at x={x} fails the residual check")
+        limit = ROOT_RESIDUAL_TOL * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** n
+        # the root with the least headroom; argmax picks a NaN first
+        row, col = np.unravel_index(np.argmax(np.abs(value) - limit), value.shape)
+        at_most(abs(value[row, col]), limit[row, col], RootFindingFailure,
+                f"fiber root at x={xs[row]} fails the residual check: |f|")
         return [
             [CurvePoint(complex(x), y) for y in fiber]
             for x, fiber in zip(xs, roots.tolist())
@@ -367,6 +376,8 @@ def _coerce_lambda_value(k: int, raw: object) -> LambdaValue:
     if isinstance(raw, (int, Fraction)):
         return WeightedPoly.const(as_fraction(raw))
     if isinstance(raw, (float, complex)):
+        if not np.isfinite(raw):
+            raise ValueError(f"lambda_{k} = {raw!r} is not finite")
         return complex(raw)
     if isinstance(raw, str):
         return WeightedPoly.const(Fraction(raw))
@@ -449,10 +460,16 @@ def discriminant_roots(fam: CurveFamily) -> np.ndarray:
     dft = np.exp(-2j * np.pi * powers / count)
     coeffs = dft @ values / count / radius ** np.arange(count)
     norm = np.max(np.abs(coeffs))
-    if norm == 0:
-        raise BranchCollision("discriminant vanishes identically")
-    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-10 * norm, coeffs, 0), "b")
-    return np.roots(trimmed[::-1])
+    above(norm, 0.0, BranchCollision, "discriminant vanishes identically: largest |c|")
+    kept = np.where(np.abs(coeffs) > DISCRIMINANT_TRIM * norm, coeffs, 0)
+    return np.roots(np.trim_zeros(kept, "b")[::-1])
+
+
+def _closest_pair(roots: np.ndarray) -> tuple[int, int]:
+    """Indices a < b of the two nearest roots; a NaN distance counts as nearest."""
+    dist = np.abs(roots[:, None] - roots)
+    np.fill_diagonal(dist, np.inf)
+    return divmod(int(np.argmin(dist)), len(roots))
 
 
 def _sylvester_det(fam: CurveFamily, x: complex) -> complex:
@@ -468,16 +485,12 @@ def _sylvester_det(fam: CurveFamily, x: complex) -> complex:
     return complex(np.linalg.det(mat))
 
 
-def check_nondegenerate(fam: CurveFamily, tol: float = 1e-8) -> float:
+def check_nondegenerate(fam: CurveFamily, tol: float = SPACING_TOL) -> float:
     """Smallest spacing between discriminant roots; raises if below tol."""
     roots = discriminant_roots(fam)
     if len(roots) < 2:
         return math.inf
-    spacing = min(
-        abs(a - b) for t, a in enumerate(roots) for b in roots[t + 1 :]
-    )
-    if spacing < tol:
-        raise BranchCollision(
-            f"discriminant roots {spacing:.2e} apart; curve is degenerate"
-        )
-    return float(spacing)
+    a, b = _closest_pair(roots)
+    spacing = float(abs(roots[a] - roots[b]))
+    above(spacing, tol, BranchCollision, "degenerate curve: discriminant root spacing")
+    return spacing

@@ -21,11 +21,25 @@ from .errors import (
     NullSpaceDimensionError,
     RootFindingFailure,
     SpecialDivisor,
+    above,
+    at_most,
 )
 from .expansions import second_kind_count
 
+# relative: a point's largest residual |f| (make_divisor also groups x within
+# it); the distance that joins roots or x into one cluster, and y into a fiber
+RESIDUAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
+FIBER_MATCH_TOL = 1e-6
+# relative to the largest: an interpolation matrix's least singular value,
+# det's coefficients above degree g, chi's leading coefficient
+INTERPOLATION_TOL = 1e-10
+EXCESS_TOL = 1e-9
 COLLAPSE_TOL = 1e-10
+# solve_divisor: least |rho_1(x)| (n = 2), null singular values, least |kernel[0]|
+Y_ROW_TOL = 1e-12
+NULL_SPACE_TOL = 1e-8
+KERNEL_TOL = 1e-10
 # a repeated root's chosen fiber points must beat the next candidate's grid
 # residual by this factor, or the grid cannot tell them apart
 FIBER_GAP = 1e6
@@ -52,14 +66,12 @@ class Divisor:
         return len(self.points)
 
 
-def _fiber_matches(
-    group: list[CurvePoint], fiber: list[CurvePoint], tol: float
-) -> bool:
+def _fiber_matches(group: list[CurvePoint], fiber: list[CurvePoint]) -> bool:
     # does the group's y multiset exhaust the fiber over its x?
     left = [p.y for p in group]
     for y in (p.y for p in fiber):
-        scale = max(1.0, abs(y))
-        hit = next((i for i, c in enumerate(left) if abs(c - y) <= tol * scale), None)
+        limit = FIBER_MATCH_TOL * max(1.0, abs(y))
+        hit = next((i for i, c in enumerate(left) if abs(c - y) <= limit), None)
         if hit is None:
             return False
         left.pop(hit)
@@ -72,7 +84,7 @@ def _analyze_points(
     worst = 0.0
     for p in points:
         scale = max(1.0, abs(p.x)) ** fam.s + max(1.0, abs(p.y)) ** fam.n
-        worst = max(worst, abs(fam.eval_f(p.x, p.y)) / scale)
+        worst = float(np.maximum(worst, abs(fam.eval_f(p.x, p.y)) / scale))  # keeps NaN
     groups: list[list[CurvePoint]] = []
     for p in sorted(points, key=lambda q: (q.x.real, q.x.imag)):
         for group in groups:
@@ -83,18 +95,17 @@ def _analyze_points(
             groups.append([p])
     full = [g for g in groups if len(g) >= fam.n]
     fibers = fam.lift_fibers([sum(p.x for p in g) / len(g) for g in full])
-    special = any(_fiber_matches(g, f, 1e-6) for g, f in zip(full, fibers))
+    special = any(_fiber_matches(g, f) for g, f in zip(full, fibers))
     return special, worst
 
 
-def make_divisor(
-    fam: CurveFamily, points: Sequence[CurvePoint], tol: float = 1e-8
-) -> Divisor:
+def make_divisor(fam: CurveFamily, points: Sequence[CurvePoint]) -> Divisor:
     """Validate the points against the curve and flag special positions."""
     pts = tuple(CurvePoint(complex(p.x), complex(p.y)) for p in points)
-    special, worst = _analyze_points(fam, pts, tol)
-    if worst > tol:
-        raise ValueError(f"point residual {worst:.3e} exceeds tol {tol:.1e}")
+    if not all(np.isfinite(c) for p in pts for c in (p.x, p.y)):
+        raise ValueError("point coordinates must be finite")
+    special, worst = _analyze_points(fam, pts, RESIDUAL_TOL)
+    at_most(worst, RESIDUAL_TOL, ValueError, "point off the curve: relative residual")
     return Divisor(pts, special, worst)
 
 
@@ -127,7 +138,7 @@ def random_divisor(
     for _ in range(64):
         pts = sample_points(fam, rng, fam.genus, scale)
         special, worst = _analyze_points(fam, pts, CLUSTER_TOL)
-        if not special and worst <= 1e-8:
+        if not special and worst <= RESIDUAL_TOL:
             return Divisor(tuple(pts), False, worst)
     raise RootFindingFailure("could not sample a non-special divisor")
 
@@ -138,13 +149,9 @@ def divisor_payload(divisor: Divisor) -> list[list[float]]:
     ]
 
 
-def divisor_from_payload(
-    fam: CurveFamily, data: Sequence[Sequence[float]], tol: float = 1e-8
-) -> Divisor:
-    points = [
-        CurvePoint(complex(xr, xi), complex(yr, yi)) for xr, xi, yr, yi in data
-    ]
-    return make_divisor(fam, points, tol)
+def divisor_from_payload(fam: CurveFamily, data: Sequence[Sequence[float]]) -> Divisor:
+    points = [CurvePoint(complex(xr, xi), complex(yr, yi)) for xr, xi, yr, yi in data]
+    return make_divisor(fam, points)
 
 
 # -- numeric coefficient grids -----------------------------------------------
@@ -199,20 +206,18 @@ class NumericRSystem:
         return grid
 
     def residual_at(self, p: CurvePoint) -> float:
-        """Largest relative value of any row function at the point."""
-        worst = 0.0
+        """Largest relative value of any row function at the point, NaN if any is."""
+        worst = []
         for row in self.rho:
-            total = sum(
-                _poly_at(c, p.x) * p.y ** j for j, c in enumerate(row)
-            )
+            total = sum(_poly_at(c, p.x) * p.y ** j for j, c in enumerate(row))
             scale = sum(
-                max(abs(c).max(initial=0.0), 0.0)
+                abs(c).max(initial=0.0)
                 * max(1.0, abs(p.x)) ** max(len(c) - 1, 0)
                 * max(1.0, abs(p.y)) ** j
                 for j, c in enumerate(row)
             )
-            worst = max(worst, abs(total) / max(scale, 1e-300))
-        return worst
+            worst.append(abs(total) / max(scale, 1e-300))
+        return float(np.max(worst))
 
 
 def _trimmed(coeffs: np.ndarray, floor: float) -> np.ndarray:
@@ -273,10 +278,8 @@ def rfunctions_from_divisor(
     rho: list[list[np.ndarray]] = []
     for l in range(count):
         _, sv, vh = np.linalg.svd(table[: g + l, : g + l + 1])
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise DegenerateDeterminant(
-                f"weight-{2 * g + l} interpolation matrix is rank deficient"
-            )
+        above(sv[-1], INTERPOLATION_TOL * sv[0], DegenerateDeterminant,
+              f"weight-{2 * g + l} interpolation matrix is rank deficient: least sv")
         # the last right singular vector spans the kernel: the row's function
         coeffs = vh[-1].conj()
         coeffs /= np.max(np.abs(coeffs))
@@ -352,33 +355,24 @@ def chi_polynomial(sys: NumericRSystem) -> np.ndarray:
         det = sys.rho[0][0]
     else:
         det = _poly_det(sys.rho)
+    if not np.all(np.isfinite(det)):
+        raise RootFindingFailure("coefficient grid contains non-finite entries")
     chi = np.zeros(g + 1, dtype=complex)
     chi[: len(det)] = det[: g + 1]
     if len(det) > g + 1:
-        excess = np.max(np.abs(det[g + 1 :]))
-        limit = 1e-9 * np.max(np.abs(det))
-        if excess > limit:
-            raise MalformedGrid(
-                f"det has coefficients of size {excess:.3e} above degree {g}, "
-                f"over the limit {limit:.3e}"
-            )
-    scale = np.max(np.abs(chi))
-    if scale == 0.0 or abs(chi[g]) <= COLLAPSE_TOL * scale:
-        raise DegreeCollapse(
-            f"leading coefficient {abs(chi[g]):.3e} below {COLLAPSE_TOL:.0e} "
-            "of the coefficient scale; divisor is special or nearly so"
-        )
+        at_most(np.max(np.abs(det[g + 1 :])), EXCESS_TOL * np.max(np.abs(det)),
+                MalformedGrid, f"det has coefficients above degree {g}: largest")
+    above(abs(chi[g]), COLLAPSE_TOL * np.max(np.abs(chi)), DegreeCollapse,
+          "divisor is special or nearly so: leading coefficient")
     return chi
 
 
-def _clustered_roots(
-    roots: np.ndarray, tol: float
-) -> list[tuple[complex, int]]:
+def _clustered_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         for members in clusters:
             center = sum(members) / len(members)
-            if abs(r - center) <= tol * max(1.0, abs(center)):
+            if abs(r - center) <= CLUSTER_TOL * max(1.0, abs(center)):
                 members.append(r)
                 break
         else:
@@ -401,52 +395,44 @@ def _fiber_best_y(
     scored.sort(key=lambda t: t[0])
     if len(scored) > mu:
         kept, rival = scored[mu - 1][0], scored[mu][0]
-        # "not >" also refuses two exact zeros
-        if not rival > FIBER_GAP * kept:
-            raise NullSpaceDimensionError(
-                f"fiber over x={x:.6g} is ambiguous: residual {rival:.3e} of the "
-                f"next candidate is not {FIBER_GAP:.0e} times {kept:.3e}"
-            )
+        # "needs >" also refuses two exact zeros
+        above(rival, FIBER_GAP * kept, NullSpaceDimensionError,
+              f"fiber over x={x:.6g} is ambiguous: kept residual {kept:.3e} times "
+              f"{FIBER_GAP:.0e}; next candidate's residual")
     return [y for _, y in scored[:mu]]
 
 
-def solve_divisor(sys: NumericRSystem, cluster_tol: float = CLUSTER_TOL) -> Divisor:
+def solve_divisor(sys: NumericRSystem) -> Divisor:
     """Roots of det plus null-space y-recovery; the backward direction."""
     fam = sys.fam
     chi = chi_polynomial(sys)
-    if not np.all(np.isfinite(chi)):
-        raise RootFindingFailure("coefficient grid contains non-finite entries")
+    # chi is finite with |chi_k / chi_g| < 1 / COLLAPSE_TOL, so its roots are finite
     roots = np.roots(chi[::-1] / chi[-1])
-    if not np.all(np.isfinite(roots)):
-        raise RootFindingFailure("companion eigenvalues failed to converge")
     points: list[CurvePoint] = []
-    for x, mu in _clustered_roots(roots, cluster_tol):
+    for x, mu in _clustered_roots(roots):
         if fam.n == 2:
             rho0, rho1 = sys.rho[1]
             denom = _poly_at(rho1, x)
-            if abs(denom) <= 1e-12:
-                raise NullSpaceDimensionError(
-                    f"y-row degenerate over x={x:.6g}"
-                )
+            above(abs(denom), Y_ROW_TOL, NullSpaceDimensionError,
+                  f"y-row degenerate over x={x:.6g}: |rho_1(x)|")
             points.extend(
                 [CurvePoint(x, -_poly_at(rho0, x) / denom)] * mu
             )
             continue
         grid = sys.eval_grid(x)
         _, sv, vh = np.linalg.svd(grid)
-        null_dim = int(np.sum(sv <= 1e-8 * max(sv[0], 1.0)))
+        null_dim = int(np.sum(sv <= NULL_SPACE_TOL * max(sv[0], 1.0)))
         if null_dim != mu:
             raise NullSpaceDimensionError(
                 f"kernel dimension {null_dim} != multiplicity {mu} over x={x:.6g}"
             )
         if mu == 1:
             kernel = vh[-1].conj()
-            if abs(kernel[0]) <= 1e-10 * np.linalg.norm(kernel):
-                raise NullSpaceDimensionError(
-                    f"kernel vector has no constant part over x={x:.6g}"
-                )
+            above(abs(kernel[0]), KERNEL_TOL * np.linalg.norm(kernel),
+                  NullSpaceDimensionError,
+                  f"kernel vector over x={x:.6g} has no constant part: |kernel[0]|")
             points.append(CurvePoint(x, complex(kernel[1] / kernel[0])))
         else:
             points.extend(CurvePoint(x, y) for y in _fiber_best_y(fam, grid, x, mu))
-    special, worst = _analyze_points(fam, points, cluster_tol)
+    special, worst = _analyze_points(fam, points, CLUSTER_TOL)
     return Divisor(tuple(points), special, worst)

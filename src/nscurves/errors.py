@@ -2,8 +2,21 @@
 
 Each stage of the pipeline raises a dedicated error so callers can tell a
 genuine mathematical obstruction (a residue that refuses to vanish, a curve
-with colliding branch points) from plain bad input.
+with colliding branch points) from plain bad input.  Every numeric gate goes
+through ``at_most`` or ``above``, which fail a NaN and report value and limit.
 """
+
+
+def at_most(value, limit, error: type[Exception], what: str) -> None:
+    """Raise error unless value <= limit; a NaN value or limit fails."""
+    if not value <= limit:
+        raise error(f"{what} {value:.3e}, tolerance {limit:g}")
+
+
+def above(value, limit, error: type[Exception], what: str) -> None:
+    """Raise error unless value > limit; a NaN value or limit fails."""
+    if not value > limit:
+        raise error(f"{what} {value:.3e}, needs > {limit:g}")
 
 
 class NSCurveError(Exception):

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .abelian import InversionSystem, build_inversion_system
-from .curves import CurveFamily, CurvePoint, make_family
+from .curves import CurveFamily, CurvePoint, _closest_pair, make_family
 from .divisors import Divisor, _poly_at, numeric_system
 from .errors import (
     BranchCollision,
@@ -38,6 +38,8 @@ from .errors import (
     SheetLoss,
     SpecialDivisor,
     UnsupportedGenus,
+    above,
+    at_most,
 )
 
 # kappa = KAPPA_SIGN * sym(eta omega^-1); the sign is a convention constant
@@ -60,13 +62,20 @@ INTERVAL_NODES = 32
 LEG_NODES = 32
 LEG_CHECK_NODES = 48
 QUADRATURE_TOL = 1e-10
-# numeric gates: relative distance of a point's y from both sheets, largest
-# |theta[delta]|/scale where theta[delta] must vanish
+# relative: a point's y from the nearer sheet, largest |theta[delta]| where it
+# must vanish, least |theta| where wp is evaluated
 LANDING_TOL = 1e-4
 CHARACTERISTIC_TOL = 1e-6
+THETA_DIVISOR_TOL = 1e-10
 # tau gate: relative symmetry defect, least eigenvalue of sym(Im tau)
 TAU_SYMMETRY_TOL = 1e-8
 TAU_EIGENVALUE_TOL = 1e-12
+# relative to the branch points' size: least distance (over a double root's
+# ~sqrt(eps) smear), largest |Im e|, and |mean| and dropped coefficients
+COLLISION_TOL = 1e-6
+REAL_AXIS_TOL = 1e-9
+MEAN_TOL = 1e-12
+COEFFICIENT_TRIM = 1e-13
 
 
 def _require_y_squared(fam: CurveFamily) -> None:
@@ -101,35 +110,27 @@ def branch_points(fam: CurveFamily) -> np.ndarray:
     p = curve_polynomial(fam)
     roots = np.roots(p[::-1])
     scale = max(1.0, float(np.max(np.abs(roots))))
-    # root extraction smears a true double root over ~sqrt(eps), so the
-    # collision threshold sits well above that smear
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            if abs(roots[a] - roots[b]) < 1e-6 * scale:
-                raise BranchCollision(
-                    f"branch points {roots[a]:.6g} and {roots[b]:.6g} collide"
-                )
+    a, b = _closest_pair(roots)
+    above(abs(roots[a] - roots[b]), COLLISION_TOL * scale, BranchCollision,
+          f"branch points {roots[a]:.6g} and {roots[b]:.6g} collide: distance")
     return np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
 
 
 def hyperelliptic_from_branch_points(es: Sequence[complex]) -> CurveFamily:
     """The (2, 2g+1) family whose finite branch points are the given es."""
     es = [complex(e) for e in es]
-    if len(es) % 2 != 1:
-        raise ValueError("need an odd number of finite branch points")
+    if len(es) % 2 != 1 or not np.all(np.isfinite(es)):
+        raise ValueError(f"need an odd number of finite branch points, not {es}")
     s = len(es)
-    mean = sum(es) / s
-    if abs(mean) > 1e-12 * max(1.0, max(abs(e) for e in es)):
-        raise ValueError(
-            "branch points must sum to zero; shift them by the mean first"
-        )
+    at_most(abs(sum(es) / s), MEAN_TOL * max(1.0, max(abs(e) for e in es)),
+            ValueError, "branch points must sum to zero (shift by the mean): |mean|")
     coeffs = np.poly(es)  # descending, monic
     size = max(1.0, float(np.max(np.abs(coeffs))))
     lam = {}
     for i in range(s - 1):
         c = complex(coeffs[s - i])
-        if abs(c) > 1e-13 * size:
-            value = c.real if abs(c.imag) < 1e-13 * size else c
+        if abs(c) > COEFFICIENT_TRIM * size:
+            value = c.real if abs(c.imag) < COEFFICIENT_TRIM * size else c
             lam[2 * s - 2 * i] = value
     return make_family(2, s, lam)
 
@@ -192,11 +193,8 @@ def _converged(value: np.ndarray, check: np.ndarray, what: str) -> np.ndarray:
     margin = float(np.max(np.abs(check - value))) / max(
         1.0, float(np.max(np.abs(check)))
     )
-    if not margin <= QUADRATURE_TOL:
-        raise QuadratureNotConverged(
-            f"{what} did not converge (relative difference {margin:.3e} between "
-            f"node counts, tolerance {QUADRATURE_TOL:g})"
-        )
+    at_most(margin, QUADRATURE_TOL, QuadratureNotConverged,
+            f"{what} did not converge: relative difference between node counts")
     return value
 
 
@@ -306,19 +304,17 @@ def _least_im_eigenvalue(tau: np.ndarray) -> float:
 
 
 def _check_riemann_matrix(tau: np.ndarray) -> None:
-    """Raise NonSymmetricTau unless tau is symmetric with Im tau > 0.
-
-    Both margins are written so that a non-finite tau fails them.
-    """
+    """Raise NonSymmetricTau unless tau is symmetric with Im tau > 0."""
     size = max(1.0, float(np.linalg.norm(tau)))
     defect = float(np.linalg.norm(tau - tau.T)) / size
     lam_min = _least_im_eigenvalue(tau)
-    if not (defect <= TAU_SYMMETRY_TOL and lam_min > TAU_EIGENVALUE_TOL):
-        raise NonSymmetricTau(
-            f"tau is not a Riemann matrix (symmetry defect {defect:.3e}, "
-            f"tolerance {TAU_SYMMETRY_TOL:g}; least eigenvalue of sym(Im tau) "
-            f"{lam_min:.3e}, needs > {TAU_EIGENVALUE_TOL:g})"
-        )
+    # each gate's message carries the other's margin too
+    eig = f"least eigenvalue of sym(Im tau) {lam_min:.3e}"
+    sym = f"symmetry defect {defect:.3e}, tolerance {TAU_SYMMETRY_TOL:g}"
+    above(lam_min, TAU_EIGENVALUE_TOL, NonSymmetricTau,
+          f"tau is not a Riemann matrix: {sym}; least eigenvalue of sym(Im tau)")
+    at_most(defect, TAU_SYMMETRY_TOL, NonSymmetricTau, "tau is not a Riemann matrix: "
+            f"{eig}, needs > {TAU_EIGENVALUE_TOL:g}; symmetry defect")
 
 
 def _orient_b_cycles(
@@ -358,11 +354,8 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     g = fam.genus
     es = branch_points(fam)
     scale = float(np.max(np.abs(es))) + 1.0
-    if float(np.max(np.abs(es.imag))) > 1e-9 * scale:
-        raise ComplexBranchPoints(
-            "interval periods need real branch points; "
-            "this curve has complex ones"
-        )
+    at_most(float(np.max(np.abs(es.imag))), REAL_AXIS_TOL * scale, ComplexBranchPoints,
+            "interval periods need real branch points; largest |Im e|")
     p = curve_polynomial(fam)
     du = _du_numerators(fam)
     ints = _interval_integrals(es.real, _coefficients(du + _dr_numerators(p)))
@@ -408,11 +401,9 @@ def _check_riemann_characteristic(
     g = len(u_point)
     z = _reduce_modulo_lattice(np.linalg.solve(omega, (g - 1) * u_point), ctx.tau)
     (val,), scale = theta_with_derivs(z, ctx, order=0)
-    if abs(val) > CHARACTERISTIC_TOL * scale:
-        raise OnThetaDivisor(
-            f"theta[delta] does not vanish on A(W_{g - 1}) "
-            f"(|theta|/scale {abs(val) / scale:.3e} > {CHARACTERISTIC_TOL:g})"
-        )
+    at_most(abs(val), CHARACTERISTIC_TOL * scale, OnThetaDivisor,
+            f"theta[delta] does not vanish on A(W_{g - 1}) (tolerance "
+            f"{CHARACTERISTIC_TOL:g} of scale {scale:.3e}): |theta|")
 
 
 # -- theta -------------------------------------------------------------------
@@ -430,16 +421,14 @@ def theta_context(
     characteristic: tuple[np.ndarray, np.ndarray] | None = None,
     z_bound: float = 2.0,
 ) -> ThetaContext:
-    """Cutoff radius from the Gaussian tail so omitted terms stay < 1e-12."""
+    """Cutoff radius from the Gaussian tail so omitted terms stay < THETA_TAIL."""
     tau = np.asarray(tau, dtype=complex)
     g = tau.shape[0]
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
     lam_min = _least_im_eigenvalue(tau)
-    if not lam_min > 0:
-        raise NonSymmetricTau(
-            f"sym(Im tau) is not positive definite (least eigenvalue {lam_min:.3e})"
-        )
+    above(lam_min, 0.0, NonSymmetricTau,
+          "sym(Im tau) is not positive definite: least eigenvalue")
     radius = 2
     while radius < 64:
         reach = radius - 0.5 - math.sqrt(g)
@@ -527,8 +516,8 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     u = np.asarray(u, dtype=complex)
     z = _reduce_modulo_lattice(np.linalg.solve(periods.omega, u), periods.tau)
     (val, grad, hess, third), scale = theta_with_derivs(z, periods.theta, order=3)
-    if abs(val) <= 1e-10 * scale:
-        raise OnThetaDivisor(f"|theta| = {abs(val):.3e} at the reduced argument")
+    above(abs(val), THETA_DIVISOR_TOL * scale, OnThetaDivisor,
+          "u is on or near the theta divisor: |theta| at the reduced argument")
     log1 = grad / val
     log2 = hess / val - np.outer(log1, log1)
     log3 = (
@@ -575,21 +564,19 @@ def abel_map(
     g = fam.genus
     if point is None:
         return np.zeros(g, dtype=complex)
+    if not (np.isfinite(point.x) and np.isfinite(point.y)):
+        raise ValueError(f"{point} has a non-finite coordinate")
     es = periods.branch_points.real
     j = int(np.argmin(np.abs(point.x - es)))
     leg, y = _leg(es, _coefficients(_du_numerators(fam)), j, point.x)
     base = _branch_image(periods.omega, periods.omega_prime, j)
-    y_scale = max(1.0, abs(point.y))
-    if abs(y - point.y) <= LANDING_TOL * y_scale:
-        return base + leg
-    if abs(y + point.y) <= LANDING_TOL * y_scale:
-        return base - leg
-    miss = min(abs(y - point.y), abs(y + point.y)) / y_scale
-    raise SheetLoss(
-        f"y = {point.y:.6g} matches neither sheet over x = {point.x:.6g}, "
-        f"where y = +-{y:.6g} (nearest sheet {miss:.3e} away, "
-        f"tolerance {LANDING_TOL:g})"
-    )
+    limit = LANDING_TOL * max(1.0, abs(point.y))
+    plus, minus = abs(y - point.y), abs(y + point.y)
+    at_most(min(plus, minus), limit, SheetLoss,
+            f"y = {point.y:.6g} matches neither sheet over x = {point.x:.6g}, "
+            f"where y = +-{y:.6g}: distance to the nearest sheet")
+    # the + sheet first: beside a branch point both sheets match
+    return base + leg if plus <= limit else base - leg
 
 
 def abel_map_divisor(

@@ -1,5 +1,6 @@
 """Exit codes, determinism, and output shape of the command line."""
 import json
+import warnings
 
 import pytest
 
@@ -162,6 +163,21 @@ def test_roundtrip_needs_numeric_lambda(capsys, tmp_path):
     path.write_text("n = 3\ns = 4\nlambda.2 = sym\n")
     code, _, err = run(capsys, "roundtrip", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n = 2\ns = 5\nlambda.4 = nan\n", "n = 3\ns = 4\nlambda.2 = inf\n", "n = 2\ns = 4\n"],
+    ids=["nan-lambda", "inf-lambda", "common-factor"],
+)
+def test_roundtrip_refuses_malformed_curve_files(capsys, tmp_path, text):
+    path = tmp_path / "curve.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "roundtrip", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_roundtrip_missing_file(capsys, tmp_path):

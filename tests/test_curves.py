@@ -121,6 +121,19 @@ def test_invalid_lambda_rejected():
     assert fam.lam[1] == WeightedPoly.const(Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "n, s, lam",
+    [(2, 5, {4: float("nan")}), (3, 4, {2: float("inf")}), (2, 5, {6: complex(1, float("inf"))})],
+    ids=["nan", "inf", "complex-inf"],
+)
+def test_non_finite_lambda_refused(n, s, lam):
+    (k,) = lam
+    with pytest.raises(ValueError, match=f"lambda_{k} = .* is not finite"):
+        make_family(n, s, lam)
+    with pytest.raises(ValueError, match=f"lambda_{k} = .* is not finite"):
+        family_from_text(f"n = {n}\ns = {s}\nlambda.{k} = {lam[k]}\n")
+
+
 def test_exact_vs_numeric_lambda():
     sym = make_family(3, 4)
     sym.exact_lambda()  # raises SymbolicLambda if any lambda_k is a float

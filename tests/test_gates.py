@@ -1,0 +1,199 @@
+"""The numeric gate contract: a NaN never passes a gate, and a refusal says why.
+
+Every numeric threshold in the numeric layer goes through ``errors.at_most``
+or ``errors.above``.  Each case below drives a NaN into one gate, through
+its public entry point where a NaN can reach it that way, else through the
+private function that holds the gate, or by making the numpy call in front
+of the gate return a NaN.  The gate must raise its own typed error, with no
+numpy warning on the way.
+"""
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from nscurves import curves, divisors, hyperell
+from nscurves.curves import CurvePoint, make_family
+from nscurves.divisors import NumericRSystem
+from nscurves.errors import (
+    BranchCollision,
+    ComplexBranchPoints,
+    DegenerateDeterminant,
+    DegreeCollapse,
+    NSCurveError,
+    NonSymmetricTau,
+    NullSpaceDimensionError,
+    OnThetaDivisor,
+    QuadratureNotConverged,
+    RootFindingFailure,
+    SheetLoss,
+    above,
+    at_most,
+)
+
+NAN = float("nan")
+NAN_TAU = np.full((2, 2), complex(NAN, NAN))
+GENUS2 = hyperell.hyperelliptic_from_branch_points([-1.5, -0.7, 0.1, 0.9, 1.2])
+PERIODS = hyperell.compute_periods(GENUS2)
+QUINTIC = make_family(2, 5, {4: -1.0, 6: 0.5, 8: 0.25, 10: -0.75})
+TRIGONAL = make_family(3, 4, {2: 0.3, 5: 0.4, 6: 0.5, 8: 0.6, 9: 0.7, 12: 0.2})
+
+
+def _nan_roots(monkeypatch):
+    monkeypatch.setattr(np, "roots", lambda p: np.array([NAN, -1.0, 1.0]))
+    return hyperell.branch_points(GENUS2)
+
+
+def _complex_branch_points(monkeypatch):
+    es = PERIODS.branch_points + np.array([0, 0, NAN * 1j, 0, 0])
+    monkeypatch.setattr(hyperell, "branch_points", lambda fam: es)
+    return hyperell.compute_periods(GENUS2)
+
+
+def _nan_sheet(monkeypatch):
+    # abel_map refuses a non-finite point itself, so the leg's y is the NaN
+    monkeypatch.setattr(hyperell, "_leg", lambda *args: (np.zeros(2), complex(NAN)))
+    return hyperell.abel_map(GENUS2, PERIODS, CurvePoint(0.3 + 0.2j, 1.0))
+
+
+def _nan_eigvals(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(a.shape[:-1], NAN + 0j))
+    return QUINTIC.lift_fibers([0.5])
+
+
+def _nan_discriminant(monkeypatch):
+    monkeypatch.setattr(curves, "_sylvester_det", lambda fam, x: complex(NAN))
+    return curves.discriminant_roots(QUINTIC)
+
+
+def _nan_spacing(monkeypatch):
+    monkeypatch.setattr(curves, "discriminant_roots", lambda fam: np.array([0.0, NAN, 1.0]))
+    return curves.check_nondegenerate(QUINTIC)
+
+
+def _poison_svd(monkeypatch, part):
+    # np.linalg.svd, with its singular values (part 1) or its right singular
+    # vectors (part 2) turned to NaN
+    svd = np.linalg.svd
+
+    def poisoned(a):
+        out = list(svd(a))
+        out[part] = out[part] * NAN
+        return tuple(out)
+
+    monkeypatch.setattr(np.linalg, "svd", poisoned)
+
+
+def _nan_singular_value(monkeypatch):
+    divisor = divisors.random_divisor(QUINTIC, np.random.default_rng(3))
+    _poison_svd(monkeypatch, 1)
+    return divisors.rfunctions_from_divisor(QUINTIC, divisor)
+
+
+def _nan_kernel(monkeypatch):
+    rows = [[[1.0, 2.0, 1.0], [0.5]], [[0.2, -0.4, 0.2], [0.1, 1.0]]]
+    sys = NumericRSystem(TRIGONAL, [[np.array(c, dtype=complex) for c in row] for row in rows])
+    _poison_svd(monkeypatch, 2)
+    return divisors.solve_divisor(sys)
+
+
+def _nan_y_row(monkeypatch):
+    sys = NumericRSystem(
+        QUINTIC,
+        [[np.array([-1.0, 0.0, 1.0]), np.zeros(0)], [np.array([0.1]), np.array([NAN])]],
+    )
+    return divisors.solve_divisor(sys)
+
+
+# (id, call, error, gated by a helper); a call takes the monkeypatch fixture
+CASES = [
+    # hyperell
+    ("branch-collision", _nan_roots, BranchCollision, True),
+    ("branch-point-builder",
+     lambda mp: hyperell.hyperelliptic_from_branch_points([NAN, -1.0, 1.0]), ValueError, False),
+    ("quadrature", lambda mp: hyperell._converged(np.array([NAN]), np.ones(1), "a sum"),
+     QuadratureNotConverged, True),
+    ("abel-map-x", lambda mp: hyperell.abel_map(GENUS2, PERIODS, CurvePoint(NAN, 1.0)),
+     ValueError, False),
+    ("abel-map-y", lambda mp: hyperell.abel_map(GENUS2, PERIODS, CurvePoint(0.3, float("inf"))),
+     ValueError, False),
+    ("riemann-matrix", lambda mp: hyperell._check_riemann_matrix(NAN_TAU), NonSymmetricTau, True),
+    ("real-axis", _complex_branch_points, ComplexBranchPoints, True),
+    ("characteristic",
+     lambda mp: hyperell._check_riemann_characteristic(
+         PERIODS.theta, PERIODS.omega, np.array([NAN, 0.0])),
+     OnThetaDivisor, True),
+    ("theta-context", lambda mp: hyperell.theta_context(NAN_TAU), NonSymmetricTau, True),
+    ("wp", lambda mp: hyperell.wp_from_theta(np.array([NAN, 0]), PERIODS), OnThetaDivisor, True),
+    ("sheet", _nan_sheet, SheetLoss, True),
+    # divisors
+    ("make-divisor", lambda mp: divisors.make_divisor(QUINTIC, [CurvePoint(NAN, 1.0)]),
+     ValueError, False),
+    ("interpolation", _nan_singular_value, DegenerateDeterminant, True),
+    ("chi",
+     lambda mp: divisors.chi_polynomial(NumericRSystem(
+         QUINTIC, [[np.array([NAN, 0.0, 1.0]), np.zeros(0)], [np.array([0.1]), np.array([2.0])]])),
+     RootFindingFailure, False),
+    ("fiber-gap",
+     lambda mp: divisors._fiber_best_y(TRIGONAL, np.full((2, 2), NAN + 0j), 0.5, 1),
+     NullSpaceDimensionError, True),
+    ("y-row", _nan_y_row, NullSpaceDimensionError, True),
+    ("kernel", _nan_kernel, NullSpaceDimensionError, True),
+    # curves
+    ("fiber-residual", _nan_eigvals, RootFindingFailure, True),
+    ("check-nondegenerate", _nan_spacing, BranchCollision, True),
+    ("discriminant", _nan_discriminant, BranchCollision, True),
+]
+HELPER_CASES = [case for case in CASES if case[3]]
+
+
+def _refusal(monkeypatch, call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(monkeypatch)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call, error", [case[1:3] for case in CASES], ids=[case[0] for case in CASES]
+)
+def test_nan_fails_its_gate_with_its_typed_error(monkeypatch, call, error):
+    _refusal(monkeypatch, call, error)
+
+
+@pytest.mark.parametrize(
+    "call, error", [case[1:3] for case in HELPER_CASES], ids=[case[0] for case in HELPER_CASES]
+)
+def test_each_gate_message_carries_its_value_and_its_limit(monkeypatch, call, error):
+    message = _refusal(monkeypatch, call, error)
+    number = r"(nan|inf|-?[0-9.]+(e[+-][0-9]+)?)"
+    assert re.search(rf" {number}, (tolerance|needs >) {number}$", message), message
+    assert " nan, " in message
+
+
+def test_helpers_pass_only_inside_their_limit():
+    at_most(1.0, 1.0, DegreeCollapse, "value")
+    above(1.0 + 1e-16 * 4, 1.0, DegreeCollapse, "value")
+    for bad in (1.5, NAN):
+        with pytest.raises(DegreeCollapse):
+            at_most(bad, 1.0, DegreeCollapse, "value")
+    for bad in (1.0, 0.5, NAN):
+        with pytest.raises(DegreeCollapse):
+            above(bad, 1.0, DegreeCollapse, "value")
+    # a NaN limit fails too
+    with pytest.raises(DegreeCollapse):
+        at_most(0.0, NAN, DegreeCollapse, "value")
+    with pytest.raises(DegreeCollapse):
+        above(1.0, NAN, DegreeCollapse, "value")
+
+
+def test_helper_messages_read_value_then_limit():
+    with pytest.raises(QuadratureNotConverged) as info:
+        at_most(2.5e-3, 1e-10, QuadratureNotConverged, "a sum moved")
+    assert str(info.value) == "a sum moved 2.500e-03, tolerance 1e-10"
+    with pytest.raises(DegreeCollapse) as info:
+        above(1e-12, 3e-10, DegreeCollapse, "leading coefficient")
+    assert str(info.value) == "leading coefficient 1.000e-12, needs > 3e-10"
+    assert isinstance(info.value, NSCurveError)
