@@ -17,6 +17,7 @@ js + in, realize exactly the non-gaps as pole orders.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ import numpy as np
 from .algebra import WeightedPoly, as_fraction, product_text, signed_sum_text
 from .errors import (
     BranchCollision,
+    CoordinateOverflow,
     InvalidLambdaIndex,
     NotCoprime,
     RootFindingFailure,
@@ -237,9 +239,12 @@ class CurveFamily:
             ]
         row = [0j] * (self.n + 1)
         row[0] = -1.0 + 0j
-        row[self.n] = x ** self.s
-        for r, i, value in self._y_terms:
-            row[r] += value * x ** i
+        try:
+            row[self.n] = x ** self.s
+            for r, i, value in self._y_terms:
+                row[r] += value * x ** i
+        except OverflowError:
+            raise CoordinateOverflow(f"x = {x} overflows x^{self.s}") from None
         return row
 
     def y_poly(self, x: complex) -> np.ndarray:
@@ -260,6 +265,28 @@ class CurveFamily:
         """
         if len(xs) == 0:
             return []
+        if not all(cmath.isfinite(x) for x in xs):
+            raise ValueError(f"fiber x must be finite, not {list(xs)}")
+        try:
+            # numpy scalars overflow to inf where Python numbers raise, and
+            # the residual limit, about the row's size squared, overflows first
+            with np.errstate(over="raise"):
+                roots, value, limit = self._fiber_roots(xs)
+        except FloatingPointError:
+            raise CoordinateOverflow(
+                f"the fibers over x = {list(xs)} overflow double precision"
+            ) from None
+        # the root with the least headroom; argmax picks a NaN first
+        row, col = np.unravel_index(np.argmax(np.abs(value) - limit), value.shape)
+        at_most(abs(value[row, col]), limit[row, col], RootFindingFailure,
+                f"fiber root at x={xs[row]} fails the residual check: |f|")
+        return [
+            [CurvePoint(complex(x), y) for y in fiber]
+            for x, fiber in zip(xs, roots.tolist())
+        ]
+
+    def _fiber_roots(self, xs: Sequence[complex]) -> tuple[np.ndarray, ...]:
+        # each x's fiber roots sorted by (re y, im y), f there and its limit
         n = self.n
         polys = np.array([self._y_row(x) for x in xs], dtype=complex)
         companion = np.zeros((len(polys), n, n), dtype=complex)
@@ -274,14 +301,7 @@ class CurveFamily:
             value = value * roots + coeff[:, None]
         scale = np.maximum(1.0, np.abs(polys).max(axis=1))
         limit = ROOT_RESIDUAL_TOL * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** n
-        # the root with the least headroom; argmax picks a NaN first
-        row, col = np.unravel_index(np.argmax(np.abs(value) - limit), value.shape)
-        at_most(abs(value[row, col]), limit[row, col], RootFindingFailure,
-                f"fiber root at x={xs[row]} fails the residual check: |f|")
-        return [
-            [CurvePoint(complex(x), y) for y in fiber]
-            for x, fiber in zip(xs, roots.tolist())
-        ]
+        return roots, value, limit
 
     def lift_x_to_points(self, x: complex) -> list[CurvePoint]:
         """All n points of the fiber over x, sorted for determinism."""

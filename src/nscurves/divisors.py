@@ -6,6 +6,7 @@ interpolation determinant.  Backward: the coefficient grid of those
 functions determines the divisor again, by eliminating y into a degree-g
 polynomial in x and reading y off the null space of the evaluated grid.
 """
+import cmath
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -15,6 +16,7 @@ from numpy.polynomial import polynomial as npoly
 from .abelian import AbelianSymbol, InversionSystem
 from .curves import CurveFamily, CurvePoint
 from .errors import (
+    CoordinateOverflow,
     DegenerateDeterminant,
     DegreeCollapse,
     MalformedGrid,
@@ -83,7 +85,10 @@ def _analyze_points(
 ) -> tuple[bool, float]:
     worst = 0.0
     for p in points:
-        scale = max(1.0, abs(p.x)) ** fam.s + max(1.0, abs(p.y)) ** fam.n
+        try:
+            scale = max(1.0, abs(p.x)) ** fam.s + max(1.0, abs(p.y)) ** fam.n
+        except OverflowError:
+            raise CoordinateOverflow(f"{p} overflows x^{fam.s} or y^{fam.n}") from None
         worst = float(np.maximum(worst, abs(fam.eval_f(p.x, p.y)) / scale))  # keeps NaN
     groups: list[list[CurvePoint]] = []
     for p in sorted(points, key=lambda q: (q.x.real, q.x.imag)):
@@ -99,11 +104,17 @@ def _analyze_points(
     return special, worst
 
 
+def require_finite_points(points: Sequence[CurvePoint]) -> None:
+    """Raise ValueError unless every point's coordinates are finite."""
+    for p in points:
+        if not (cmath.isfinite(p.x) and cmath.isfinite(p.y)):
+            raise ValueError(f"point coordinates must be finite, not {p}")
+
+
 def make_divisor(fam: CurveFamily, points: Sequence[CurvePoint]) -> Divisor:
     """Validate the points against the curve and flag special positions."""
     pts = tuple(CurvePoint(complex(p.x), complex(p.y)) for p in points)
-    if not all(np.isfinite(c) for p in pts for c in (p.x, p.y)):
-        raise ValueError("point coordinates must be finite")
+    require_finite_points(pts)
     special, worst = _analyze_points(fam, pts, RESIDUAL_TOL)
     at_most(worst, RESIDUAL_TOL, ValueError, "point off the curve: relative residual")
     return Divisor(pts, special, worst)
@@ -263,6 +274,8 @@ def rfunctions_from_divisor(
         raise ValueError(f"need a degree-{g} divisor, got {len(divisor)} points")
     if divisor.special:
         raise SpecialDivisor("divisor contains a full fiber over one x")
+    # a Divisor can be built by hand, past make_divisor's checks
+    require_finite_points(divisor.points)
     count = second_kind_count(fam)
     extras = list(extra)
     if len(extras) > count - 1:
@@ -287,16 +300,34 @@ def rfunctions_from_divisor(
     return NumericRSystem(fam, rho)
 
 
-def numeric_system(
-    system: InversionSystem,
-    fam: CurveFamily,
-    symbol_values: Mapping[AbelianSymbol, complex],
-) -> NumericRSystem:
-    """Evaluate a derived system of fam's shape on the numeric curve fam.
+@dataclass(frozen=True, eq=False)
+class CompiledSystem:
+    """A derived system at one curve's lambda, as one complex matrix.
+
+    Each row of ``matrix`` is the coefficient of one x^i y^j in one level's
+    function, affine in the symbols: column 0 is its constant and column
+    1 + k multiplies ``symbols[k]``.  rho[l][j] is the slice ``blocks[l][j]``
+    of the rows, x^0 first.
+    """
+
+    fam: CurveFamily
+    symbols: tuple[AbelianSymbol, ...]
+    matrix: np.ndarray
+    blocks: tuple[tuple[slice, ...], ...]
+
+    def evaluate(self, symbol_values: Mapping[AbelianSymbol, complex]) -> NumericRSystem:
+        """The coefficient grid rho = matrix @ [1, symbol values...]."""
+        values = np.array([1.0] + [symbol_values[sym] for sym in self.symbols], dtype=complex)
+        flat = self.matrix @ values
+        rho = [[_trimmed(flat[block], 0.0) for block in row] for row in self.blocks]
+        return NumericRSystem(self.fam, rho)
+
+
+def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
+    """Substitute fam's lambda into a derived system of fam's shape, once.
 
     The system may be derived with lambda symbolic (``fam.symbolic_twin()``)
-    or at fam's own lambda.  The lambda values are read from fam, the wp
-    values from symbol_values.
+    or at fam's own lambda.
     """
     if fam.family_label() != system.fam.family_label():
         raise ValueError(
@@ -305,19 +336,46 @@ def numeric_system(
         )
     lam = fam.numeric_lambda()
     count = second_kind_count(fam)
-    rho = [
-        _coefficient_row(
-            (
-                (mono, coeff.eval_numeric(symbol_values, lam))
-                for fn in system.r_functions
-                if fn.level == level
-                for mono, coeff in fn.terms.items()
-            ),
-            count,
-        )
-        for level in range(1, count + 1)
-    ]
-    return NumericRSystem(fam, rho)
+    # cells[l][j]: power of x -> the terms that add into that coefficient
+    cells = [[{} for _ in range(count)] for _ in range(count)]
+    for fn in system.r_functions:
+        if 1 <= fn.level <= count:
+            for mono, coeff in fn.terms.items():
+                cells[fn.level - 1][mono.j].setdefault(mono.i, []).append(coeff)
+    rows, blocks = [], []
+    for level in cells:
+        block = []
+        for cell in level:
+            start = len(rows)
+            rows += [cell.get(i, []) for i in range(max(cell, default=-1) + 1)]
+            block.append(slice(start, len(rows)))
+        blocks.append(tuple(block))
+    symbols = tuple(sorted(
+        {sym for terms in rows for coeff in terms for sym in coeff.terms},
+        key=AbelianSymbol.sort_key,
+    ))
+    column = {sym: 1 + k for k, sym in enumerate(symbols)}
+    matrix = np.zeros((len(rows), 1 + len(symbols)), dtype=complex)
+    for r, terms in enumerate(rows):
+        for coeff in terms:
+            matrix[r, 0] += coeff.constant.eval_numeric(lam)
+            for sym, c in coeff.terms.items():
+                matrix[r, column[sym]] += c.eval_numeric(lam)
+    matrix.flags.writeable = False
+    return CompiledSystem(fam, symbols, matrix, tuple(blocks))
+
+
+def numeric_system(
+    system: InversionSystem,
+    fam: CurveFamily,
+    symbol_values: Mapping[AbelianSymbol, complex],
+) -> NumericRSystem:
+    """Evaluate a derived system of fam's shape on the numeric curve fam.
+
+    The lambda values are read from fam, the wp values from symbol_values;
+    see compile_system and CompiledSystem.evaluate.
+    """
+    return compile_system(system, fam).evaluate(symbol_values)
 
 
 # -- elimination and recovery ------------------------------------------------

@@ -55,6 +55,10 @@ class RootFindingFailure(NSCurveError):
     """A polynomial root finder failed to converge or to match expectations."""
 
 
+class CoordinateOverflow(NSCurveError, ValueError):
+    """A coordinate is so large that the curve's powers of it overflow."""
+
+
 # --- expansions at infinity ---
 
 class UnsolvableCorrection(NSCurveError):

@@ -15,19 +15,32 @@ gated by the same sum at a finer node count.  The closing check reads the
 inversion system that the exact layer derives for the shape, with lambda
 symbolic, at the wp values of A(D); the du numerators come from that system
 too.
+
+compute_periods keeps everything that depends on the curve alone in
+PeriodData: the theta context with its cached exponents, omega^-1, the du
+numerators, the branch point images and the derived system compiled at the
+curve's lambda.  Each verify_inversion then does only per-divisor work: one
+batch of legs over the divisor's points, one theta pass and one
+matrix-vector product.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .abelian import InversionSystem, build_inversion_system
 from .curves import CurveFamily, CurvePoint, _closest_pair, make_family
-from .divisors import Divisor, _poly_at, numeric_system
+from .divisors import (
+    CompiledSystem,
+    Divisor,
+    _poly_at,
+    compile_system,
+    require_finite_points,
+)
 from .errors import (
     BranchCollision,
     ComplexBranchPoints,
@@ -47,7 +60,10 @@ from .errors import (
 # uniformization and validated independently on genus 2 and genus 3
 KAPPA_SIGN = -1.0
 
-# theta sums a (2R+1)^g cube: one genus-4 check takes about 2 s, 60x genus 3
+# theta sums the (2R+1)^g cube.  At genus 4 (R = 14, 7.1e5 terms, one x86-64
+# core, numpy 2.4.6) compute_periods takes 0.4-0.9 s, most of it building the
+# theta context, each verify_inversion about 0.2 s (40x genus 3), and the
+# process peaks at 0.5 GB, most of it the context's cached arrays
 MAX_GENUS = 3
 
 THETA_TAIL = 1e-13
@@ -233,40 +249,48 @@ def _interval_integrals(es: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _leg(
-    es: np.ndarray, coeffs: np.ndarray, j: int, x: complex
-) -> tuple[np.ndarray, complex]:
-    """(integral from e_j to x of num dx / (-2y), y at x) along the segment.
+    es: np.ndarray, coeffs: np.ndarray, js: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point k: (integral from e_js[k] to xs[k] of num dx / (-2y), y there).
 
-    With x' = e_j + s^2 (x - e_j), sigma = sqrt(x - e_j) and q = p/(x' - e_j),
-    the integrand is -num(x') sigma / sqrt(q(x')) ds on s in [0, 1], which
-    is analytic when e_j is the branch point nearest x: the segment then
-    lies in the disc about x that holds no other branch point.  Each factor
+    Row k of the first array holds the integrals of every numerator along
+    the segment from the branch point e = e_js[k] to x = xs[k].  With
+    x' = e + s^2 (x - e), sigma = sqrt(x - e) and q = p/(x' - e), the
+    integrand is -num(x') sigma / sqrt(q(x')) ds on s in [0, 1], which is
+    analytic when e is the branch point nearest x: the segment then lies
+    in the disc about x that holds no other branch point.  Each factor
     x' - e_m of q is turned by r_m, which takes the segment's midpoint to
     the positive axis, so no factor's square root crosses its cut and y
-    needs no tracking.
+    needs no tracking.  Every point's sum is gated against its own sum at
+    LEG_CHECK_NODES.
     """
-    e, x = es[j], complex(x)
-    others = np.delete(es, j)
-    r = np.conj((e + x) / 2 - others)
+    js = np.asarray(js)
+    xs = np.asarray(xs, dtype=complex)
+    e = es[js]
+    # the other branch points, from e_js[k] on round the cycle: points x 1 x 2g
+    others = es[(js[:, None] + np.arange(1, len(es))) % len(es)][:, None, :]
+    r = np.conj((e + xs)[:, None, None] / 2 - others)
     r = r / np.abs(r)
-
-    def sqrt_q(xs):
-        return np.prod(np.sqrt(r * (xs[..., None] - others)) / np.sqrt(r), axis=-1)
-
-    sigma = np.sqrt(x - e)
-
-    def integral(n):
-        ts, ws = _legendre_nodes(n)
-        xs = e + ts ** 2 * (x - e)
-        nums = np.polynomial.polynomial.polyval(xs, coeffs)
-        return -sigma * (nums / sqrt_q(xs)) @ ws
-
-    vals = _converged(
-        integral(LEG_NODES),
-        integral(LEG_CHECK_NODES),
-        f"the leg from the branch point {e:.6g} to x = {x:.6g}",
+    # both node sets and x itself in one batch: points x nodes
+    ts, ws = _legendre_nodes(LEG_NODES)
+    check_ts, check_ws = _legendre_nodes(LEG_CHECK_NODES)
+    x = e[:, None] + np.concatenate([ts, check_ts]) ** 2 * (xs - e)[:, None]
+    x = np.concatenate([x, xs[:, None]], axis=1)
+    sqrt_q = np.prod(np.sqrt(r * (x[..., None] - others)) / np.sqrt(r), axis=-1)
+    sigma = np.sqrt(xs - e)
+    nums = np.polynomial.polynomial.polyval(x[:, :-1], coeffs)  # numerator, point, node
+    terms = -sigma[:, None] * (nums / sqrt_q[:, :-1])
+    vals = (terms[..., : len(ts)] @ ws).T
+    check = (terms[..., len(ts) :] @ check_ws).T
+    # each point against its own scale, as _converged measures one sum; the
+    # worst point is gated, and argmax picks a NaN first
+    moves = np.max(np.abs(check - vals), axis=1) / np.maximum(
+        1.0, np.max(np.abs(check), axis=1)
     )
-    return vals, complex(sigma * sqrt_q(np.asarray(x)))
+    k = int(np.argmax(moves))
+    _converged(vals[k], check[k],
+               f"the leg from the branch point {e[k]:.6g} to x = {xs[k]:.6g}")
+    return vals, sigma * sqrt_q[:, -1]
 
 
 def _branch_image(omega: np.ndarray, omega_prime: np.ndarray, j: int) -> np.ndarray:
@@ -284,8 +308,10 @@ def _branch_image(omega: np.ndarray, omega_prime: np.ndarray, j: int) -> np.ndar
 # -- periods -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PeriodData:
+    """One curve's constants: everything verify_inversion does not recompute."""
+
     fam: CurveFamily
     branch_points: np.ndarray
     omega: np.ndarray
@@ -296,6 +322,12 @@ class PeriodData:
     # theta[delta] at tau, delta the characteristic of the Riemann constants
     theta: ThetaContext
     legendre_defect: float
+    omega_inv: np.ndarray
+    # the du numerators as columns, and A(e_j) as row j (see _branch_image)
+    du: np.ndarray
+    branch_images: np.ndarray
+    # the shape's derived inversion system at this curve's lambda
+    system: CompiledSystem
 
 
 def _least_im_eigenvalue(tau: np.ndarray) -> float:
@@ -369,11 +401,14 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     defect = float(np.linalg.norm(raw - raw.T))
     kappa = KAPPA_SIGN * (raw + raw.T) / 2
     ctx = theta_context(tau, _riemann_characteristic(g))
+    du_matrix = _coefficients(du)
+    images = np.array([_branch_image(omega, omega_prime, j) for j in range(2 * g + 1)])
     # A(P0) for P0 over e_2g+1 + 1 + i, the leg from e_2g+1 plus its image
-    leg, _ = _leg(es.real, _coefficients(du), 2 * g, es[-1].real + 1.0 + 1.0j)
-    u_point = _branch_image(omega, omega_prime, 2 * g) + leg
-    _check_riemann_characteristic(ctx, omega, u_point)
-    return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect)
+    legs, _ = _leg(es.real, du_matrix, [2 * g], [es[-1].real + 1.0 + 1.0j])
+    _check_riemann_characteristic(ctx, omega, images[-1] + legs[0])
+    system = compile_system(_derived_system(fam.n, fam.s, fam.extended), fam)
+    return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect,
+                      np.linalg.inv(omega), du_matrix, images, system)
 
 
 def _riemann_characteristic(g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -399,7 +434,7 @@ def _check_riemann_characteristic(
     0.1 (0.03 on 20 genus-3 curves; a real P, e_2g+1 + 1, gave 5e-5).
     """
     g = len(u_point)
-    z = _reduce_modulo_lattice(np.linalg.solve(omega, (g - 1) * u_point), ctx.tau)
+    z = _reduce_modulo_lattice(np.linalg.solve(omega, (g - 1) * u_point), ctx)
     (val,), scale = theta_with_derivs(z, ctx, order=0)
     at_most(abs(val), CHARACTERISTIC_TOL * scale, OnThetaDivisor,
             f"theta[delta] does not vanish on A(W_{g - 1}) (tolerance "
@@ -409,11 +444,55 @@ def _check_riemann_characteristic(
 # -- theta -------------------------------------------------------------------
 
 
-@dataclass
+@functools.lru_cache(maxsize=16)
+def _lattice(g: int, radius: int) -> np.ndarray:
+    """Integer points of the cube [-radius, radius]^g; cached, so read-only."""
+    axes = [np.arange(-radius, radius + 1)] * g
+    grid = np.meshgrid(*axes, indexing="ij")
+    out = np.stack([a.ravel() for a in grid], axis=1)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class ThetaContext:
+    """theta[delta] at tau, truncated to the cube [-radius, radius]^g.
+
+    The constructor builds every array that depends on tau, delta and the
+    radius alone, once: the shifted lattice m' = m + delta', the quadratic
+    exponents i pi m'^T tau m', the factors 2 pi i m' and their pairwise
+    products, and (Im tau)^-1 for reducing arguments.  The context is frozen
+    and its arrays read-only, so they always match its radius.
+    """
+
     tau: np.ndarray
     characteristic: tuple[np.ndarray, np.ndarray]
     radius: int
+    shifted: np.ndarray = field(init=False, repr=False)
+    quad: np.ndarray = field(init=False, repr=False)
+    factor: np.ndarray = field(init=False, repr=False)
+    pairs: np.ndarray = field(init=False, repr=False)
+    im_tau_inv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tau = np.array(self.tau, dtype=complex)
+        d1, d2 = (np.array(d, dtype=float) for d in self.characteristic)
+        m = _lattice(len(tau), self.radius) + d1
+        # m'_i m'_j, exact: products of half-integers below 64.5
+        products = (m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
+        derived = {
+            "tau": tau,
+            "shifted": m,
+            "quad": 1j * math.pi * (products @ tau.ravel()),
+            "factor": 2j * math.pi * m,
+            "pairs": -4.0 * math.pi ** 2 * products + 0j,
+            "im_tau_inv": np.linalg.inv(tau.imag),
+        }
+        for value in (d1, d2, *derived.values()):
+            value.flags.writeable = False
+        derived["characteristic"] = (d1, d2)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def theta_context(
@@ -443,40 +522,28 @@ def theta_context(
     return ThetaContext(tau, characteristic, radius)
 
 
-@functools.lru_cache(maxsize=16)
-def _lattice(g: int, radius: int) -> np.ndarray:
-    """Integer points of the cube [-radius, radius]^g; cached, so read-only."""
-    axes = [np.arange(-radius, radius + 1)] * g
-    grid = np.meshgrid(*axes, indexing="ij")
-    out = np.stack([a.ravel() for a in grid], axis=1)
-    out.flags.writeable = False
-    return out
-
-
 def theta_with_derivs(z: np.ndarray, ctx: ThetaContext, order: int = 0):
     """Truncated lattice sum and its first derivative tensors in z.
 
     theta[d](z) = sum exp(i pi m'^T tau m' + 2 pi i m'^T (z + d'')) with
-    m' = m + d'; derivatives differentiate term by term, which keeps every
-    order as accurate as the sum itself.
+    m' = m + d'; the quadratic exponent is the context's.  It is added
+    before the one exp per term rather than cached as its exp: at large
+    |Im z| the linear term's exp alone overflows where the sum's does not.
+    Derivatives differentiate term by term, which keeps every order as
+    accurate as the sum itself, and are matrix products of the phases with
+    the context's factors 2 pi i m' and their pairwise products.
     """
     z = np.asarray(z, dtype=complex)
     g = len(z)
-    d1, d2 = ctx.characteristic
-    m = _lattice(g, ctx.radius) + d1[None, :]
-    phases = np.exp(
-        1j * math.pi * np.einsum("ki,ij,kj->k", m, ctx.tau, m)
-        + 2j * math.pi * (m @ (z + d2))
-    )
-    value = complex(np.sum(phases))
-    out = [value]
+    phases = np.exp(ctx.quad + ctx.factor @ (z + ctx.characteristic[1]))
+    out = [complex(np.sum(phases))]
     if order >= 1:
-        factor = 2j * math.pi * m
-        out.append(np.einsum("k,ki->i", phases, factor))
+        out.append(phases @ ctx.factor)
     if order >= 2:
-        out.append(np.einsum("k,ki,kj->ij", phases, factor, factor))
+        out.append((phases @ ctx.pairs).reshape(g, g))
     if order >= 3:
-        out.append(np.einsum("k,ki,kj,kl->ijl", phases, factor, factor, factor))
+        weighted = phases[:, None] * ctx.factor
+        out.append((weighted.T @ ctx.pairs).reshape(g, g, g))
     scale = float(np.sum(np.abs(phases)))
     return out, scale
 
@@ -499,9 +566,9 @@ class WpValues:
         return self.wp2[key] if len(key) == 2 else self.wp3[key]
 
 
-def _reduce_modulo_lattice(z: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    k2 = np.round(np.linalg.solve(tau.imag, z.imag))
-    z = z - tau @ k2
+def _reduce_modulo_lattice(z: np.ndarray, ctx: ThetaContext) -> np.ndarray:
+    """z minus the lattice point tau k2 + k1 that brings it nearest the cell."""
+    z = z - ctx.tau @ np.round(ctx.im_tau_inv @ z.imag)
     return z - np.round(z.real)
 
 
@@ -514,25 +581,24 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     fam = periods.fam
     g = fam.genus
     u = np.asarray(u, dtype=complex)
-    z = _reduce_modulo_lattice(np.linalg.solve(periods.omega, u), periods.tau)
+    z = _reduce_modulo_lattice(periods.omega_inv @ u, periods.theta)
     (val, grad, hess, third), scale = theta_with_derivs(z, periods.theta, order=3)
     above(abs(val), THETA_DIVISOR_TOL * scale, OnThetaDivisor,
           "u is on or near the theta divisor: |theta| at the reduced argument")
     log1 = grad / val
     log2 = hess / val - np.outer(log1, log1)
+    # hess_ij grad_k summed over the three placements of the lone index
+    hg = np.multiply.outer(hess, grad)
     log3 = (
         third / val
-        - (
-            np.einsum("ij,k->ijk", hess, grad)
-            + np.einsum("ik,j->ijk", hess, grad)
-            + np.einsum("jk,i->ijk", hess, grad)
-        )
-        / val ** 2
-        + 2.0 * np.einsum("i,j,k->ijk", log1, log1, log1)
+        - (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)) / val ** 2
+        + 2.0 * np.multiply.outer(np.outer(log1, log1), log1)
     )
-    w = np.linalg.inv(periods.omega)
+    # d/du = w^T d/dz, w = omega^-1, on each index
+    w = periods.omega_inv
     hess_u = w.T @ log2 @ w
-    third_u = np.einsum("ia,jb,lc,ijl->abc", w, w, w, log3)
+    partial = (w.T @ (log3 @ w).reshape(g, -1)).reshape(g, g, g)  # u, z, u
+    third_u = w.T @ partial
     gaps = list(fam.gaps)
     wp2 = {}
     wp3 = {}
@@ -549,43 +615,51 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
 # -- Abel map ----------------------------------------------------------------
 
 
+def _abel_images(periods: PeriodData, points: Sequence[CurvePoint]) -> np.ndarray:
+    """Row k: u(P_k) = A(e) + integral of du from e to P_k, e nearest P_k.
+
+    A(e) is a half period in closed form (see _branch_image) and the legs
+    are one gated Gauss-Legendre sum over all the points (see _leg), whose
+    y at P.x is sigma sqrt(q(P.x)).  If that is -P.y, the leg is negated,
+    as the involution fixes e and negates du.  A point whose y matches
+    neither sheet is refused.
+    """
+    require_finite_points(points)
+    if not points:
+        return np.zeros((0, len(periods.omega)), dtype=complex)
+    xs = np.array([p.x for p in points], dtype=complex)
+    ys = np.array([p.y for p in points], dtype=complex)
+    es = periods.branch_points.real
+    js = np.argmin(np.abs(xs[:, None] - es), axis=1)
+    legs, y = _leg(es, periods.du, js, xs)
+    limit = LANDING_TOL * np.maximum(1.0, np.abs(ys))
+    plus, minus = np.abs(y - ys), np.abs(y + ys)
+    # the point with the least headroom; argmax picks a NaN first
+    k = int(np.argmax(np.minimum(plus, minus) - limit))
+    at_most(min(plus[k], minus[k]), limit[k], SheetLoss,
+            f"y = {ys[k]:.6g} matches neither sheet over x = {xs[k]:.6g}, "
+            f"where y = +-{y[k]:.6g}: distance to the nearest sheet")
+    # the + sheet first: beside a branch point both sheets match
+    signs = np.where(plus <= limit, 1.0, -1.0)
+    return periods.branch_images[js] + signs[:, None] * legs
+
+
 def abel_map(
     fam: CurveFamily, periods: PeriodData, point: CurvePoint | None = None
 ) -> np.ndarray:
-    """u(P) = A(e) + integral of du from e to P, e the branch point nearest P.
-
-    A(e) is a half period in closed form (see _branch_image) and the leg is
-    one gated Gauss-Legendre sum (see _leg), whose y at P.x is sigma
-    sqrt(q(P.x)).  If that is -P.y, the leg is negated, as the involution
-    fixes e and negates du.  A point whose y matches neither sheet is
-    refused.
-    """
+    """u(P), the Abel map from infinity of one point (see _abel_images)."""
     _require_two_sheets(fam)
-    g = fam.genus
     if point is None:
-        return np.zeros(g, dtype=complex)
-    if not (np.isfinite(point.x) and np.isfinite(point.y)):
-        raise ValueError(f"{point} has a non-finite coordinate")
-    es = periods.branch_points.real
-    j = int(np.argmin(np.abs(point.x - es)))
-    leg, y = _leg(es, _coefficients(_du_numerators(fam)), j, point.x)
-    base = _branch_image(periods.omega, periods.omega_prime, j)
-    limit = LANDING_TOL * max(1.0, abs(point.y))
-    plus, minus = abs(y - point.y), abs(y + point.y)
-    at_most(min(plus, minus), limit, SheetLoss,
-            f"y = {point.y:.6g} matches neither sheet over x = {point.x:.6g}, "
-            f"where y = +-{y:.6g}: distance to the nearest sheet")
-    # the + sheet first: beside a branch point both sheets match
-    return base + leg if plus <= limit else base - leg
+        return np.zeros(fam.genus, dtype=complex)
+    return _abel_images(periods, [point])[0]
 
 
 def abel_map_divisor(
     fam: CurveFamily, periods: PeriodData, divisor: Divisor
 ) -> np.ndarray:
-    total = np.zeros(fam.genus, dtype=complex)
-    for p in divisor.points:
-        total = total + abel_map(fam, periods, p)
-    return total
+    """A(D), the sum of u(P) over the divisor's points, from one batch of legs."""
+    _require_two_sheets(fam)
+    return _abel_images(periods, divisor.points).sum(axis=0)
 
 
 # -- end-to-end verification -------------------------------------------------
@@ -633,18 +707,14 @@ def verify_inversion(
         raise ValueError(f"need a degree-{g} divisor")
     if divisor.special:
         raise SpecialDivisor("inversion identities exclude special divisors")
+    require_finite_points(divisor.points)
     if periods is None:
         periods = compute_periods(fam)
     u = abel_map_divisor(fam, periods, divisor)
     vals = wp_from_theta(u, periods)
-    derived = _derived_system(fam.n, fam.s, fam.extended)
-    symbols = {
-        sym: vals.wp(*sym.indices)
-        for fn in derived.r_functions
-        for coeff in fn.terms.values()
-        for sym in coeff.terms
-    }
-    system = numeric_system(derived, fam, symbols)
+    system = periods.system.evaluate(
+        {sym: vals.wp(*sym.indices) for sym in periods.system.symbols}
+    )
     chi = system.rho[0][0]
     rho0, rho1 = system.rho[1]
     e = [1 + 0j] + [0j] * g  # prod (X + x_k) = sum e_k X^(g-k)

@@ -12,6 +12,7 @@ from nscurves.divisors import (
     CLUSTER_TOL,
     NumericRSystem,
     _analyze_points,
+    _coefficient_row,
     chi_polynomial,
     divisor_from_payload,
     divisor_payload,
@@ -21,6 +22,7 @@ from nscurves.divisors import (
     rfunctions_from_divisor,
     solve_divisor,
 )
+from nscurves.expansions import second_kind_count
 from nscurves.errors import (
     DegenerateDeterminant,
     DegreeCollapse,
@@ -316,6 +318,40 @@ def test_numeric_system_commutes_with_specialisation(n, s, data):
             a, b = _padded(a, b)
             scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
             assert np.allclose(a, b, rtol=0.0, atol=1e-12 * scale)
+
+
+def per_coefficient_system(system, fam, values):
+    """numeric_system before systems were compiled: every coefficient on its own."""
+    lam = fam.numeric_lambda()
+    count = second_kind_count(fam)
+    rho = [
+        _coefficient_row(
+            (
+                (mono, coeff.eval_numeric(values, lam))
+                for fn in system.r_functions
+                if fn.level == level
+                for mono, coeff in fn.terms.items()
+            ),
+            count,
+        )
+        for level in range(1, count + 1)
+    ]
+    return NumericRSystem(fam, rho)
+
+
+@pytest.mark.parametrize("n,s,extended", SHAPES)
+def test_compiled_system_matches_per_coefficient_evaluation(n, s, extended):
+    rng = np.random.default_rng([n, s, extended])
+    fam = unit_family(n, s, extended, rng)
+    system = build_inversion_system(fam.symbolic_twin())
+    symbols = {sym for fn in system.r_functions for c in fn.terms.values() for sym in c.terms}
+    values = {sym: complex(*rng.normal(size=2)) for sym in symbols}
+    got = numeric_system(system, fam, values)
+    want = per_coefficient_system(system, fam, values)
+    for got_row, want_row in zip(got.rho, want.rho, strict=True):
+        for a, b in zip(got_row, want_row, strict=True):
+            assert a.shape == b.shape
+            assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
 
 
 @pytest.mark.parametrize("extended", [False, True])

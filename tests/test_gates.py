@@ -15,10 +15,11 @@ import pytest
 
 from nscurves import curves, divisors, hyperell
 from nscurves.curves import CurvePoint, make_family
-from nscurves.divisors import NumericRSystem
+from nscurves.divisors import Divisor, NumericRSystem
 from nscurves.errors import (
     BranchCollision,
     ComplexBranchPoints,
+    CoordinateOverflow,
     DegenerateDeterminant,
     DegreeCollapse,
     NSCurveError,
@@ -40,6 +41,10 @@ QUINTIC = make_family(2, 5, {4: -1.0, 6: 0.5, 8: 0.25, 10: -0.75})
 TRIGONAL = make_family(3, 4, {2: 0.3, 5: 0.4, 6: 0.5, 8: 0.6, 9: 0.7, 12: 0.2})
 
 
+# a Divisor built by hand, past make_divisor's finite check
+NAN_DIVISOR = Divisor((CurvePoint(NAN, 1.0), CurvePoint(0.3, 0.1)), False, 0.0)
+
+
 def _nan_roots(monkeypatch):
     monkeypatch.setattr(np, "roots", lambda p: np.array([NAN, -1.0, 1.0]))
     return hyperell.branch_points(GENUS2)
@@ -53,7 +58,9 @@ def _complex_branch_points(monkeypatch):
 
 def _nan_sheet(monkeypatch):
     # abel_map refuses a non-finite point itself, so the leg's y is the NaN
-    monkeypatch.setattr(hyperell, "_leg", lambda *args: (np.zeros(2), complex(NAN)))
+    monkeypatch.setattr(
+        hyperell, "_leg", lambda *args: (np.zeros((1, 2)), np.array([complex(NAN)]))
+    )
     return hyperell.abel_map(GENUS2, PERIODS, CurvePoint(0.3 + 0.2j, 1.0))
 
 
@@ -130,6 +137,10 @@ CASES = [
     # divisors
     ("make-divisor", lambda mp: divisors.make_divisor(QUINTIC, [CurvePoint(NAN, 1.0)]),
      ValueError, False),
+    ("rfunctions-divisor",
+     lambda mp: divisors.rfunctions_from_divisor(QUINTIC, NAN_DIVISOR), ValueError, False),
+    ("verify-divisor",
+     lambda mp: hyperell.verify_inversion(GENUS2, NAN_DIVISOR, PERIODS), ValueError, False),
     ("interpolation", _nan_singular_value, DegenerateDeterminant, True),
     ("chi",
      lambda mp: divisors.chi_polynomial(NumericRSystem(
@@ -141,6 +152,8 @@ CASES = [
     ("y-row", _nan_y_row, NullSpaceDimensionError, True),
     ("kernel", _nan_kernel, NullSpaceDimensionError, True),
     # curves
+    ("fiber-x", lambda mp: QUINTIC.lift_x_to_points(NAN), ValueError, False),
+    ("fiber-x-infinite", lambda mp: QUINTIC.lift_fibers([0.5, float("inf")]), ValueError, False),
     ("fiber-residual", _nan_eigvals, RootFindingFailure, True),
     ("check-nondegenerate", _nan_spacing, BranchCollision, True),
     ("discriminant", _nan_discriminant, BranchCollision, True),
@@ -171,6 +184,38 @@ def test_each_gate_message_carries_its_value_and_its_limit(monkeypatch, call, er
     number = r"(nan|inf|-?[0-9.]+(e[+-][0-9]+)?)"
     assert re.search(rf" {number}, (tolerance|needs >) {number}$", message), message
     assert " nan, " in message
+
+
+# finite coordinates whose powers overflow: Python numbers raise, numpy
+# scalars and arrays overflow to inf, the residual limit squares the row
+OVERFLOWS = [
+    ("divisor-x", lambda: divisors.make_divisor(
+        QUINTIC, [CurvePoint(1e200, 1.0), CurvePoint(0.3, 0.1)])),
+    ("divisor-y", lambda: divisors.make_divisor(
+        QUINTIC, [CurvePoint(0.5, 1e200), CurvePoint(0.3, 0.1)])),
+    ("lift-float", lambda: QUINTIC.lift_x_to_points(1e100)),
+    ("lift-complex", lambda: QUINTIC.lift_x_to_points(complex(1e100, 1e100))),
+    ("lift-numpy-scalar", lambda: QUINTIC.lift_x_to_points(np.complex128(1e100))),
+    ("lift-residual-limit", lambda: QUINTIC.lift_x_to_points(1e40)),
+    ("lift-trigonal", lambda: TRIGONAL.lift_fibers([0.5, 1e80])),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in OVERFLOWS], ids=[c[0] for c in OVERFLOWS])
+def test_overflowing_coordinates_raise_a_typed_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoordinateOverflow, match="overflow"):
+            call()
+    assert issubclass(CoordinateOverflow, NSCurveError)
+
+
+def test_large_finite_coordinates_still_lift():
+    # below the overflow the fiber is lifted as before
+    for x in (1e30, -1e30j):
+        fiber = QUINTIC.lift_x_to_points(x)
+        assert len(fiber) == 2
+        assert all(np.isfinite(p.y) for p in fiber)
 
 
 def test_helpers_pass_only_inside_their_limit():

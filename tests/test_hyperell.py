@@ -1,4 +1,5 @@
 """Numeric period, theta, and inversion checks on two-sheeted curves."""
+import dataclasses
 import functools
 import math
 import operator
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from test_divisors import per_coefficient_system
 from nscurves import hyperell
 from nscurves.algebra import WeightedPoly, residue_of_product
 from nscurves.curves import CurvePoint, make_family
-from nscurves.divisors import make_divisor
+from nscurves.divisors import Divisor, make_divisor
 from nscurves.errors import (
     BranchCollision,
     ComplexBranchPoints,
@@ -35,6 +37,7 @@ from nscurves.hyperell import (
     _dr_numerators,
     _du_numerators,
     _interval_integrals,
+    _lattice,
     _orient_b_cycles,
     _reduce_modulo_lattice,
     _riemann_characteristic,
@@ -439,7 +442,7 @@ def _riemann_characteristic_by_search(periods):
         for x in (0.37 + 0.21j, -0.54 + 0.39j, 1.13 - 0.27j):
             u = abel_map(fam, periods, fam.lift_x_to_points(x)[0])
             probes.append(
-                _reduce_modulo_lattice(np.linalg.solve(periods.omega, u), periods.tau)
+                _reduce_modulo_lattice(np.linalg.solve(periods.omega, u), periods.theta)
             )
     radius = theta_context(periods.tau).radius
     best, runner, winner = np.inf, np.inf, None
@@ -516,8 +519,9 @@ def test_theta_constant_at_square_lattice():
 def test_theta_cutoff_saturated():
     per = compute_periods(genus2_family())
     ctx = theta_context(per.tau)
-    wide = theta_context(per.tau)
-    wide.radius = ctx.radius + 2
+    # through the constructor, which builds the wider lattice's arrays
+    wide = ThetaContext(per.tau, ctx.characteristic, ctx.radius + 2)
+    assert len(wide.quad) > len(ctx.quad)
     z = np.array([0.31 + 0.12j, -0.22 + 0.05j])
     assert abs(theta(z, ctx) - theta(z, wide)) < 1e-12
 
@@ -613,6 +617,21 @@ def test_abel_landing_off_the_curve_reports_its_miss():
     miss = rf"nearest sheet [0-9.e+-]+, tolerance {limit:g}"
     with pytest.raises(SheetLoss, match=miss):
         abel_map(fam, per, CurvePoint(P.x, 1.5 * P.y))
+
+
+def test_every_point_of_a_batch_is_gated():
+    # the first point passes both gates and the second fails one; the
+    # refusal names the second point
+    fam = hyperelliptic_from_branch_points([-2.0, -1.75, 0.5, 1.2, 2.05])
+    per = compute_periods(fam)
+    near = fam.lift_x_to_points(0.3 + 0.2j)[0]
+    far = fam.lift_x_to_points(100j)[0]  # beyond the leg's reach
+    with pytest.raises(QuadratureNotConverged, match=r"to x = 0\+100j did not converge"):
+        abel_map_divisor(fam, per, Divisor((near, far), False, 0.0))
+    other = fam.lift_x_to_points(-0.7 + 0.4j)[1]
+    off = CurvePoint(other.x, 1.5 * other.y)
+    with pytest.raises(SheetLoss, match=r"over x = -0.7\+0.4j"):
+        abel_map_divisor(fam, per, Divisor((near, off), False, 0.0))
 
 
 def test_abel_odd_under_sheet_swap():
@@ -1067,3 +1086,124 @@ def test_integrals_match_mpmath(es):
             want_leg = [complex(_mp_leg(mp, ex, n, j, P.x, P.y)) for n in du]
             scale = max(1.0, np.max(np.abs(want_leg)))
             assert np.max(np.abs(leg - want_leg)) < 1e-13 * scale
+
+
+# -- the per-call code that per-curve constants replaced, kept as oracles ----
+
+
+def _einsum_theta(z, ctx, order):
+    # the whole sum in one exp per term, contracted with einsum
+    g = len(z)
+    d1, d2 = ctx.characteristic
+    m = _lattice(g, ctx.radius) + d1[None, :]
+    phases = np.exp(
+        1j * math.pi * np.einsum("ki,ij,kj->k", m, ctx.tau, m)
+        + 2j * math.pi * (m @ (z + d2))
+    )
+    out = [complex(np.sum(phases))]
+    factor = 2j * math.pi * m
+    if order >= 1:
+        out.append(np.einsum("k,ki->i", phases, factor))
+    if order >= 2:
+        out.append(np.einsum("k,ki,kj->ij", phases, factor, factor))
+    if order >= 3:
+        out.append(np.einsum("k,ki,kj,kl->ijl", phases, factor, factor, factor))
+    return out, float(np.sum(np.abs(phases)))
+
+
+def _random_riemann_matrix(rng, g):
+    a = rng.normal(size=(g, g))
+    x = rng.uniform(-0.5, 0.5, size=(g, g))
+    return (x + x.T) / 2 + 1j * (a @ a.T / g + 0.6 * np.eye(g))
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_theta_matches_the_einsum_oracle(g, seed):
+    rng = np.random.default_rng(seed)
+    tau = _random_riemann_matrix(rng, g)
+    half = tuple(rng.integers(0, 2, size=(2, g)) / 2.0)
+    ctx = theta_context(tau, half)
+    # a reduced argument: a + tau b with a and b in the unit cell
+    z = rng.uniform(-0.5, 0.5, size=g) + tau @ rng.uniform(-0.5, 0.5, size=g)
+    got, scale = theta_with_derivs(z, ctx, order=3)
+    want, want_scale = _einsum_theta(z, ctx, order=3)
+    assert abs(scale - want_scale) <= 1e-13 * want_scale
+    for order, (a, b) in enumerate(zip(got, want)):
+        bound = 1e-13 * want_scale * (2 * math.pi * ctx.radius) ** order
+        assert np.shape(a) == np.shape(b)
+        assert np.max(np.abs(np.asarray(a) - b)) <= bound
+
+
+def test_theta_context_arrays_follow_its_radius():
+    ctx = theta_context(compute_periods(genus2_family()).tau)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.radius = ctx.radius + 2
+    assert len(ctx.quad) == (2 * ctx.radius + 1) ** 2
+    for name in ("tau", "shifted", "quad", "factor", "pairs", "im_tau_inv"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ctx, name)[0] = 0
+
+
+def _point_leg(es, coeffs, j, x):
+    # one point's leg, as the Abel map computed it before legs were batched
+    e, x = es[j], complex(x)
+    others = np.delete(es, j)
+    r = np.conj((e + x) / 2 - others)
+    r = r / np.abs(r)
+
+    def sqrt_q(xs):
+        return np.prod(np.sqrt(r * (xs[..., None] - others)) / np.sqrt(r), axis=-1)
+
+    sigma = np.sqrt(x - e)
+    ts, ws = hyperell._legendre_nodes(hyperell.LEG_NODES)
+    xs = e + ts ** 2 * (x - e)
+    nums = np.polynomial.polynomial.polyval(xs, coeffs)
+    return -sigma * (nums / sqrt_q(xs)) @ ws, complex(sigma * sqrt_q(np.asarray(x)))
+
+
+@given(
+    st.one_of(spaced_branch_points(), genus3_branch_points()),
+    st.lists(_complex, min_size=1, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_legs_match_the_per_point_legs(es, xs):
+    per = compute_periods(hyperelliptic_from_branch_points(es))
+    branch = per.branch_points.real
+    assume(min(np.min(np.abs(x - branch)) for x in xs) >= 0.1 * _spacing(branch))
+    js = [int(np.argmin(np.abs(x - branch))) for x in xs]
+    legs, ys = hyperell._leg(branch, per.du, js, xs)
+    assert legs.shape == (len(xs), per.fam.genus) and ys.shape == (len(xs),)
+    for leg, y, j, x in zip(legs, ys, js, xs):
+        want, want_y = _point_leg(branch, per.du, j, x)
+        assert np.max(np.abs(leg - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+        assert abs(y - want_y) <= 1e-14 * max(1.0, abs(want_y))
+
+
+def _identities(rho, divisor):
+    # verify_inversion's right-hand sides: e_k from R_2g, then every y_k
+    chi, (rho0, rho1) = rho[0][0], rho[1]
+    g = len(divisor)
+    es = [(-1) ** k * chi[g - k] / chi[g] for k in range(1, g + 1)]
+    ys = [
+        -np.polynomial.polynomial.polyval(p.x, rho0)
+        / np.polynomial.polynomial.polyval(p.x, rho1)
+        for p in divisor.points
+    ]
+    return np.array(es + ys)
+
+
+@given(spaced_branch_points(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_compiled_system_matches_per_coefficient_evaluation(es, seed):
+    fam = hyperelliptic_from_branch_points(es)
+    per = compute_periods(fam)
+    rng = np.random.default_rng(seed)
+    D = make_divisor(fam, [random_point(fam, rng) for _ in range(fam.genus)])
+    assume(not D.special)
+    vals = wp_from_theta(abel_map_divisor(fam, per, D), per)
+    values = {sym: vals.wp(*sym.indices) for sym in per.system.symbols}
+    got = _identities(per.system.evaluate(values).rho, D)
+    system = hyperell._derived_system(fam.n, fam.s, fam.extended)
+    want = _identities(per_coefficient_system(system, fam, values).rho, D)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
