@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import WeightedPoly, product_text, signed_sum_text
-from .curves import CurveFamily, EntireRationalFn, Monomial
-from .errors import OrderExceedsSupport, ZetaLeakage
+from .curves import CurveFamily, Monomial
+from .errors import NumeratorCollision, OrderExceedsSupport, ZetaLeakage
 from .expansions import (
     FirstKindBasis,
     SecondKindBasis,
@@ -380,71 +380,69 @@ def build_inversion_system(
             if coeff.is_zero():
                 continue
             mono = first.numerators[i]
-            assert mono not in terms
+            if mono in terms:
+                msg = f"{mono.as_text()} is in the numerators of du_{w} and dr_{level}"
+                raise NumeratorCollision(msg)
             terms[mono] = coeff
         r_functions.append(RFunction(level, 2 * genus - 1 + level, terms))
     return InversionSystem(fam, first, second, relations, r_functions)
 
 
 # -- canonical emission -----------------------------------------------------
+# The JSON text of json.dumps(payload, indent=1) for a fixed schema, written by
+# one template per level, so that a line's indent is its depth.  No string needs
+# escaping; the tests keep the stdlib encoder as the templates' oracle.
 
-def _lambda_payload(key: tuple[tuple[int, int], ...]) -> dict[str, int]:
-    return {str(k): e for k, e in key}
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Rendered items one per line at pad + 1, as json.dumps(indent=1) lays them."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n {pad}" + f",\n {pad}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _coefficient_payload(expr: AbelianExpr) -> dict:
-    payload: dict = {}
-    const_rat = expr.constant.constant_value()
-    if const_rat:
-        payload["constant"] = str(const_rat)
-    symbols = []
-    for key, q in expr.constant.sorted_terms():
-        if key == ():
-            continue
-        symbols.append(
-            {
-                "kind": "const",
-                "indices": [],
-                "lambda": _lambda_payload(key),
-                "rational": str(q),
-            }
-        )
+def _symbol_json(kind: str, indices: tuple, lam: tuple, q: Fraction) -> str:
+    pad = " " * 8
+    indices_text = _json_block([str(i) for i in indices], pad)
+    lambda_text = _json_block([f'"{k}": {e}' for k, e in lam], pad, "{}")
+    return (
+        f'{{\n{pad}"kind": "{kind}",\n{pad}"indices": {indices_text},\n'
+        f'{pad}"lambda": {lambda_text},\n{pad}"rational": "{q!s}"\n       }}'
+    )
+
+
+def _coefficient_json(expr: AbelianExpr) -> str:
+    chunks = [("const", (), lam, q) for lam, q in expr.constant.sorted_terms() if lam]
     for sym, coeff in expr.canonical_terms():
-        for key, q in coeff.sorted_terms():
-            symbols.append(
-                {
-                    "kind": sym.json_kind,
-                    "indices": list(sym.indices),
-                    "lambda": _lambda_payload(key),
-                    "rational": str(q),
-                }
-            )
-    payload["symbols"] = symbols
-    return payload
+        kind, indices = sym.json_kind, sym.indices
+        chunks += [(kind, indices, lam, q) for lam, q in coeff.sorted_terms()]
+    symbols = _json_block([_symbol_json(*chunk) for chunk in chunks], " " * 6)
+    constant = expr.constant.constant_value()
+    head = f'      "constant": "{constant!s}",\n' if constant else ""
+    return f'{{\n{head}      "symbols": {symbols}\n     }}'
 
 
-def system_payload(system: InversionSystem) -> dict:
+def _system_json(system: InversionSystem) -> str:
     fam = system.fam
     functions = []
     for fn in system.r_functions:
-        terms = []
-        for mono, coeff in fn.sorted_terms():
-            terms.append(
-                {
-                    "monomial": {"j": mono.j, "i": mono.i},
-                    "coefficient": _coefficient_payload(coeff),
-                }
-            )
-        functions.append({"weight": fn.weight, "terms": terms})
-    return {
-        "n": fam.n,
-        "s": fam.s,
-        "m": fam.s // fam.n,
-        "genus": fam.genus,
-        "extended": fam.extended,
-        "gaps": list(fam.gaps),
-        "functions": functions,
-    }
+        terms = [
+            f'{{\n     "monomial": {{\n      "j": {mono.j},\n      "i": {mono.i}'
+            f'\n     }},\n     "coefficient": {_coefficient_json(coeff)}\n    }}'
+            for mono, coeff in fn.sorted_terms()
+        ]
+        terms = _json_block(terms, "   ")
+        functions.append(f'{{\n   "weight": {fn.weight},\n   "terms": {terms}\n  }}')
+    return (
+        f'{{\n "n": {fam.n},\n "s": {fam.s},\n "m": {fam.s // fam.n},\n'
+        f' "genus": {fam.genus},\n "extended": {"true" if fam.extended else "false"},'
+        f'\n "gaps": {_json_block([str(w) for w in fam.gaps], " ")},'
+        f'\n "functions": {_json_block(functions, " ")}\n}}\n'
+    )
+
+
+def system_payload(system: InversionSystem) -> dict:
+    """The derived system as JSON data: its canonical text, parsed."""
+    return json.loads(emit_system(system, fmt="json"))
 
 
 def _raw_chunks(expr: AbelianExpr) -> list[tuple[tuple, Fraction, str]]:
@@ -514,7 +512,7 @@ def system_latex(system: InversionSystem) -> str:
 def emit_system(system: InversionSystem, fmt: str = "latex") -> str:
     """Canonical text for one derived system; byte-stable across runs."""
     if fmt == "json":
-        return json.dumps(system_payload(system), indent=1) + "\n"
+        return _system_json(system)
     if fmt == "latex":
         return system_latex(system)
     raise ValueError(f"unknown format {fmt!r}; use 'latex' or 'json'")

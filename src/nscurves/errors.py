@@ -75,6 +75,10 @@ class ZetaLeakage(NSCurveError):
     """A residue expansion produced first-order symbols it should not have."""
 
 
+class NumeratorCollision(NSCurveError):
+    """A first-kind numerator monomial also appears in a second-kind numerator."""
+
+
 # --- divisor solver ---
 
 class DegenerateDeterminant(NSCurveError):

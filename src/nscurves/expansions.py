@@ -24,7 +24,7 @@ gaps w <= kappa.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, LaurentSeries, WeightedPoly, residue_of_product
@@ -53,15 +53,13 @@ class InfinityChart:
     dx_series: LaurentSeries
     dxdyf_series: LaurentSeries
     h_powers: list[LaurentSeries]  # h^0 .. h^(n-1)
-
-    def __post_init__(self):
-        self._hj_dxdyf = [p * self.dxdyf_series for p in self.h_powers]
+    _hj_dxdyf: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mono_dxdyf(self, mono: Monomial) -> LaurentSeries:
         """The pullback of y^j x^i dx/(df/dy), per dxi."""
-        return self._hj_dxdyf[mono.j].shift(
-            -mono.j * self.fam.s - mono.i * self.fam.n
-        )
+        if mono.j not in self._hj_dxdyf:
+            self._hj_dxdyf[mono.j] = self.h_powers[mono.j] * self.dxdyf_series
+        return self._hj_dxdyf[mono.j].shift(-mono.j * self.fam.s - mono.i * self.fam.n)
 
 
 def expand_at_infinity(fam: CurveFamily, order: int | None = None) -> InfinityChart:

@@ -25,9 +25,14 @@ from nscurves.abelian import (
     zeta,
 )
 from nscurves.algebra import WeightedPoly
-from nscurves.curves import make_family
-from nscurves.errors import OrderExceedsSupport, TruncationTooShallow
+from nscurves.curves import EntireRationalFn, admissible_indices, make_family
+from nscurves.errors import (
+    NumeratorCollision,
+    OrderExceedsSupport,
+    TruncationTooShallow,
+)
 from nscurves.expansions import (
+    associated_second_kind,
     derivation_order,
     expand_at_infinity,
     first_kind_basis,
@@ -405,6 +410,35 @@ def small_shapes(draw):
     return make_family(n, s, extended=draw(st.booleans()))
 
 
+@given(small_shapes())
+@settings(max_examples=60, deadline=None)
+def test_first_kind_numerators_miss_the_second_kind_numerators(fam):
+    # du_w's numerator has label -w < 0 and dr_l's monomials have labels 1..l,
+    # so assembling R_l never finds a first-kind monomial already taken
+    chart = expand_at_infinity(fam, derivation_order(fam))
+    first = first_kind_basis(chart)
+    second = associated_second_kind(chart, first)
+    taken = {mono for num in second.numerators for mono in num.coefficients}
+    assert taken.isdisjoint(first.numerators)
+    assert all(mono.label < 0 for mono in first.numerators)
+    assert all(mono.label > 0 for mono in taken)
+
+
+def test_numerator_collision_is_a_typed_error(monkeypatch):
+    # put du_1's numerator x into dr_1's: the assembly must refuse, not merge
+    def colliding(chart, first):
+        second = associated_second_kind(chart, first)
+        coeffs = dict(second.numerators[0].coefficients)
+        coeffs[first.numerators[0]] = WeightedPoly.one()
+        second.numerators[0] = EntireRationalFn(coeffs)
+        return second
+
+    monkeypatch.setattr(nscurves.abelian, "associated_second_kind", colliding)
+    with pytest.raises(NumeratorCollision) as info:
+        build_inversion_system(make_family(2, 5))
+    assert str(info.value) == "x is in the numerators of du_1 and dr_1"
+
+
 @given(small_shapes(), st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
 def test_derivation_order_is_the_shallowest_that_works(fam, extra):
@@ -445,6 +479,123 @@ def test_json_payload_shape():
             for fn_term in fn["terms"]
         ]
         assert svals == sorted(svals, reverse=True)
+
+
+def _payload_by_dicts(system):
+    """The payload as nested dicts, built apart from the emitter's templates."""
+
+    def chunk(kind, indices, key, q):
+        return {
+            "kind": kind,
+            "indices": list(indices),
+            "lambda": {str(k): e for k, e in key},
+            "rational": str(q),
+        }
+
+    def coefficient(expr):
+        payload = {}
+        if expr.constant.constant_value():
+            payload["constant"] = str(expr.constant.constant_value())
+        symbols = [
+            chunk("const", (), key, q) for key, q in expr.constant.sorted_terms() if key
+        ]
+        for sym, coeff in expr.canonical_terms():
+            kind = "zeta" if sym.kind == "zeta" else f"wp{len(sym.indices)}"
+            terms = coeff.sorted_terms()
+            symbols += [chunk(kind, sym.indices, key, q) for key, q in terms]
+        payload["symbols"] = symbols
+        return payload
+
+    fam = system.fam
+    return {
+        "n": fam.n,
+        "s": fam.s,
+        "m": fam.s // fam.n,
+        "genus": fam.genus,
+        "extended": fam.extended,
+        "gaps": list(fam.gaps),
+        "functions": [
+            {
+                "weight": fn.weight,
+                "terms": [
+                    {
+                        "monomial": {"j": mono.j, "i": mono.i},
+                        "coefficient": coefficient(coeff),
+                    }
+                    for mono, coeff in fn.sorted_terms()
+                ],
+            }
+            for fn in system.r_functions
+        ],
+    }
+
+
+# small rationals with both signs, fractions and 0, so some coefficients vanish
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_systems(draw):
+    """A small_shapes() family's system at symbolic or at drawn rational lambda."""
+    fam = draw(small_shapes())
+    if draw(st.booleans()):
+        lam = {
+            k: draw(RATIONALS) for k in admissible_indices(fam.n, fam.s, fam.extended)
+        }
+        fam = make_family(fam.n, fam.s, lam, extended=fam.extended)
+    return build_inversion_system(fam)
+
+
+@given(small_systems())
+@settings(max_examples=80, deadline=None)
+def test_json_emitter_matches_the_stdlib_encoder(system):
+    # the stdlib's indent encoder is the oracle for the hand-written layout,
+    # and the dict builder for the content
+    text = emit_system(system, fmt="json")
+    assert json.dumps(json.loads(text), indent=1) + "\n" == text
+    assert json.dumps(_payload_by_dicts(system), indent=1) + "\n" == text
+
+
+def test_json_emitter_at_zero_lambda_drops_the_vanished_terms():
+    fam = make_family(3, 5, {k: 0 for k in admissible_indices(3, 5)})
+    system = build_inversion_system(fam)
+    text = emit_system(system, fmt="json")
+    assert json.dumps(_payload_by_dicts(system), indent=1) + "\n" == text
+    assert '"kind": "const"' not in text and '"lambda": {\n' not in text
+
+
+def test_json_emitter_pins_empty_containers_and_const_symbols():
+    text = emit_system(build_inversion_system(make_family(3, 5)), fmt="json")
+    # dr_1 = y: a bare constant and no symbols
+    assert (
+        '     "coefficient": {\n'
+        '      "constant": "1",\n'
+        '      "symbols": []\n'
+        "     }"
+    ) in text
+    # dr_2 = 2 x^3 + lambda_1 y: lambda_1 y is a const symbol without indices
+    assert (
+        '      "symbols": [\n'
+        "       {\n"
+        '        "kind": "const",\n'
+        '        "indices": [],\n'
+        '        "lambda": {\n'
+        '         "1": 1\n'
+        "        },\n"
+        '        "rational": "1"\n'
+        "       }\n"
+        "      ]"
+    ) in text
+    # a wp symbol with no lambda factor
+    assert '        "lambda": {},\n        "rational": "-1"\n' in text
+
+
+def test_json_emitter_extended_family():
+    system = build_inversion_system(make_family(3, 4, extended=True))
+    text = emit_system(system, fmt="json")
+    assert '\n "extended": true,\n' in text
+    assert json.dumps(json.loads(text), indent=1) + "\n" == text
+    assert json.loads(text) == _payload_by_dicts(system)
 
 
 def test_latex_emission_pins():

@@ -1,9 +1,11 @@
 """Exit codes, determinism, and output shape of the command line."""
 import json
 import warnings
+from importlib import resources
 
 import pytest
 
+from nscurves import cli
 from nscurves.cli import main, sigma_weight
 
 
@@ -91,6 +93,36 @@ def test_formulas_check_golden_passes(capsys, n, s, m):
     code, out, _ = run(capsys, "formulas", str(n), str(s), str(m), "--check-golden")
     assert code == 0
     assert out.strip() == f"PASS system_{n}_{s}.json"
+
+
+def _frozen_25():
+    return (resources.files("nscurves") / "golden" / "system_2_5.json").read_text()
+
+
+def test_formulas_check_golden_reports_the_first_difference(capsys, monkeypatch):
+    frozen = _frozen_25()
+    lines = frozen.splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1) if '"rational": "-1"' in line)
+    lines[lineno - 1] = lines[lineno - 1].replace('"-1"', '"-2"')
+    monkeypatch.setattr(cli, "emit_system", lambda system, fmt: "".join(lines))
+    code, out, _ = run(capsys, "formulas", "2", "5", "2", "--check-golden")
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL system_2_5.json: first difference at line {lineno}",
+        '  emitted:         "rational": "-2"',
+        '  frozen:          "rational": "-1"',
+    ]
+
+
+@pytest.mark.parametrize("edit", ["truncated", "extended"])
+def test_formulas_check_golden_reports_a_length_mismatch(capsys, monkeypatch, edit):
+    frozen = _frozen_25()
+    lines = frozen.splitlines(keepends=True)
+    emitted = "".join(lines[:20]) if edit == "truncated" else frozen + "\n\n"
+    monkeypatch.setattr(cli, "emit_system", lambda system, fmt: emitted)
+    code, out, _ = run(capsys, "formulas", "2", "5", "2", "--check-golden")
+    assert code == 1
+    assert out == "FAIL system_2_5.json: length mismatch\n"
 
 
 def test_formulas_order_is_honoured(capsys):

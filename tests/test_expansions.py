@@ -73,6 +73,20 @@ def test_branch_recursion_satisfies_equation(fam, order):
 
 
 @pytest.mark.parametrize("n,s", [(2, 5), (3, 7), (4, 5), (5, 9)])
+def test_chart_forms_each_product_on_first_read(n, s):
+    chart = chart_for(n, s)
+    for j in reversed(range(n)):
+        assert j not in chart._hj_dxdyf
+        mono = chart.fam.monomial_of_weight(j * s + n)  # y^j x
+        direct = (chart.h_powers[j] * chart.dxdyf_series).shift(-j * s - n)
+        assert chart.mono_dxdyf(mono) == direct
+        assert set(chart._hj_dxdyf) == set(range(j, n))
+        formed = chart._hj_dxdyf[j]
+        assert chart.mono_dxdyf(mono) == direct
+        assert chart._hj_dxdyf[j] is formed  # read again, not formed again
+
+
+@pytest.mark.parametrize("n,s", [(2, 5), (3, 7), (4, 5), (5, 9)])
 def test_chart_leading_terms(n, s):
     chart = chart_for(n, s)
     g = chart.fam.genus
