@@ -22,12 +22,11 @@ and differentiating those by u_w assembles the inversion system itself.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import WeightedPoly, product_text, signed_sum_text
+from .algebra import LaurentSeries, WeightedPoly, product_text, signed_sum_text
 from .curves import CurveFamily, Monomial
 from .errors import NumeratorCollision, OrderExceedsSupport, ZetaLeakage
 from .expansions import (
@@ -113,68 +112,36 @@ class AbelianExpr:
         self.constant = constant if constant is not None else WeightedPoly.zero()
 
     @classmethod
-    def zero(cls) -> "AbelianExpr":
-        return cls()
-
-    @classmethod
     def from_constant(cls, value: WeightedPoly | int | Fraction) -> "AbelianExpr":
         if not isinstance(value, WeightedPoly):
             value = WeightedPoly.const(value)
         return cls(constant=value)
 
-    @classmethod
-    def from_symbol(
-        cls, sym: AbelianSymbol, coeff: WeightedPoly | int | Fraction = 1
-    ) -> "AbelianExpr":
-        if not isinstance(coeff, WeightedPoly):
-            coeff = WeightedPoly.const(coeff)
-        return cls({sym: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms and self.constant.is_zero()
-
-    def __add__(self, other: "AbelianExpr") -> "AbelianExpr":
-        terms = dict(self.terms)
-        for sym, c in other.terms.items():
-            acc = terms.get(sym, WeightedPoly.zero()) + c
-            if acc.is_zero():
-                terms.pop(sym, None)
-            else:
-                terms[sym] = acc
-        return AbelianExpr(terms, self.constant + other.constant)
 
     def __neg__(self) -> "AbelianExpr":
         return AbelianExpr(
             {s: -c for s, c in self.terms.items()}, -self.constant
         )
 
-    def __sub__(self, other: "AbelianExpr") -> "AbelianExpr":
-        return self + (-other)
-
-    def scale(self, factor: WeightedPoly | int | Fraction) -> "AbelianExpr":
-        if not isinstance(factor, WeightedPoly):
-            factor = WeightedPoly.const(factor)
-        return AbelianExpr(
-            {s: c * factor for s, c in self.terms.items()},
-            self.constant * factor,
-        )
-
-    def add_symbol(self, sym: AbelianSymbol, coeff: WeightedPoly) -> "AbelianExpr":
-        return self + AbelianExpr.from_symbol(sym, coeff)
-
     def differentiate(self, w: int) -> "AbelianExpr":
-        """d/du_w; constants vanish, zeta drops to -wp, wp gains an index."""
-        out = AbelianExpr.zero()
+        """d/du_w; constants vanish, zeta drops to -wp, wp gains an index.
+
+        zeta_a goes to wp_{a,w} and wp_S to wp_{S+w}: distinct symbols go to
+        distinct symbols, so the terms are renamed and never added.
+        """
+        terms = {}
         for sym, c in self.terms.items():
             if sym.kind == "zeta":
-                out = out.add_symbol(wp(sym.indices[0], w), -c)
+                terms[wp(sym.indices[0], w)] = -c
             else:
                 if len(sym.indices) + 1 > MAX_WP_RANK:
                     raise OrderExceedsSupport(
                         f"differentiation would need wp of rank {len(sym.indices) + 1}"
                     )
-                out = out.add_symbol(wp(*sym.indices, w), c)
-        return out
+                terms[wp(*sym.indices, w)] = c
+        return AbelianExpr(terms)
 
     @property
     def weight(self) -> int | None:
@@ -254,8 +221,8 @@ def log_sigma_derivative_expansion(
 ) -> list[AbelianExpr]:
     """Coefficients T_0 .. T_order of d/dxi log sigma(u - A(xi)).
 
-    Order p demands symbols of rank up to p+1, so order <= 4 - 1 = 3 is the
-    ceiling the symbol table supports.
+    T_p carries wp symbols of rank up to p + 1, and differentiating a relation
+    adds one index, so the symbol table supports order + 1 < MAX_WP_RANK.
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
@@ -265,35 +232,42 @@ def log_sigma_derivative_expansion(
         )
     gaps = first.gaps
     small_gaps = tuple(a for a in gaps if a <= order)
-    out = [AbelianExpr.zero() for _ in range(order + 1)]
+    # products[S] = prod_(a in S) (-u_a) / prod_a (multiplicity of a in S)!,
+    # formed once per S from products[S[:-1]], which _multisets_bounded lists first
+    factors = {
+        (a, k): first.u_of_gap(a).truncated(order + 1).scale(Fraction(-1, k))
+        for a in small_gaps
+        for k in range(1, order // a + 1)
+    }
+    products: dict[tuple[int, ...], LaurentSeries | None] = {(): None}
+    for S in _multisets_bounded(small_gaps, order)[1:]:
+        factor = factors[S[-1], S.count(S[-1])]
+        products[S] = factor if len(S) == 1 else products[S[:-1]] * factor
+    out: list[dict[AbelianSymbol, WeightedPoly]] = [{} for _ in range(order + 1)]
     for i, w in enumerate(gaps):
         if w - 1 > order:
             continue
         du = first.du_series[i].truncated(order + 1)
-        for S in _multisets_bounded(small_gaps, order - (w - 1)):
-            series = du
-            for a in S:
-                series = series * (-first.u_of_gap(a).truncated(order + 1))
-            mult = 1
-            for a in set(S):
-                mult *= math.factorial(S.count(a))
-            if mult != 1:
-                series = series.scale(Fraction(1, mult))
-            if S:
-                sym, sign = wp(*S, w), 1
-            else:
-                sym, sign = zeta(w), -1
+        for S, product in products.items():
+            if sum(S) > order - (w - 1):
+                continue
+            series = du if product is None else du * product
+            sym = wp(*S, w) if S else zeta(w)
             for p in range(order + 1):
                 c = series.coeff(p)
-                if not c.is_zero():
-                    out[p] = out[p].add_symbol(sym, c if sign > 0 else -c)
-    return out
+                if c.is_zero():
+                    continue
+                if not S:
+                    c = -c
+                terms = out[p]
+                terms[sym] = terms[sym] + c if sym in terms else c
+    return [AbelianExpr(terms) for terms in out]
 
 
 def zeta_relations(
     second: SecondKindBasis, expansion: list[AbelianExpr]
 ) -> list[AbelianExpr]:
-    """R_l = -res(r_l T) for each level; exact in the symbols.
+    """R_l = -res(r_l T) for each level; exact in the symbols, all that T_p holds.
 
     The pairing normalization guarantees the first-order content of R_l is
     exactly -zeta_l when l is a gap and empty otherwise; anything else
@@ -307,12 +281,17 @@ def zeta_relations(
             raise OrderExceedsSupport(
                 f"level {level} needs the expansion through order {level - 1}"
             )
-        acc = AbelianExpr.zero()
+        terms: dict[AbelianSymbol, WeightedPoly] = {}
         for p, t_p in enumerate(expansion):
             c = r.coeff(-1 - p)
-            if not c.is_zero():
-                acc = acc - t_p.scale(c)
-        zetas = acc.zeta_terms()
+            if c.is_zero():
+                continue
+            c = -c
+            for sym, coeff in t_p.terms.items():
+                term = coeff * c
+                terms[sym] = terms[sym] + term if sym in terms else term
+        relation = AbelianExpr(terms)
+        zetas = relation.zeta_terms()
         if level in fam.gaps:
             expected = {level: WeightedPoly.const(-1)}
         else:
@@ -321,7 +300,7 @@ def zeta_relations(
             raise ZetaLeakage(
                 f"level {level}: first-order content {zetas} != {expected}"
             )
-        out.append(acc)
+        out.append(relation)
     return out
 
 
@@ -371,12 +350,13 @@ def build_inversion_system(
     r_functions = []
     for idx, relation in enumerate(relations):
         level = idx + 1
+        negated = -relation
         terms: dict[Monomial, AbelianExpr] = {
             mono: AbelianExpr.from_constant(c)
             for mono, c in second.numerators[idx].coefficients.items()
         }
         for i, w in enumerate(fam.gaps):
-            coeff = -relation.differentiate(w)
+            coeff = negated.differentiate(w)
             if coeff.is_zero():
                 continue
             mono = first.numerators[i]

@@ -156,7 +156,10 @@ class CurveFamily:
         self._index_map = dict(index_map)
         self.genus = (n - 1) * (s - 1) // 2
         self.gaps = _gap_sequence(n, s)
-        assert len(self.gaps) == self.genus
+        if len(self.gaps) != self.genus:
+            raise NotCoprime(
+                f"n={n}, s={s} leave {len(self.gaps)} gaps, not the genus {self.genus}"
+            )
         self._monomials: list[Monomial] = []
         self._y_terms: list[tuple[int, int, complex]] | None = None
 

@@ -26,7 +26,7 @@ class NSCurveError(Exception):
 # --- exact algebra ---
 
 class NonUnitLeadingCoefficient(NSCurveError):
-    """Series inversion needs an invertible constant lead."""
+    """A series lead is not the unit that inversion or a normalization needs."""
 
 
 class ResidueObstruction(NSCurveError):
@@ -60,6 +60,10 @@ class CoordinateOverflow(NSCurveError, ValueError):
 
 
 # --- expansions at infinity ---
+
+class AsymmetricGaps(NSCurveError):
+    """A gap w has no monomial of weight 2g-1-w to carry du_w."""
+
 
 class UnsolvableCorrection(NSCurveError):
     """The triangular system for second-kind corrections became singular."""

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .algebra import ONE, ZERO, LaurentSeries, WeightedPoly, residue_of_product
 from .curves import CurveFamily, EntireRationalFn, Monomial
-from .errors import UnsolvableCorrection
+from .errors import AsymmetricGaps, NonUnitLeadingCoefficient, UnsolvableCorrection
 
 
 def default_order(fam: CurveFamily) -> int:
@@ -109,7 +109,11 @@ def expand_at_infinity(fam: CurveFamily, order: int | None = None) -> InfinityCh
     dx_series = LaurentSeries.monomial(-n - 1, -n, -n - 1 + order)
     dxdyf_series = dx_series * dyf_series.invert()
     lead_exp, lead = dxdyf_series.leading()
-    assert lead_exp == n * s - n - s - 1 and lead == WeightedPoly.one()
+    expected = n * s - n - s - 1
+    if lead_exp != expected or lead != ONE:
+        raise NonUnitLeadingCoefficient(
+            f"dx/f_y leads with ({lead.to_text()}) xi^{lead_exp}, not xi^{expected}"
+        )
     return InfinityChart(
         fam, order, h_powers[1], x_series, y_series, dyf_series, dx_series,
         dxdyf_series, h_powers,
@@ -135,10 +139,14 @@ def first_kind_basis(chart: InfinityChart) -> FirstKindBasis:
     numerators, du_series, u_series = [], [], []
     for w in fam.gaps:
         mono = fam.monomial_of_weight(2 * fam.genus - 1 - w)
-        assert mono is not None, "gap symmetry guarantees this weight is realized"
+        if mono is None:
+            raise AsymmetricGaps(f"gap {w} has no monomial of weight {2 * fam.genus - 1 - w}")
         du = chart.mono_dxdyf(mono)
         exp, lead = du.leading()
-        assert exp == w - 1 and lead == WeightedPoly.one()
+        if exp != w - 1 or lead != ONE:
+            raise NonUnitLeadingCoefficient(
+                f"du_{w} leads with ({lead.to_text()}) xi^{exp}, not xi^{w - 1}"
+            )
         numerators.append(mono)
         du_series.append(du)
         u_series.append(du.integrate())

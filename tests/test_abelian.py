@@ -17,6 +17,7 @@ from nscurves.abelian import (
     MAX_WP_RANK,
     AbelianExpr,
     AbelianSymbol,
+    _multisets_bounded,
     build_inversion_system,
     emit_system,
     log_sigma_derivative_expansion,
@@ -42,12 +43,12 @@ L = WeightedPoly.gen
 
 
 def combo(*parts):
-    out = AbelianExpr.zero()
+    """sum coeff * sym over (sym, coeff) pairs, each symbol given once."""
+    terms = {}
     for sym, coeff in parts:
-        if not isinstance(coeff, WeightedPoly):
-            coeff = WeightedPoly.const(coeff)
-        out = out.add_symbol(sym, coeff)
-    return out
+        assert sym not in terms, sym
+        terms[sym] = coeff if isinstance(coeff, WeightedPoly) else WeightedPoly.const(coeff)
+    return AbelianExpr(terms)
 
 
 def neg(*parts):
@@ -410,6 +411,131 @@ def small_shapes(draw):
     return make_family(n, s, extended=draw(st.booleans()))
 
 
+# small rationals with both signs, fractions and 0, so some coefficients vanish
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_families(draw):
+    """A small_shapes() family at symbolic or at drawn rational lambda."""
+    fam = draw(small_shapes())
+    if draw(st.booleans()):
+        lam = {
+            k: draw(RATIONALS) for k in admissible_indices(fam.n, fam.s, fam.extended)
+        }
+        fam = make_family(fam.n, fam.s, lam, extended=fam.extended)
+    return fam
+
+
+# -- the quadratic sums, kept as the oracle -----------------------------------
+# These sum by copy-and-add, one symbol at a time, as the derivation did
+# before it summed each result into one dict and differentiated by renaming.
+
+
+def _copy_add(terms, sym, coeff):
+    out = dict(terms)
+    acc = out.get(sym, WeightedPoly.zero()) + coeff
+    if acc.is_zero():
+        out.pop(sym, None)
+    else:
+        out[sym] = acc
+    return out
+
+
+def quadratic_expansion(first, order):
+    gaps = first.gaps
+    small_gaps = tuple(a for a in gaps if a <= order)
+    out = [{} for _ in range(order + 1)]
+    for i, w in enumerate(gaps):
+        if w - 1 > order:
+            continue
+        du = first.du_series[i].truncated(order + 1)
+        for S in _multisets_bounded(small_gaps, order - (w - 1)):
+            series = du
+            for a in S:
+                series = series * (-first.u_of_gap(a).truncated(order + 1))
+            mult = 1
+            for a in set(S):
+                mult *= math.factorial(S.count(a))
+            if mult != 1:
+                series = series.scale(F(1, mult))
+            sym, sign = (wp(*S, w), 1) if S else (zeta(w), -1)
+            for p in range(order + 1):
+                c = series.coeff(p)
+                if not c.is_zero():
+                    out[p] = _copy_add(out[p], sym, c if sign > 0 else -c)
+    return [AbelianExpr(terms) for terms in out]
+
+
+def quadratic_relations(second, expansion):
+    out = []
+    for r in second.r_series:
+        terms, constant = {}, WeightedPoly.zero()
+        for p, t_p in enumerate(expansion):
+            c = r.coeff(-1 - p)
+            if not c.is_zero():
+                for sym, coeff in t_p.terms.items():
+                    terms = _copy_add(terms, sym, -(coeff * c))
+                constant = constant - t_p.constant * c
+        out.append(AbelianExpr(terms, constant))
+    return out
+
+
+def quadratic_differentiate(expr, w):
+    terms = {}
+    for sym, c in expr.terms.items():
+        if sym.kind == "zeta":
+            terms = _copy_add(terms, wp(sym.indices[0], w), -c)
+        else:
+            terms = _copy_add(terms, wp(*sym.indices, w), c)
+    return AbelianExpr(terms)
+
+
+@given(small_families(), st.integers(0, MAX_WP_RANK - 2))
+@settings(max_examples=60, deadline=None)
+def test_linear_derivation_matches_the_quadratic_oracle(fam, order):
+    # T_p at a drawn order on a chart deep enough for it, then the system itself
+    first = first_kind_basis(expand_at_infinity(fam, MAX_WP_RANK - 1))
+    assert log_sigma_derivative_expansion(first, order) == quadratic_expansion(
+        first, order
+    )
+    system = build_inversion_system(fam)
+    expansion = quadratic_expansion(system.first, len(system.r_functions) - 1)
+    relations = quadratic_relations(system.second, expansion)
+    assert system.zeta_rel == relations
+    for fn, relation, numerator in zip(
+        system.r_functions, relations, system.second.numerators
+    ):
+        terms = {
+            mono: AbelianExpr.from_constant(c)
+            for mono, c in numerator.coefficients.items()
+        }
+        for mono, w in zip(system.first.numerators, fam.gaps):
+            coeff = -quadratic_differentiate(relation, w)
+            if not coeff.is_zero():
+                terms[mono] = coeff
+        assert fn.terms == terms
+
+
+@given(small_shapes())
+@settings(max_examples=40, deadline=None)
+def test_differentiation_renames_every_term(fam):
+    # zeta_a -> wp_{a,w} and wp_S -> wp_{S+w} are one-to-one, so no two terms meet
+    for relation in build_inversion_system(fam).zeta_rel:
+        for w in fam.gaps:
+            assert len(relation.differentiate(w).terms) == len(relation.terms)
+
+
+def test_differentiate_refuses_only_past_the_rank_cap():
+    top = (1,) * (MAX_WP_RANK - 1)
+    below = combo((zeta(2), 1), (wp(*top), L(1)))
+    assert below.differentiate(3) == combo(
+        (wp(2, 3), -1), (wp(*top, 3), L(1))
+    )
+    with pytest.raises(OrderExceedsSupport, match=f"rank {MAX_WP_RANK + 1}"):
+        combo((zeta(2), 1), (wp(*top, 1), 1)).differentiate(3)
+
+
 @given(small_shapes())
 @settings(max_examples=60, deadline=None)
 def test_first_kind_numerators_miss_the_second_kind_numerators(fam):
@@ -530,20 +656,9 @@ def _payload_by_dicts(system):
     }
 
 
-# small rationals with both signs, fractions and 0, so some coefficients vanish
-RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-@st.composite
-def small_systems(draw):
-    """A small_shapes() family's system at symbolic or at drawn rational lambda."""
-    fam = draw(small_shapes())
-    if draw(st.booleans()):
-        lam = {
-            k: draw(RATIONALS) for k in admissible_indices(fam.n, fam.s, fam.extended)
-        }
-        fam = make_family(fam.n, fam.s, lam, extended=fam.extended)
-    return build_inversion_system(fam)
+def small_systems():
+    """A small_families() family's derived system."""
+    return small_families().map(build_inversion_system)
 
 
 @given(small_systems())

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from test_golden import GOLDEN_TARGETS
 from nscurves.algebra import WeightedPoly
 from nscurves.curves import (
+    CurveFamily,
     admissible_indices,
     check_nondegenerate,
     family_from_text,
@@ -42,6 +43,13 @@ def test_family_validation():
         make_family(4, 3)
     with pytest.raises(NotCoprime):
         make_family(1, 5)
+
+
+def test_gap_count_off_the_genus_is_a_typed_error():
+    # make_family refuses the shared factor first; built directly, <3, 6>
+    # leaves 6 gaps below 2g = 10 where the genus formula gives 5
+    with pytest.raises(NotCoprime, match="^n=3, s=6 leave 6 gaps, not the genus 5$"):
+        CurveFamily(3, 6, {}, False, {})
 
 
 def test_genus_and_gaps_small_families():

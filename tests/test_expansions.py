@@ -9,14 +9,21 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_abelian import small_families
 from nscurves.algebra import LaurentSeries, WeightedPoly, residue_of_product
-from nscurves.curves import EntireRationalFn, admissible_indices, make_family
-from nscurves.errors import ResidueObstruction, ZetaLeakage
+from nscurves.curves import CurveFamily, EntireRationalFn, admissible_indices, make_family
+from nscurves.errors import (
+    AsymmetricGaps,
+    NonUnitLeadingCoefficient,
+    ResidueObstruction,
+    ZetaLeakage,
+)
 from nscurves.expansions import (
     SecondKindBasis,
     associated_second_kind,
     check_rcond,
     default_order,
+    derivation_order,
     expand_at_infinity,
     first_kind_basis,
     second_kind_count,
@@ -203,6 +210,50 @@ def test_first_kind_normalization(n, s, ext):
     for w, mono, du in zip(first.gaps, first.numerators, first.du_series):
         assert mono.sato_weight == 2 * g - 1 - w
         assert du.leading() == (w - 1, ONE)
+
+
+def test_dxdyf_lead_off_unit_is_a_typed_error(monkeypatch):
+    # dx/f_y is dx times the inverse of f_y: double the inverse
+    invert = LaurentSeries.invert
+    monkeypatch.setattr(LaurentSeries, "invert", lambda self: invert(self).scale(2))
+    message = r"^dx/f_y leads with \(2\) xi\^2, not xi\^2$"
+    with pytest.raises(NonUnitLeadingCoefficient, match=message):
+        expand_at_infinity(make_family(2, 5), 4)
+
+
+def test_missing_first_kind_numerator_is_a_typed_error(monkeypatch):
+    chart = chart_for(3, 4)
+    monkeypatch.setattr(CurveFamily, "monomial_of_weight", lambda self, w: None)
+    with pytest.raises(AsymmetricGaps, match="^gap 1 has no monomial of weight 4$"):
+        first_kind_basis(chart)
+
+
+@pytest.mark.parametrize(
+    "distort, message",
+    [
+        (lambda du: du.scale(2), r"^du_1 leads with \(2\) xi\^0, not xi\^0$"),
+        (lambda du: du.shift(1), r"^du_1 leads with \(1\) xi\^1, not xi\^0$"),
+    ],
+    ids=["lead-2", "lead-exponent-1"],
+)
+def test_first_kind_lead_off_unit_is_a_typed_error(monkeypatch, distort, message):
+    chart = chart_for(2, 5)
+    mono_dxdyf = chart.mono_dxdyf
+    monkeypatch.setattr(chart, "mono_dxdyf", lambda mono: distort(mono_dxdyf(mono)))
+    with pytest.raises(NonUnitLeadingCoefficient, match=message):
+        first_kind_basis(chart)
+
+
+@given(small_families())
+@settings(max_examples=60, deadline=None)
+def test_gap_and_lead_checks_never_fire(fam):
+    # the raises above guard what every (n, s) and lambda satisfy
+    n, s = fam.n, fam.s
+    assert len(fam.gaps) == fam.genus
+    chart = expand_at_infinity(fam, derivation_order(fam))
+    first = first_kind_basis(chart)
+    assert chart.dxdyf_series.leading() == (n * s - n - s - 1, ONE)
+    assert [du.leading() for du in first.du_series] == [(w - 1, ONE) for w in fam.gaps]
 
 
 def test_first_kind_subleading_4m3():
