@@ -149,6 +149,10 @@ class CurveFamily:
         extended: bool,
         index_map: Mapping[int, tuple[int, int]],
     ):
+        if n < 2 or s <= n:
+            raise NotCoprime(f"need 2 <= n < s, got n={n}, s={s}")
+        if math.gcd(n, s) != 1:
+            raise NotCoprime(f"n={n} and s={s} share a factor")
         self.n = n
         self.s = s
         self.extended = extended
@@ -156,10 +160,6 @@ class CurveFamily:
         self._index_map = dict(index_map)
         self.genus = (n - 1) * (s - 1) // 2
         self.gaps = _gap_sequence(n, s)
-        if len(self.gaps) != self.genus:
-            raise NotCoprime(
-                f"n={n}, s={s} leave {len(self.gaps)} gaps, not the genus {self.genus}"
-            )
         self._monomials: list[Monomial] = []
         self._y_terms: list[tuple[int, int, complex]] | None = None
 
@@ -371,10 +371,6 @@ def make_family(
     or numeric (float, complex).  Subscripts outside the admissible set for
     the chosen shape raise InvalidLambdaIndex.
     """
-    if n < 2 or s <= n:
-        raise NotCoprime(f"need 2 <= n < s, got n={n}, s={s}")
-    if math.gcd(n, s) != 1:
-        raise NotCoprime(f"n={n} and s={s} share a factor")
     index_map = admissible_indices(n, s, extended)
     if lam == "sym":
         values: dict[int, LambdaValue] = {k: WeightedPoly.gen(k) for k in index_map}

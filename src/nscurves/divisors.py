@@ -4,14 +4,14 @@ Forward: a non-special degree-g divisor determines entire rational
 functions vanishing on it, one per pole weight 2g..2g+count-1, through an
 interpolation determinant.  Backward: the coefficient grid of those
 functions determines the divisor again, by eliminating y into a degree-g
-polynomial in x and reading y off the null space of the evaluated grid.
+polynomial in x and keeping, over each of its roots, the points of the
+curve's fiber that the grid vanishes on.
 """
 import cmath
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .abelian import AbelianSymbol, InversionSystem
 from .curves import CurveFamily, CurvePoint
@@ -38,19 +38,10 @@ FIBER_MATCH_TOL = 1e-6
 INTERPOLATION_TOL = 1e-10
 EXCESS_TOL = 1e-9
 COLLAPSE_TOL = 1e-10
-# solve_divisor: least |rho_1(x)| (n = 2), null singular values, least |kernel[0]|
-Y_ROW_TOL = 1e-12
-NULL_SPACE_TOL = 1e-8
-KERNEL_TOL = 1e-10
-# a repeated root's chosen fiber points must beat the next candidate's grid
-# residual by this factor, or the grid cannot tell them apart
-FIBER_GAP = 1e6
-
-
-def _poly_at(coeffs: np.ndarray, x: complex) -> complex:
-    if len(coeffs) == 0:
-        return 0j
-    return complex(npoly.polyval(x, coeffs))
+# relative, as NumericRSystem.residuals reads it: over a root of chi of
+# multiplicity mu, the mu kept fiber points must fit the grid within it and
+# the next candidate must not, or the grid cannot tell them apart
+FIBER_RESIDUAL_TOL = 1e-7
 
 
 # -- divisors ----------------------------------------------------------------
@@ -203,7 +194,7 @@ class NumericRSystem:
                         f"above its bound {limit}"
                     )
 
-    def eval_grid(self, x: complex) -> np.ndarray:
+    def _horner_table(self) -> np.ndarray:
         if self._table is None:
             depth = max(len(c) for row in self.rho for c in row)
             table = np.zeros((depth, len(self.rho), len(self.rho[0])), dtype=complex)
@@ -211,24 +202,41 @@ class NumericRSystem:
                 for j, coeffs in enumerate(row):
                     table[depth - len(coeffs) :, l, j] = coeffs[::-1]
             self._table = table
-        grid = np.zeros(self._table.shape[1:], dtype=complex)
-        for layer in self._table:
-            grid = grid * x + layer
-        return grid
+        return self._table
+
+    def eval_grid(self, x) -> np.ndarray:
+        """rho[l][j](x) as a (rows, columns) array; an array of x stacks them."""
+        return _horner(self._horner_table(), x)
+
+    def residuals(self, xs: Sequence[complex], ys) -> np.ndarray:
+        """Largest relative row value at each point (xs[k], ys[k][m]), NaN if any is.
+
+        Row l's value sum_j rho[l][j](x) y^j is read relative to
+        sum |c| max(1, |x|)^i max(1, |y|)^j over its coefficients c of x^i y^j,
+        the size of the terms that cancel in it.  Returns shape (len(xs), m).
+        """
+        xs = np.asarray(xs, dtype=complex)
+        ys = np.asarray(ys, dtype=complex)
+        powers = np.arange(len(self.rho[0]))[:, None]
+        # (points, rows, m): each row's value at each candidate y
+        values = self.eval_grid(xs) @ ys[:, None] ** powers
+        sizes = _horner(np.abs(self._horner_table()), np.maximum(1.0, np.abs(xs)))
+        scale = sizes @ np.maximum(1.0, np.abs(ys))[:, None] ** powers
+        return np.max(np.abs(values) / np.maximum(scale, 1e-300), axis=1)
 
     def residual_at(self, p: CurvePoint) -> float:
         """Largest relative value of any row function at the point, NaN if any is."""
-        worst = []
-        for row in self.rho:
-            total = sum(_poly_at(c, p.x) * p.y ** j for j, c in enumerate(row))
-            scale = sum(
-                abs(c).max(initial=0.0)
-                * max(1.0, abs(p.x)) ** max(len(c) - 1, 0)
-                * max(1.0, abs(p.y)) ** j
-                for j, c in enumerate(row)
-            )
-            worst.append(abs(total) / max(scale, 1e-300))
-        return float(np.max(worst))
+        return float(self.residuals([p.x], [[p.y]])[0, 0])
+
+
+def _horner(table: np.ndarray, x) -> np.ndarray:
+    # table: (degree + 1, rows, columns), highest power first; the result is
+    # x's shape followed by (rows, columns)
+    x = np.asarray(x)[..., None, None]
+    out = np.zeros(x.shape[:-2] + table.shape[1:], dtype=table.dtype)
+    for layer in table:
+        out = out * x + layer
+    return out
 
 
 def _trimmed(coeffs: np.ndarray, floor: float) -> np.ndarray:
@@ -403,16 +411,9 @@ def _poly_det(grid: list[list[np.ndarray]]) -> np.ndarray:
 
 
 def chi_polynomial(sys: NumericRSystem) -> np.ndarray:
-    """det of the y-coefficient grid: degree exactly g, ascending coeffs.
-
-    For n = 2 the grid's only y-free function already is the determinant.
-    """
-    fam = sys.fam
-    g = fam.genus
-    if fam.n == 2:
-        det = sys.rho[0][0]
-    else:
-        det = _poly_det(sys.rho)
+    """det of the y-coefficient grid: degree exactly g, ascending coeffs."""
+    g = sys.fam.genus
+    det = _poly_det(sys.rho)
     if not np.all(np.isfinite(det)):
         raise RootFindingFailure("coefficient grid contains non-finite entries")
     chi = np.zeros(g + 1, dtype=complex)
@@ -440,57 +441,39 @@ def _clustered_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     ]
 
 
-def _fiber_best_y(
-    fam: CurveFamily, grid: np.ndarray, x: complex, mu: int
-) -> list[complex]:
-    # multiplicity > 1: rank the fiber candidates by grid residual
-    scored = []
-    for p in fam.lift_x_to_points(x):
-        yvec = np.array(
-            [p.y ** j for j in range(grid.shape[1])], dtype=complex
-        )
-        scored.append((float(np.linalg.norm(grid @ yvec)), p.y))
-    scored.sort(key=lambda t: t[0])
-    if len(scored) > mu:
-        kept, rival = scored[mu - 1][0], scored[mu][0]
-        # "needs >" also refuses two exact zeros
-        above(rival, FIBER_GAP * kept, NullSpaceDimensionError,
-              f"fiber over x={x:.6g} is ambiguous: kept residual {kept:.3e} times "
-              f"{FIBER_GAP:.0e}; next candidate's residual")
-    return [y for _, y in scored[:mu]]
-
-
 def solve_divisor(sys: NumericRSystem) -> Divisor:
-    """Roots of det plus null-space y-recovery; the backward direction."""
+    """The backward direction: x from the roots of chi, y from the fiber over each.
+
+    Every root's fiber is lifted in one batch and ranked by the grid's
+    relative residual there (``NumericRSystem.residuals``).  A root of
+    multiplicity mu keeps its mu best points.  They must fit within
+    FIBER_RESIDUAL_TOL and the next candidate must not, or
+    NullSpaceDimensionError names the root.
+    """
     fam = sys.fam
     chi = chi_polynomial(sys)
     # chi is finite with |chi_k / chi_g| < 1 / COLLAPSE_TOL, so its roots are finite
-    roots = np.roots(chi[::-1] / chi[-1])
-    points: list[CurvePoint] = []
-    for x, mu in _clustered_roots(roots):
-        if fam.n == 2:
-            rho0, rho1 = sys.rho[1]
-            denom = _poly_at(rho1, x)
-            above(abs(denom), Y_ROW_TOL, NullSpaceDimensionError,
-                  f"y-row degenerate over x={x:.6g}: |rho_1(x)|")
-            points.extend(
-                [CurvePoint(x, -_poly_at(rho0, x) / denom)] * mu
-            )
-            continue
-        grid = sys.eval_grid(x)
-        _, sv, vh = np.linalg.svd(grid)
-        null_dim = int(np.sum(sv <= NULL_SPACE_TOL * max(sv[0], 1.0)))
-        if null_dim != mu:
-            raise NullSpaceDimensionError(
-                f"kernel dimension {null_dim} != multiplicity {mu} over x={x:.6g}"
-            )
-        if mu == 1:
-            kernel = vh[-1].conj()
-            above(abs(kernel[0]), KERNEL_TOL * np.linalg.norm(kernel),
-                  NullSpaceDimensionError,
-                  f"kernel vector over x={x:.6g} has no constant part: |kernel[0]|")
-            points.append(CurvePoint(x, complex(kernel[1] / kernel[0])))
-        else:
-            points.extend(CurvePoint(x, y) for y in _fiber_best_y(fam, grid, x, mu))
+    roots = _clustered_roots(np.roots(chi[::-1] / chi[-1]))
+    xs = [x for x, _ in roots]
+    mus = np.array([mu for _, mu in roots])
+    fibers = fam.lift_fibers(xs)
+    residuals = sys.residuals(xs, [[p.y for p in fiber] for fiber in fibers])
+    order = np.argsort(residuals, axis=1)  # a NaN sorts last
+    # candidates past the fiber's n points never fit
+    ranked = np.full((len(xs), fam.n + mus.max()), np.inf)
+    ranked[:, : fam.n] = np.sort(residuals, axis=1)
+    rows = np.arange(len(xs))
+    kept, rival = ranked[rows, mus - 1], ranked[rows, mus]
+    # the root with the least headroom; argmax and argmin pick a NaN first
+    k = np.argmax(kept)
+    at_most(kept[k], FIBER_RESIDUAL_TOL, NullSpaceDimensionError,
+            f"no fiber point fits the grid over x={xs[k]:.6g} at multiplicity {mus[k]}: "
+            "relative residual")
+    k = np.argmin(rival)
+    above(rival[k], FIBER_RESIDUAL_TOL, NullSpaceDimensionError,
+          f"fiber over x={xs[k]:.6g} is ambiguous: next candidate's relative residual")
+    points = [
+        fiber[i] for fiber, mu, best in zip(fibers, mus, order) for i in best[:mu]
+    ]
     special, worst = _analyze_points(fam, points, CLUSTER_TOL)
     return Divisor(tuple(points), special, worst)

@@ -98,7 +98,7 @@ class MalformedGrid(NSCurveError, ValueError):
 
 
 class NullSpaceDimensionError(NSCurveError):
-    """The evaluated coefficient matrix does not have a one-dimensional kernel."""
+    """No unique set of fiber points fits the grid over a root of chi."""
 
 
 class SpecialDivisor(NSCurveError):

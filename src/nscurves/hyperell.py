@@ -37,7 +37,6 @@ from .curves import CurveFamily, CurvePoint, _closest_pair, make_family
 from .divisors import (
     CompiledSystem,
     Divisor,
-    _poly_at,
     compile_system,
     require_finite_points,
 )
@@ -686,6 +685,12 @@ def report_payload(report: list[IdentityCheck]) -> list[dict]:
         }
         for c in report
     ]
+
+
+def _poly_at(coeffs: np.ndarray, x: complex) -> complex:
+    if len(coeffs) == 0:
+        return 0j
+    return complex(np.polynomial.polynomial.polyval(x, coeffs))
 
 
 def verify_inversion(

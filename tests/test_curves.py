@@ -46,10 +46,15 @@ def test_family_validation():
 
 
 def test_gap_count_off_the_genus_is_a_typed_error():
-    # make_family refuses the shared factor first; built directly, <3, 6>
-    # leaves 6 gaps below 2g = 10 where the genus formula gives 5
-    with pytest.raises(NotCoprime, match="^n=3, s=6 leave 6 gaps, not the genus 5$"):
+    # built directly, past make_family: <3, 6> leaves 6 gaps where the genus
+    # formula gives 5, but <2, 4> leaves 1 gap, as many as its genus formula
+    # gives, so only the shared factor refuses it
+    with pytest.raises(NotCoprime, match="^n=3 and s=6 share a factor$"):
         CurveFamily(3, 6, {}, False, {})
+    with pytest.raises(NotCoprime, match="^n=2 and s=4 share a factor$"):
+        CurveFamily(2, 4, {}, False, {})
+    with pytest.raises(NotCoprime, match="^need 2 <= n < s, got n=4, s=3$"):
+        CurveFamily(4, 3, {}, False, {})
 
 
 def test_genus_and_gaps_small_families():

@@ -79,37 +79,45 @@ def _nan_spacing(monkeypatch):
     return curves.check_nondegenerate(QUINTIC)
 
 
-def _poison_svd(monkeypatch, part):
-    # np.linalg.svd, with its singular values (part 1) or its right singular
-    # vectors (part 2) turned to NaN
+def _nan_singular_value(monkeypatch):
+    divisor = divisors.random_divisor(QUINTIC, np.random.default_rng(3))
     svd = np.linalg.svd
 
     def poisoned(a):
-        out = list(svd(a))
-        out[part] = out[part] * NAN
-        return tuple(out)
+        u, sv, vh = svd(a)
+        return u, sv * NAN, vh
 
     monkeypatch.setattr(np.linalg, "svd", poisoned)
-
-
-def _nan_singular_value(monkeypatch):
-    divisor = divisors.random_divisor(QUINTIC, np.random.default_rng(3))
-    _poison_svd(monkeypatch, 1)
     return divisors.rfunctions_from_divisor(QUINTIC, divisor)
 
 
-def _nan_kernel(monkeypatch):
-    rows = [[[1.0, 2.0, 1.0], [0.5]], [[0.2, -0.4, 0.2], [0.1, 1.0]]]
-    sys = NumericRSystem(TRIGONAL, [[np.array(c, dtype=complex) for c in row] for row in rows])
-    _poison_svd(monkeypatch, 2)
+def _quintic_system():
+    divisor = divisors.random_divisor(QUINTIC, np.random.default_rng(3))
+    return divisor, divisors.rfunctions_from_divisor(QUINTIC, divisor)
+
+
+def _nan_grid(monkeypatch):
+    # every candidate's residual is NaN, so the kept point's gate sees it
+    _, sys = _quintic_system()
+    monkeypatch.setattr(
+        NumericRSystem, "eval_grid",
+        lambda self, x: np.full(np.shape(x) + (2, 2), complex(NAN, NAN)),
+    )
     return divisors.solve_divisor(sys)
 
 
-def _nan_y_row(monkeypatch):
-    sys = NumericRSystem(
-        QUINTIC,
-        [[np.array([-1.0, 0.0, 1.0]), np.zeros(0)], [np.array([0.1]), np.array([NAN])]],
-    )
+def _nan_rival(monkeypatch):
+    # each fiber holds the divisor's own point and a NaN y, which the
+    # ambiguity gate reads as the next candidate
+    divisor, sys = _quintic_system()
+
+    def lift(self, xs):
+        return [
+            [min(divisor.points, key=lambda p: abs(p.x - x)), CurvePoint(x, NAN)]
+            for x in xs
+        ]
+
+    monkeypatch.setattr(curves.CurveFamily, "lift_fibers", lift)
     return divisors.solve_divisor(sys)
 
 
@@ -146,11 +154,8 @@ CASES = [
      lambda mp: divisors.chi_polynomial(NumericRSystem(
          QUINTIC, [[np.array([NAN, 0.0, 1.0]), np.zeros(0)], [np.array([0.1]), np.array([2.0])]])),
      RootFindingFailure, False),
-    ("fiber-gap",
-     lambda mp: divisors._fiber_best_y(TRIGONAL, np.full((2, 2), NAN + 0j), 0.5, 1),
-     NullSpaceDimensionError, True),
-    ("y-row", _nan_y_row, NullSpaceDimensionError, True),
-    ("kernel", _nan_kernel, NullSpaceDimensionError, True),
+    ("fiber-fit", _nan_grid, NullSpaceDimensionError, True),
+    ("fiber-ambiguous", _nan_rival, NullSpaceDimensionError, True),
     # curves
     ("fiber-x", lambda mp: QUINTIC.lift_x_to_points(NAN), ValueError, False),
     ("fiber-x-infinite", lambda mp: QUINTIC.lift_fibers([0.5, float("inf")]), ValueError, False),
