@@ -59,10 +59,9 @@ from .errors import (
 # uniformization and validated independently on genus 2 and genus 3
 KAPPA_SIGN = -1.0
 
-# theta sums the (2R+1)^g cube.  At genus 4 (R = 14, 7.1e5 terms, one x86-64
-# core, numpy 2.4.6) compute_periods takes 0.4-0.9 s, most of it building the
-# theta context, each verify_inversion about 0.2 s (40x genus 3), and the
-# process peaks at 0.5 GB, most of it the context's cached arrays
+# theta sums the (2R+1)^g cube.  At genus 4 (cli demo curve, rng seed 5: R = 6,
+# 28,561 terms; one x86-64 core, numpy 2.4.6) compute_periods takes 31-37 ms,
+# each verify_inversion 5-7 ms and the process peaks at 58 MB
 MAX_GENUS = 3
 
 THETA_TAIL = 1e-13
@@ -104,10 +103,15 @@ def _require_y_squared(fam: CurveFamily) -> None:
         )
 
 
-def _require_two_sheets(fam: CurveFamily) -> None:
+def _require_two_sheets(fam: CurveFamily, periods: PeriodData | None = None) -> None:
+    """Raise unless fam is y^2 = p(x) up to MAX_GENUS, and the curve of periods."""
     _require_y_squared(fam)
     if fam.genus > MAX_GENUS:
         raise UnsupportedGenus(f"genus {fam.genus} is above {MAX_GENUS}")
+    if periods is not None and fam is not periods.fam:
+        p, q = curve_polynomial(fam), curve_polynomial(periods.fam)
+        if not np.array_equal(p, q):
+            raise ValueError(f"periods of y^2 = p(x) with ascending p = {q}, not {p}")
 
 
 def curve_polynomial(fam: CurveFamily) -> np.ndarray:
@@ -329,16 +333,12 @@ class PeriodData:
     system: CompiledSystem
 
 
-def _least_im_eigenvalue(tau: np.ndarray) -> float:
-    # of sym(Im tau): eigvalsh reads only one triangle of what it is given
-    return float(np.min(np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)))
-
-
 def _check_riemann_matrix(tau: np.ndarray) -> None:
     """Raise NonSymmetricTau unless tau is symmetric with Im tau > 0."""
     size = max(1.0, float(np.linalg.norm(tau)))
     defect = float(np.linalg.norm(tau - tau.T)) / size
-    lam_min = _least_im_eigenvalue(tau)
+    # of sym(Im tau): eigvalsh reads only one triangle of its input
+    lam_min = float(np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)[0])
     # each gate's message carries the other's margin too
     eig = f"least eigenvalue of sym(Im tau) {lam_min:.3e}"
     sym = f"symmetry defect {defect:.3e}, tolerance {TAU_SYMMETRY_TOL:g}"
@@ -458,16 +458,15 @@ class ThetaContext:
     """theta[delta] at tau, truncated to the cube [-radius, radius]^g.
 
     The constructor builds every array that depends on tau, delta and the
-    radius alone, once: the shifted lattice m' = m + delta', the quadratic
-    exponents i pi m'^T tau m', the factors 2 pi i m' and their pairwise
-    products, and (Im tau)^-1 for reducing arguments.  The context is frozen
-    and its arrays read-only, so they always match its radius.
+    radius alone, once: the quadratic exponents i pi m'^T tau m' of the
+    shifted lattice m' = m + delta', the factors 2 pi i m' and their
+    pairwise products, and (Im tau)^-1 for reducing arguments.  The context
+    is frozen and its arrays read-only, so they always match its radius.
     """
 
     tau: np.ndarray
     characteristic: tuple[np.ndarray, np.ndarray]
     radius: int
-    shifted: np.ndarray = field(init=False, repr=False)
     quad: np.ndarray = field(init=False, repr=False)
     factor: np.ndarray = field(init=False, repr=False)
     pairs: np.ndarray = field(init=False, repr=False)
@@ -481,7 +480,6 @@ class ThetaContext:
         products = (m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
         derived = {
             "tau": tau,
-            "shifted": m,
             "quad": 1j * math.pi * (products @ tau.ravel()),
             "factor": 2j * math.pi * m,
             "pairs": -4.0 * math.pi ** 2 * products + 0j,
@@ -494,30 +492,47 @@ class ThetaContext:
             object.__setattr__(self, name, value)
 
 
+def _log_tail(r: int, g: int, lam_min: float) -> float:
+    """log of theta_context's bound on the terms outside [-r, r]^g."""
+    # each shell past r is at most q < 1 times the one before
+    q = ((r + 2) / (r + 1)) ** g * ((r + 2.5) / (r + 1.5)) ** 3 * math.exp(
+        -math.pi * lam_min * (2 * r + 1))
+    return (g * math.log(2 * r + 2) + 3 * math.log(2 * math.pi * (r + 1.5))
+            - math.pi * lam_min * r * r - math.log1p(-q)) if q < 1 else math.inf
+
+
 def theta_context(
     tau: np.ndarray,
     characteristic: tuple[np.ndarray, np.ndarray] | None = None,
-    z_bound: float = 2.0,
 ) -> ThetaContext:
-    """Cutoff radius from the Gaussian tail so omitted terms stay < THETA_TAIL."""
+    """theta[delta] at tau on the least cube whose tail is below THETA_TAIL.
+
+    At a reduced z (see _reduce_modulo_lattice) Im z = Y c, Y = sym(Im tau),
+    |c_i| <= 1/2, and the term of m + delta' = v - c has modulus
+    exp(pi c^T Y c - pi v^T Y v), so the sum of moduli (the scale) is at least
+    exp(pi c^T Y c - pi g lam_max / 4).  Outside [-R, R]^g, |v|_inf >= R; the
+    shell s <= |v|_inf < s + 1 holds at most (2s + 2)^g terms, each below
+    exp(pi c^T Y c - pi lam_min s^2) and weighted by at most
+    (2 pi (s + 3/2))^3 in derivatives to order 3.
+    """
     tau = np.asarray(tau, dtype=complex)
     g = tau.shape[0]
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
-    lam_min = _least_im_eigenvalue(tau)
+    lam = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)  # ascending
+    lam_min = float(lam[0])
     above(lam_min, 0.0, NonSymmetricTau,
           "sym(Im tau) is not positive definite: least eigenvalue")
-    radius = 2
-    while radius < 64:
-        reach = radius - 0.5 - math.sqrt(g)
-        shell = (2 * radius + 3) ** g
-        bound = shell * math.exp(
-            -math.pi * lam_min * max(reach, 0.0) ** 2
-            + 2.0 * math.pi * (radius + 1) * z_bound
-        )
-        if reach > 0 and bound < THETA_TAIL:
-            break
-        radius += 1
+    target = math.log(THETA_TAIL) - math.pi * g * float(lam[-1]) / 4
+    # no R below the Gaussian's alone passes; past 64, Im tau is far from
+    # reduced, and the cube is refused rather than cut short
+    radius = math.sqrt(-target / (math.pi * lam_min))
+    if radius <= 64:
+        radius = max(1, int(radius))
+        while _log_tail(radius, g, lam_min) >= target:
+            radius += 1
+    at_most(radius, 64, NonSymmetricTau, f"theta's tail bound at least eigenvalue "
+            f"{lam_min:.3e} of sym(Im tau) needs a cube radius")
     return ThetaContext(tau, characteristic, radius)
 
 
@@ -530,7 +545,8 @@ def theta_with_derivs(z: np.ndarray, ctx: ThetaContext, order: int = 0):
     |Im z| the linear term's exp alone overflows where the sum's does not.
     Derivatives differentiate term by term, which keeps every order as
     accurate as the sum itself, and are matrix products of the phases with
-    the context's factors 2 pi i m' and their pairwise products.
+    the context's factors 2 pi i m' and their pairwise products.  theta_context
+    sizes the cube for reduced z; another z needs a wider ThetaContext.
     """
     z = np.asarray(z, dtype=complex)
     g = len(z)
@@ -556,13 +572,17 @@ def theta(z: np.ndarray, ctx: ThetaContext) -> complex:
 
 @dataclass
 class WpValues:
+    """wp2[a, b] = wp_{gaps[a] gaps[b]} and wp3[a, b, c] likewise at u."""
+
     u: np.ndarray
-    wp2: dict[tuple[int, int], complex]
-    wp3: dict[tuple[int, int, int], complex]
+    wp2: np.ndarray
+    wp3: np.ndarray
+    gaps: tuple[int, ...]
 
     def wp(self, *indices: int) -> complex:
-        key = tuple(sorted(indices))
-        return self.wp2[key] if len(key) == 2 else self.wp3[key]
+        # sorted, so every order of the indices reads the same entry
+        key = tuple(sorted(self.gaps.index(i) for i in indices))
+        return complex((self.wp2 if len(key) == 2 else self.wp3)[key])
 
 
 def _reduce_modulo_lattice(z: np.ndarray, ctx: ThetaContext) -> np.ndarray:
@@ -572,7 +592,7 @@ def _reduce_modulo_lattice(z: np.ndarray, ctx: ThetaContext) -> np.ndarray:
 
 
 def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
-    """All second and third wp values at u, indexed by gap pairs/triples.
+    """All second and third wp values at u, as tensors over the gaps.
 
     log sigma = (1/2) u^T kappa u + log theta[d](omega^-1 u) up to gauge
     terms killed by the derivatives; wp_{ij} = -d_i d_j log sigma.
@@ -598,17 +618,7 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     hess_u = w.T @ log2 @ w
     partial = (w.T @ (log3 @ w).reshape(g, -1)).reshape(g, g, g)  # u, z, u
     third_u = w.T @ partial
-    gaps = list(fam.gaps)
-    wp2 = {}
-    wp3 = {}
-    for a in range(g):
-        for b in range(a, g):
-            wp2[(gaps[a], gaps[b])] = complex(
-                -periods.kappa[a, b] - hess_u[a, b]
-            )
-            for c in range(b, g):
-                wp3[(gaps[a], gaps[b], gaps[c])] = complex(-third_u[a, b, c])
-    return WpValues(u, wp2, wp3)
+    return WpValues(u, -periods.kappa - hess_u, -third_u, tuple(fam.gaps))
 
 
 # -- Abel map ----------------------------------------------------------------
@@ -647,7 +657,7 @@ def abel_map(
     fam: CurveFamily, periods: PeriodData, point: CurvePoint | None = None
 ) -> np.ndarray:
     """u(P), the Abel map from infinity of one point (see _abel_images)."""
-    _require_two_sheets(fam)
+    _require_two_sheets(fam, periods)
     if point is None:
         return np.zeros(fam.genus, dtype=complex)
     return _abel_images(periods, [point])[0]
@@ -657,7 +667,7 @@ def abel_map_divisor(
     fam: CurveFamily, periods: PeriodData, divisor: Divisor
 ) -> np.ndarray:
     """A(D), the sum of u(P) over the divisor's points, from one batch of legs."""
-    _require_two_sheets(fam)
+    _require_two_sheets(fam, periods)
     return _abel_images(periods, divisor.points).sum(axis=0)
 
 
@@ -706,7 +716,7 @@ def verify_inversion(
     symmetric functions e_k(x); R_2g+1 = rho_0(x) + rho_1(x) y vanishes on
     D, so each y_k must be -rho_0(x_k)/rho_1(x_k).
     """
-    _require_two_sheets(fam)
+    _require_two_sheets(fam, periods)
     g = fam.genus
     if len(divisor) != g:
         raise ValueError(f"need a degree-{g} divisor")

@@ -32,6 +32,7 @@ from nscurves.expansions import (
     first_kind_basis,
 )
 from nscurves.hyperell import (
+    ThetaContext,
     abel_map_divisor,
     compute_periods,
     hyperelliptic_from_branch_points,
@@ -223,7 +224,9 @@ def test_criterion_6_invariant_suites():
     periods = compute_periods(fam2)
     assert np.linalg.norm(periods.tau - periods.tau.T) < 1e-8
     assert np.all(np.linalg.eigvalsh(periods.tau.imag) > 0)
-    ctx = theta_context(periods.tau, z_bound=4.0)
+    # z + tau e_1 is not reduced, so it needs a wider cube than theta_context's
+    base = theta_context(periods.tau)
+    ctx = ThetaContext(periods.tau, base.characteristic, base.radius + 2)
     z = np.array([0.21 - 0.07j, -0.33 + 0.11j])
     ratio = theta(z + periods.tau[:, 0], ctx) / theta(z, ctx)
     expected = np.exp(

@@ -247,3 +247,26 @@ def test_helper_messages_read_value_then_limit():
         above(1e-12, 3e-10, DegreeCollapse, "leading coefficient")
     assert str(info.value) == "leading coefficient 1.000e-12, needs > 3e-10"
     assert isinstance(info.value, NSCurveError)
+
+
+@pytest.mark.parametrize(
+    "tau, radius",
+    [(0.003j, r"7\.600e\+01"), (1e-320j, "inf")],
+    ids=["radius-76", "radius-overflows"],
+)
+def test_theta_radius_past_the_cube_is_refused(tau, radius):
+    # the tail bound's radius is refused above 64, with no numpy warning or
+    # OverflowError on the way, however small Im tau is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonSymmetricTau, match=f"cube radius {radius}, tolerance 64$"):
+            hyperell.theta_context(np.array([[tau]]))
+
+
+def test_theta_on_a_thin_lattice_meets_its_tail_bound():
+    # Jacobi: theta(0 | i t) = t^-1/2 theta(0 | i/t), and theta(0 | 100 i)
+    # is 1 within 1e-136, so theta(0 | 0.01 i) = 10
+    ctx = hyperell.theta_context(np.array([[0.01j]]))
+    assert ctx.radius < 64
+    (val,), scale = hyperell.theta_with_derivs(np.zeros(1), ctx)
+    assert abs(val - 10.0) <= hyperell.THETA_TAIL * scale

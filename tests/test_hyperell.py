@@ -533,7 +533,9 @@ def test_theta_odd_characteristic_vanishes():
 
 def test_theta_quasi_periodicity():
     per = compute_periods(genus2_family())
-    ctx = theta_context(per.tau, z_bound=4.0)
+    # z + tau e_1 is not reduced, so it needs a wider cube than theta_context's
+    base = theta_context(per.tau)
+    ctx = ThetaContext(per.tau, base.characteristic, base.radius + 2)
     z = np.array([0.21 - 0.07j, -0.33 + 0.11j])
     shifted = theta(z + per.tau[:, 0], ctx)
     ratio = shifted / theta(z, ctx)
@@ -572,10 +574,9 @@ def test_wp_even_in_u():
     u = abel_map_divisor(fam, per, D)
     plus = wp_from_theta(u, per)
     minus = wp_from_theta(-u, per)
-    for key, value in plus.wp2.items():
-        assert abs(value - minus.wp2[key]) < 1e-8
-    for key, value in plus.wp3.items():
-        assert abs(value + minus.wp3[key]) < 1e-8
+    assert plus.wp2.shape == (2, 2) and plus.wp3.shape == (2, 2, 2)
+    assert np.max(np.abs(plus.wp2 - minus.wp2)) < 1e-8
+    assert np.max(np.abs(plus.wp3 + minus.wp3)) < 1e-8
 
 
 def test_wp3_consistent_with_finite_difference_of_wp2():
@@ -598,6 +599,27 @@ def test_wp_on_theta_divisor_refused():
     u = abel_map(fam, per, fam.lift_x_to_points(0.9 + 0.4j)[0])
     with pytest.raises(OnThetaDivisor):
         wp_from_theta(u, per)
+
+
+def test_periods_of_another_curve_are_refused():
+    fam = genus2_family()
+    other = hyperelliptic_from_branch_points([-1.5, -0.7, 0.1, 0.9, 1.2])
+    per = compute_periods(other)
+    D = make_divisor(
+        other,
+        [other.lift_x_to_points(0.3 + 0.2j)[0], other.lift_x_to_points(-0.9 + 0.5j)[1]],
+    )
+    refused = r"periods of y\^2 = p\(x\) with ascending p = \[.*\], not \["
+    with pytest.raises(ValueError, match=refused):
+        verify_inversion(fam, D, per)
+    with pytest.raises(ValueError, match=refused):
+        abel_map(fam, per, D.points[0])
+    with pytest.raises(ValueError, match=refused):
+        abel_map_divisor(genus1_family(), per, D)
+    # the same curve built apart from the periods' own family passes
+    twin = hyperelliptic_from_branch_points([-1.5, -0.7, 0.1, 0.9, 1.2])
+    assert twin is not other
+    assert verify_inversion(twin, D, per) == verify_inversion(other, D, per)
 
 
 # -- Abel map ----------------------------------------------------------------
@@ -1135,12 +1157,29 @@ def test_theta_matches_the_einsum_oracle(g, seed):
         assert np.max(np.abs(np.asarray(a) - b)) <= bound
 
 
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_theta_radius_meets_its_tail_bound(g, seed):
+    rng = np.random.default_rng(seed)
+    tau = _random_riemann_matrix(rng, g)
+    half = tuple(rng.integers(0, 2, size=(2, g)) / 2.0)
+    ctx = theta_context(tau, half)
+    wide = ThetaContext(tau, ctx.characteristic, ctx.radius + 2)
+    # a reduced argument: a + tau b with a and b in the unit cell
+    z = rng.uniform(-0.5, 0.5, size=g) + tau @ rng.uniform(-0.5, 0.5, size=g)
+    got, scale = theta_with_derivs(z, ctx, order=3)
+    want, _ = theta_with_derivs(z, wide, order=3)
+    for order, (a, b) in enumerate(zip(got, want)):
+        bound = hyperell.THETA_TAIL * scale * (2 * math.pi * (ctx.radius + 2)) ** order
+        assert np.max(np.abs(np.asarray(a) - b)) <= bound
+
+
 def test_theta_context_arrays_follow_its_radius():
     ctx = theta_context(compute_periods(genus2_family()).tau)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.radius = ctx.radius + 2
     assert len(ctx.quad) == (2 * ctx.radius + 1) ** 2
-    for name in ("tau", "shifted", "quad", "factor", "pairs", "im_tau_inv"):
+    for name in ("tau", "quad", "factor", "pairs", "im_tau_inv"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(ctx, name)[0] = 0
 
