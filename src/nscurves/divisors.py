@@ -28,8 +28,8 @@ from .errors import (
 )
 from .expansions import second_kind_count
 
-# relative: a point's largest residual |f| (make_divisor also groups x within
-# it); the distance that joins roots or x into one cluster, and y into a fiber
+# relative: a point's largest residual |f|; the distance that joins roots or
+# x into one cluster, and y into a fiber
 RESIDUAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
 FIBER_MATCH_TOL = 1e-6
@@ -49,11 +49,10 @@ FIBER_RESIDUAL_TOL = 1e-7
 
 @dataclass(frozen=True)
 class Divisor:
-    """A degree-g tuple of curve points with its diagnostics precomputed."""
+    """A degree-g tuple of curve points; special when some fiber lies in it."""
 
     points: tuple[CurvePoint, ...]
     special: bool
-    max_residual: float
 
     def __len__(self) -> int:
         return len(self.points)
@@ -71,9 +70,37 @@ def _fiber_matches(group: list[CurvePoint], fiber: list[CurvePoint]) -> bool:
     return True
 
 
-def _analyze_points(
-    fam: CurveFamily, points: Sequence[CurvePoint], tol: float
-) -> tuple[bool, float]:
+def _clusters(xs: Sequence[complex]) -> list[list[int]]:
+    """Indices of xs taken as one x, in order of (re x, im x).
+
+    Each x joins the first cluster whose running mean lies within
+    CLUSTER_TOL of it, relative to the mean's size.
+    """
+    clusters: list[list[int]] = []
+    totals: list[complex] = []  # each cluster's sum of x
+    for i in sorted(range(len(xs)), key=lambda i: (xs[i].real, xs[i].imag)):
+        for k, members in enumerate(clusters):
+            center = totals[k] / len(members)
+            if abs(xs[i] - center) <= CLUSTER_TOL * max(1.0, abs(center)):
+                members.append(i)
+                totals[k] += xs[i]
+                break
+        else:
+            clusters.append([i])
+            totals.append(xs[i])
+    return clusters
+
+
+def _is_special(fam: CurveFamily, points: Sequence[CurvePoint]) -> bool:
+    """Do the points over some one x exhaust the fiber there?"""
+    full = [c for c in _clusters([p.x for p in points]) if len(c) >= fam.n]
+    groups = [[points[i] for i in c] for c in full]
+    fibers = fam.lift_fibers([sum(p.x for p in g) / len(g) for g in groups])
+    return any(_fiber_matches(g, f) for g, f in zip(groups, fibers))
+
+
+def _worst_residual(fam: CurveFamily, points: Sequence[CurvePoint]) -> float:
+    """The points' largest |f| / (max(1, |x|)^s + max(1, |y|)^n), NaN if any is."""
     worst = 0.0
     for p in points:
         try:
@@ -81,18 +108,7 @@ def _analyze_points(
         except OverflowError:
             raise CoordinateOverflow(f"{p} overflows x^{fam.s} or y^{fam.n}") from None
         worst = float(np.maximum(worst, abs(fam.eval_f(p.x, p.y)) / scale))  # keeps NaN
-    groups: list[list[CurvePoint]] = []
-    for p in sorted(points, key=lambda q: (q.x.real, q.x.imag)):
-        for group in groups:
-            if abs(p.x - group[0].x) <= tol * max(1.0, abs(group[0].x)):
-                group.append(p)
-                break
-        else:
-            groups.append([p])
-    full = [g for g in groups if len(g) >= fam.n]
-    fibers = fam.lift_fibers([sum(p.x for p in g) / len(g) for g in full])
-    special = any(_fiber_matches(g, f) for g, f in zip(full, fibers))
-    return special, worst
+    return worst
 
 
 def require_finite_points(points: Sequence[CurvePoint]) -> None:
@@ -106,9 +122,9 @@ def make_divisor(fam: CurveFamily, points: Sequence[CurvePoint]) -> Divisor:
     """Validate the points against the curve and flag special positions."""
     pts = tuple(CurvePoint(complex(p.x), complex(p.y)) for p in points)
     require_finite_points(pts)
-    special, worst = _analyze_points(fam, pts, RESIDUAL_TOL)
-    at_most(worst, RESIDUAL_TOL, ValueError, "point off the curve: relative residual")
-    return Divisor(pts, special, worst)
+    at_most(_worst_residual(fam, pts), RESIDUAL_TOL, ValueError,
+            "point off the curve: relative residual")
+    return Divisor(pts, _is_special(fam, pts))
 
 
 def sample_points(
@@ -139,9 +155,8 @@ def random_divisor(
     """A generic non-special divisor; redraws on the measure-zero failures."""
     for _ in range(64):
         pts = sample_points(fam, rng, fam.genus, scale)
-        special, worst = _analyze_points(fam, pts, CLUSTER_TOL)
-        if not special and worst <= RESIDUAL_TOL:
-            return Divisor(tuple(pts), False, worst)
+        if _worst_residual(fam, pts) <= RESIDUAL_TOL and not _is_special(fam, pts):
+            return Divisor(tuple(pts), False)
     raise RootFindingFailure("could not sample a non-special divisor")
 
 
@@ -223,10 +238,6 @@ class NumericRSystem:
         sizes = _horner(np.abs(self._horner_table()), np.maximum(1.0, np.abs(xs)))
         scale = sizes @ np.maximum(1.0, np.abs(ys))[:, None] ** powers
         return np.max(np.abs(values) / np.maximum(scale, 1e-300), axis=1)
-
-    def residual_at(self, p: CurvePoint) -> float:
-        """Largest relative value of any row function at the point, NaN if any is."""
-        return float(self.residuals([p.x], [[p.y]])[0, 0])
 
 
 def _horner(table: np.ndarray, x) -> np.ndarray:
@@ -373,19 +384,6 @@ def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
     return CompiledSystem(fam, symbols, matrix, tuple(blocks))
 
 
-def numeric_system(
-    system: InversionSystem,
-    fam: CurveFamily,
-    symbol_values: Mapping[AbelianSymbol, complex],
-) -> NumericRSystem:
-    """Evaluate a derived system of fam's shape on the numeric curve fam.
-
-    The lambda values are read from fam, the wp values from symbol_values;
-    see compile_system and CompiledSystem.evaluate.
-    """
-    return compile_system(system, fam).evaluate(symbol_values)
-
-
 # -- elimination and recovery ------------------------------------------------
 
 
@@ -426,21 +424,6 @@ def chi_polynomial(sys: NumericRSystem) -> np.ndarray:
     return chi
 
 
-def _clustered_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for members in clusters:
-            center = sum(members) / len(members)
-            if abs(r - center) <= CLUSTER_TOL * max(1.0, abs(center)):
-                members.append(r)
-                break
-        else:
-            clusters.append([r])
-    return [
-        (complex(sum(m) / len(m)), len(m)) for m in clusters
-    ]
-
-
 def solve_divisor(sys: NumericRSystem) -> Divisor:
     """The backward direction: x from the roots of chi, y from the fiber over each.
 
@@ -448,14 +431,16 @@ def solve_divisor(sys: NumericRSystem) -> Divisor:
     relative residual there (``NumericRSystem.residuals``).  A root of
     multiplicity mu keeps its mu best points.  They must fit within
     FIBER_RESIDUAL_TOL and the next candidate must not, or
-    NullSpaceDimensionError names the root.
+    NullSpaceDimensionError names the root.  As mu <= n, the divisor is
+    special exactly when some root keeps its whole fiber.
     """
     fam = sys.fam
     chi = chi_polynomial(sys)
     # chi is finite with |chi_k / chi_g| < 1 / COLLAPSE_TOL, so its roots are finite
-    roots = _clustered_roots(np.roots(chi[::-1] / chi[-1]))
-    xs = [x for x, _ in roots]
-    mus = np.array([mu for _, mu in roots])
+    roots = np.roots(chi[::-1] / chi[-1])
+    clusters = _clusters(roots)
+    xs = [complex(sum(roots[i] for i in c) / len(c)) for c in clusters]
+    mus = np.array([len(c) for c in clusters])
     fibers = fam.lift_fibers(xs)
     residuals = sys.residuals(xs, [[p.y for p in fiber] for fiber in fibers])
     order = np.argsort(residuals, axis=1)  # a NaN sorts last
@@ -475,5 +460,4 @@ def solve_divisor(sys: NumericRSystem) -> Divisor:
     points = [
         fiber[i] for fiber, mu, best in zip(fibers, mus, order) for i in best[:mu]
     ]
-    special, worst = _analyze_points(fam, points, CLUSTER_TOL)
-    return Divisor(tuple(points), special, worst)
+    return Divisor(tuple(points), bool(np.any(mus == fam.n)))

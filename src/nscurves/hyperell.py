@@ -697,12 +697,6 @@ def report_payload(report: list[IdentityCheck]) -> list[dict]:
     ]
 
 
-def _poly_at(coeffs: np.ndarray, x: complex) -> complex:
-    if len(coeffs) == 0:
-        return 0j
-    return complex(np.polynomial.polynomial.polyval(x, coeffs))
-
-
 def verify_inversion(
     fam: CurveFamily,
     divisor: Divisor,
@@ -744,12 +738,10 @@ def verify_inversion(
         )
         for k in range(1, g + 1)
     ]
+    # scalar Horner per point: numpy's array loops can round a complex
+    # product differently, which would move the report in its last bits
+    polyval = np.polynomial.polynomial.polyval
     for idx, p in enumerate(divisor.points, 1):
-        checks.append(
-            IdentityCheck(
-                f"y_{idx} from R_{2 * g + 1}",
-                p.y,
-                -_poly_at(rho0, p.x) / _poly_at(rho1, p.x),
-            )
-        )
+        y = -complex(polyval(p.x, rho0)) / complex(polyval(p.x, rho1))
+        checks.append(IdentityCheck(f"y_{idx} from R_{2 * g + 1}", p.y, y))
     return checks

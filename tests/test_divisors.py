@@ -7,18 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from test_curves import SHAPES, unit_family
 from nscurves.abelian import build_inversion_system
-from nscurves.curves import CurvePoint, make_family
+from nscurves.curves import CurveFamily, CurvePoint, make_family
 from nscurves.divisors import (
     CLUSTER_TOL,
     NumericRSystem,
-    _analyze_points,
-    _clustered_roots,
+    _clusters,
     _coefficient_row,
+    _worst_residual,
     chi_polynomial,
+    compile_system,
     divisor_from_payload,
     divisor_payload,
     make_divisor,
-    numeric_system,
     random_divisor,
     rfunctions_from_divisor,
     solve_divisor,
@@ -65,18 +65,53 @@ def max_point_error(got, want):
 # -- divisor bookkeeping -----------------------------------------------------
 
 
+def _exhausts(group, fiber):
+    # does the group's y multiset hold every fiber point within 1e-6?
+    left = [p.y for p in group]
+    for q in fiber:
+        limit = 1e-6 * max(1.0, abs(q.y))
+        hit = next((i for i, y in enumerate(left) if abs(y - q.y) <= limit), None)
+        if hit is None:
+            return False
+        left.pop(hit)
+    return True
+
+
 def _random_divisor_one_at_a_time(fam, rng, scale=1.0):
-    # the draw loop before batching: one np.roots fiber per drawn point
+    # the draw loop before batching: one np.roots fiber per drawn point, then
+    # the residual and full-fiber checks as they stood, grouping x around a
+    # group's first member
     for _ in range(64):
         pts = []
         for _ in range(fam.genus):
             x = complex(rng.normal(scale=scale), rng.normal(scale=scale))
             fiber = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
             pts.append(CurvePoint(x, complex(fiber[int(rng.integers(len(fiber)))])))
-        special, worst = _analyze_points(fam, pts, CLUSTER_TOL)
+        worst = max(
+            abs(fam.eval_f(p.x, p.y))
+            / (max(1.0, abs(p.x)) ** fam.s + max(1.0, abs(p.y)) ** fam.n)
+            for p in pts
+        )
+        groups = []
+        for p in sorted(pts, key=lambda q: (q.x.real, q.x.imag)):
+            for group in groups:
+                if abs(p.x - group[0].x) <= CLUSTER_TOL * max(1.0, abs(group[0].x)):
+                    group.append(p)
+                    break
+            else:
+                groups.append([p])
+        special = any(
+            len(g) >= fam.n
+            and _exhausts(g, fam.lift_x_to_points(sum(p.x for p in g) / len(g)))
+            for g in groups
+        )
         if not special and worst <= 1e-8:
             return pts
     raise RootFindingFailure("could not sample a non-special divisor")
+
+
+def residuals_at(sys, points):
+    return sys.residuals([p.x for p in points], [[p.y] for p in points])
 
 
 @pytest.mark.parametrize("n,s,ext", SHAPES)
@@ -97,8 +132,7 @@ def test_every_row_vanishes_on_its_points(n, s, ext, seed):
     fam = unit_family(n, s, ext, rng)
     divisor = random_divisor(fam, rng)
     sys = rfunctions_from_divisor(fam, divisor, seed=seed)
-    for p in divisor.points:
-        assert sys.residual_at(p) < 1e-10
+    assert np.all(residuals_at(sys, divisor.points) < 1e-10)
 
 
 def test_divisor_validation_rejects_off_curve():
@@ -126,10 +160,9 @@ def test_payload_with_a_non_finite_row_refused():
         divisor_from_payload(fam, [[np.nan, 0.0, np.nan, 0.0], good])
 
 
-def test_analyze_points_keeps_a_nan_residual():
+def test_worst_residual_keeps_a_nan():
     # Python's max(0.0, nan) is 0.0, which once reported a NaN point as on the curve
-    _, worst = _analyze_points(family(2, 5), [CurvePoint(np.nan, 1.0)], CLUSTER_TOL)
-    assert np.isnan(worst)
+    assert np.isnan(_worst_residual(family(2, 5), [CurvePoint(np.nan, 1.0)]))
 
 
 def test_full_fiber_is_flagged_special():
@@ -146,6 +179,16 @@ def test_hyperelliptic_conjugate_pair_is_special():
     p = fam.lift_x_to_points(0.4 + 0.1j)[0]
     divisor = make_divisor(fam, [p, CurvePoint(p.x, -p.y)])
     assert divisor.special
+
+
+def test_points_over_one_x_within_cluster_tol_are_special():
+    # x's 5e-8 apart (relative) are one x, as they would be for chi's roots,
+    # so the two points exhaust the fiber; grouping within 1e-8 missed it
+    fam = make_family(2, 5, {4: 0.3, 10: 0.5})
+    x = 0.4 + 0.1j
+    p = fam.lift_x_to_points(x)[0]
+    q = fam.lift_x_to_points(x * (1 + 5e-8))[1]
+    assert make_divisor(fam, [p, q]).special
 
 
 def test_repeated_point_is_not_special_but_degenerate():
@@ -187,8 +230,7 @@ def test_functions_vanish_on_divisor():
         fam.lift_x_to_points(complex(rng.normal(), rng.normal()))[0]
     ]
     sys = rfunctions_from_divisor(fam, divisor, extra=extra)
-    for p in divisor.points:
-        assert sys.residual_at(p) < 1e-8
+    assert np.all(residuals_at(sys, divisor.points) < 1e-8)
 
 
 def test_construction_is_reproducible():
@@ -317,8 +359,8 @@ def test_numeric_system_commutes_with_specialisation(n, s, data):
     }
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     values = {sym: complex(*rng.normal(size=2)) for sym in symbols}
-    got = numeric_system(twin, fam, values)
-    want = numeric_system(build_inversion_system(fam), fam, values)
+    got = compile_system(twin, fam).evaluate(values)
+    want = compile_system(build_inversion_system(fam), fam).evaluate(values)
     for got_row, want_row in zip(got.rho, want.rho):
         for a, b in zip(got_row, want_row):
             a, b = _padded(a, b)
@@ -327,7 +369,7 @@ def test_numeric_system_commutes_with_specialisation(n, s, data):
 
 
 def per_coefficient_system(system, fam, values):
-    """numeric_system before systems were compiled: every coefficient on its own."""
+    """The grid before systems were compiled: every coefficient on its own."""
     lam = fam.numeric_lambda()
     count = second_kind_count(fam)
     rho = [
@@ -352,7 +394,7 @@ def test_compiled_system_matches_per_coefficient_evaluation(n, s, extended):
     system = build_inversion_system(fam.symbolic_twin())
     symbols = {sym for fn in system.r_functions for c in fn.terms.values() for sym in c.terms}
     values = {sym: complex(*rng.normal(size=2)) for sym in symbols}
-    got = numeric_system(system, fam, values)
+    got = compile_system(system, fam).evaluate(values)
     want = per_coefficient_system(system, fam, values)
     for got_row, want_row in zip(got.rho, want.rho, strict=True):
         for a, b in zip(got_row, want_row, strict=True):
@@ -364,9 +406,9 @@ def test_compiled_system_matches_per_coefficient_evaluation(n, s, extended):
 def test_numeric_system_refuses_another_shape(extended):
     system = build_inversion_system(make_family(3, 4, extended=extended))
     with pytest.raises(ValueError, match="cannot be evaluated on"):
-        numeric_system(system, make_family(3, 4, {6: 0.5}, extended=not extended), {})
+        compile_system(system, make_family(3, 4, {6: 0.5}, extended=not extended))
     with pytest.raises(ValueError, match="cannot be evaluated on"):
-        numeric_system(system, family(2, 5), {})
+        compile_system(system, family(2, 5))
 
 
 # -- backward recovery -------------------------------------------------------
@@ -382,7 +424,9 @@ def solve_divisor_by_kernel(sys):
     fam = sys.fam
     chi = chi_polynomial(sys)
     points = []
-    for x, mu in _clustered_roots(np.roots(chi[::-1] / chi[-1])):
+    roots = np.roots(chi[::-1] / chi[-1])
+    for cluster in _clusters(roots):
+        x, mu = complex(sum(roots[i] for i in cluster) / len(cluster)), len(cluster)
         grid = sys.eval_grid(x)
         if fam.n == 2:
             rho0, rho1 = grid[1]
@@ -503,6 +547,38 @@ def test_repeated_point_on_two_sheets_is_refused():
     )
     with pytest.raises(NullSpaceDimensionError, match="no fiber point fits .* multiplicity 2"):
         solve_divisor(sys)
+
+
+def test_recovered_full_fiber_is_special(monkeypatch):
+    # det [[x^2, 0], [0.4 x, x]] = x^3: a triple root at 0, where every row
+    # vanishes on the whole fiber, so all three points are kept
+    fam = make_family(3, 4, {12: 0.7, 6: 0.3})
+    sys = NumericRSystem(
+        fam,
+        [
+            [np.array([0.0, 0.0, 1.0]), np.zeros(0)],
+            [np.array([0.0, 0.4]), np.array([0.0, 1.0])],
+        ],
+    )
+    fiber = fam.lift_x_to_points(0j)
+    calls = []
+
+    def spy(name):
+        real = getattr(CurveFamily, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(CurveFamily, name, counted)
+
+    spy("eval_f")
+    spy("lift_fibers")
+    divisor = solve_divisor(sys)
+    assert divisor.special
+    assert sorted_points(divisor.points) == sorted_points(fiber)
+    # specialness is read off the multiplicities, not re-derived from the points
+    assert calls == ["lift_fibers"]
 
 
 def test_null_space_dimension_guard():

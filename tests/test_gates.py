@@ -42,7 +42,7 @@ TRIGONAL = make_family(3, 4, {2: 0.3, 5: 0.4, 6: 0.5, 8: 0.6, 9: 0.7, 12: 0.2})
 
 
 # a Divisor built by hand, past make_divisor's finite check
-NAN_DIVISOR = Divisor((CurvePoint(NAN, 1.0), CurvePoint(0.3, 0.1)), False, 0.0)
+NAN_DIVISOR = Divisor((CurvePoint(NAN, 1.0), CurvePoint(0.3, 0.1)), False)
 
 
 def _nan_roots(monkeypatch):

@@ -649,11 +649,11 @@ def test_every_point_of_a_batch_is_gated():
     near = fam.lift_x_to_points(0.3 + 0.2j)[0]
     far = fam.lift_x_to_points(100j)[0]  # beyond the leg's reach
     with pytest.raises(QuadratureNotConverged, match=r"to x = 0\+100j did not converge"):
-        abel_map_divisor(fam, per, Divisor((near, far), False, 0.0))
+        abel_map_divisor(fam, per, Divisor((near, far), False))
     other = fam.lift_x_to_points(-0.7 + 0.4j)[1]
     off = CurvePoint(other.x, 1.5 * other.y)
     with pytest.raises(SheetLoss, match=r"over x = -0.7\+0.4j"):
-        abel_map_divisor(fam, per, Divisor((near, off), False, 0.0))
+        abel_map_divisor(fam, per, Divisor((near, off), False))
 
 
 def test_abel_odd_under_sheet_swap():
