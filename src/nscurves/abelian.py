@@ -380,24 +380,36 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n {pad}" + f",\n {pad}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _symbol_json(kind: str, indices: tuple, lam: tuple, q: Fraction) -> str:
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for num/den in lowest terms, den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _symbol_json(kind: str, indices: tuple, lam: tuple, rational: str) -> str:
     pad = " " * 8
     indices_text = _json_block([str(i) for i in indices], pad)
     lambda_text = _json_block([f'"{k}": {e}' for k, e in lam], pad, "{}")
     return (
         f'{{\n{pad}"kind": "{kind}",\n{pad}"indices": {indices_text},\n'
-        f'{pad}"lambda": {lambda_text},\n{pad}"rational": "{q!s}"\n       }}'
+        f'{pad}"lambda": {lambda_text},\n{pad}"rational": "{rational}"\n       }}'
     )
 
 
 def _coefficient_json(expr: AbelianExpr) -> str:
-    chunks = [("const", (), lam, q) for lam, q in expr.constant.sorted_terms() if lam]
+    chunks, constant = [], ""
+    for lam, num, den in expr.constant.sorted_ratios():
+        if lam:
+            chunks.append(("const", (), lam, _ratio_text(num, den)))
+        else:
+            constant = _ratio_text(num, den)
     for sym, coeff in expr.canonical_terms():
         kind, indices = sym.json_kind, sym.indices
-        chunks += [(kind, indices, lam, q) for lam, q in coeff.sorted_terms()]
+        chunks += [
+            (kind, indices, lam, _ratio_text(num, den))
+            for lam, num, den in coeff.sorted_ratios()
+        ]
     symbols = _json_block([_symbol_json(*chunk) for chunk in chunks], " " * 6)
-    constant = expr.constant.constant_value()
-    head = f'      "constant": "{constant!s}",\n' if constant else ""
+    head = f'      "constant": "{constant}",\n' if constant else ""
     return f'{{\n{head}      "symbols": {symbols}\n     }}'
 
 

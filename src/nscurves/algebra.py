@@ -1,8 +1,11 @@
 """Exact coefficient arithmetic: weighted lambda-polynomials and Laurent series.
 
-Everything in the symbolic pipeline is computed over ``fractions.Fraction``,
-so downstream identity checks are exact, never approximate.  Two types live
-here:
+Everything in the symbolic pipeline is exact, so downstream identity checks
+are exact, never approximate.  A polynomial holds its coefficients as Python
+int numerators over one shared denominator, the way FLINT stores
+``fmpq_poly``, and reduces each result by one gcd; ``fractions.Fraction``
+appears only at the boundaries (constructors, ``terms``, ``constant_value``,
+``sorted_terms`` and display).  Two types live here:
 
 ``WeightedPoly``
     a sparse polynomial in the curve parameters lambda_k.  The grading
@@ -18,8 +21,10 @@ here:
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     NonUnitLeadingCoefficient,
@@ -47,63 +52,100 @@ def _term_weight(key: TermKey) -> int:
 
 
 def _merge_keys(a: TermKey, b: TermKey) -> TermKey:
+    if not a:
+        return b
+    if not b:
+        return a
     exps: dict[int, int] = dict(a)
     for k, e in b:
         exps[k] = exps.get(k, 0) + e
     return tuple(sorted(exps.items()))
 
 
-class WeightedPoly:
-    """Sparse polynomial in the parameters lambda_k over Fraction."""
+class RationalTerms(Mapping):
+    """A polynomial's terms read as Fractions; each value is built on lookup."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict[TermKey, int], den: int):
+        self._nums, self._den = nums, den
+
+    def __getitem__(self, key: TermKey) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._nums
+
+    def __iter__(self) -> Iterator[TermKey]:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+
+class WeightedPoly:
+    """Sparse polynomial in the parameters lambda_k with rational coefficients.
+
+    ``nums`` maps each term key to an int numerator over the shared
+    denominator ``den``.  The form is canonical, so equality is structural:
+    ``den > 0``, ``gcd(den, *nums.values()) == 1``, no numerator is zero, and
+    the zero polynomial has ``den == 1``.  Values are never mutated.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: Mapping[TermKey, Rat] | None = None):
-        clean: dict[TermKey, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                q = as_fraction(coeff)
-                if q:
-                    clean[tuple(key)] = q
-        self.terms: dict[TermKey, Fraction] = clean
+        fracs = {tuple(key): as_fraction(c) for key, c in (terms or {}).items()}
+        # the lcm of reduced denominators leaves no factor common to every numerator
+        den = lcm(*(q.denominator for q in fracs.values()))
+        self.nums = {
+            key: q.numerator * (den // q.denominator) for key, q in fracs.items() if q
+        }
+        self.den = den
 
     # -- constructors --
 
     @classmethod
     def const(cls, value: Rat) -> "WeightedPoly":
-        return cls({(): value})
+        q = value if isinstance(value, int) else as_fraction(value)
+        return _poly({(): q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def zero(cls) -> "WeightedPoly":
-        return cls()
+        return _poly({}, 1)
 
     @classmethod
     def one(cls) -> "WeightedPoly":
-        return cls({(): 1})
+        return _poly({(): 1}, 1)
 
     @classmethod
     def gen(cls, k: int) -> "WeightedPoly":
         """The generator lambda_k, of weight k."""
         if k <= 0:
             raise ValueError("lambda subscripts are positive")
-        return cls({((k, 1),): 1})
+        return _poly({((k, 1),): 1}, 1)
 
     # -- predicates and metadata --
 
+    @property
+    def terms(self) -> RationalTerms:
+        """Term key -> Fraction coefficient, one entry per nonzero term."""
+        return RationalTerms(self.nums, self.den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return not self.nums or (len(self.nums) == 1 and () in self.nums)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the empty monomial."""
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.nums.get((), 0), self.den)
 
     @property
     def weight(self) -> int | None:
         """Common Sato weight of all terms, or None if mixed or zero."""
-        weights = {_term_weight(key) for key in self.terms}
+        weights = {_term_weight(key) for key in self.nums}
         if len(weights) == 1:
             return weights.pop()
         return None
@@ -114,22 +156,29 @@ class WeightedPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key, Fraction(0)) + coeff
+        if not other.nums:
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            nums, scale, den = dict(self.nums), 1, da
+        else:
+            den = lcm(da, db)
+            fa, scale = den // da, den // db
+            nums = {key: n * fa for key, n in self.nums.items()}
+        for key, n in other.nums.items():
+            acc = nums.get(key, 0) + n * scale
             if acc:
-                terms[key] = acc
+                nums[key] = acc
             else:
-                terms.pop(key, None)
-        out = WeightedPoly.__new__(WeightedPoly)
-        out.terms = terms
-        return out
+                nums.pop(key, None)
+        return _poly(nums, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "WeightedPoly":
-        out = WeightedPoly.__new__(WeightedPoly)
-        out.terms = {key: -c for key, c in self.terms.items()}
+        out = _new(WeightedPoly)
+        out.nums = {key: -n for key, n in self.nums.items()}
+        out.den = self.den
         return out
 
     def __sub__(self, other: "WeightedPoly | Rat") -> "WeightedPoly":
@@ -148,18 +197,17 @@ class WeightedPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[TermKey, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
+        nums: dict[TermKey, int] = {}
+        right = other.nums.items()
+        for ka, na in self.nums.items():
+            for kb, nb in right:
                 key = _merge_keys(ka, kb)
-                acc = terms.get(key, Fraction(0)) + ca * cb
+                acc = nums.get(key, 0) + na * nb
                 if acc:
-                    terms[key] = acc
+                    nums[key] = acc
                 else:
-                    terms.pop(key, None)
-        out = WeightedPoly.__new__(WeightedPoly)
-        out.terms = terms
-        return out
+                    del nums[key]
+        return _poly(nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -167,9 +215,10 @@ class WeightedPoly:
         q = as_fraction(other)
         if not q:
             raise ZeroDivisionError("division of a WeightedPoly by zero")
-        out = WeightedPoly.__new__(WeightedPoly)
-        out.terms = {key: c / q for key, c in self.terms.items()}
-        return out
+        p, r = q.numerator, q.denominator
+        if p < 0:
+            p, r = -p, -r
+        return _poly({key: n * r for key, n in self.nums.items()}, self.den * p)
 
     def __pow__(self, n: int) -> "WeightedPoly":
         if n < 0:
@@ -180,32 +229,47 @@ class WeightedPoly:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, WeightedPoly):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == WeightedPoly.const(other).terms
+            other = WeightedPoly.const(other)
+        if isinstance(other, WeightedPoly):
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its rational, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- evaluation and display --
 
     def eval_numeric(self, lam: Mapping[int, complex]) -> complex:
         """Substitute numbers for the lambda_k; absent subscripts read as 0."""
         total = 0j
-        for key, coeff in self.terms.items():
-            value = complex(coeff)
+        den = self.den
+        for key, n in self.nums.items():
+            # int true division rounds correctly, as float(Fraction(n, den)) does
+            value = complex(n / den)
             for k, e in key:
                 value *= complex(lam.get(k, 0)) ** e
             total += value
         return total
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        return sorted(self.terms.items())
+        den = self.den
+        return [(key, Fraction(n, den)) for key, n in sorted(self.nums.items())]
+
+    def sorted_ratios(self) -> list[tuple[TermKey, int, int]]:
+        """(key, numerator, denominator) in lowest terms, as sorted_terms orders them."""
+        den = self.den
+        out = []
+        for key, n in sorted(self.nums.items()):
+            g = gcd(n, den)
+            out.append((key, n // g, den // g))
+        return out
 
     def __repr__(self) -> str:
         return f"WeightedPoly({self.to_text()})"
@@ -225,6 +289,22 @@ class WeightedPoly:
             else:
                 chunks.append(f"{coeff}*{factors}")
         return signed_sum_text(chunks)
+
+
+_new = object.__new__
+
+
+def _poly(nums: dict[TermKey, int], den: int) -> WeightedPoly:
+    """The canonical WeightedPoly of nums / den, given den > 0 and no zero in nums."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: n // g for key, n in nums.items()}
+    out = _new(WeightedPoly)
+    out.nums = nums
+    out.den = den
+    return out
 
 
 def signed_sum_text(chunks: Sequence[str]) -> str:

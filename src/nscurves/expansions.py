@@ -122,21 +122,31 @@ def expand_at_infinity(fam: CurveFamily, order: int | None = None) -> InfinityCh
 
 @dataclass
 class FirstKindBasis:
-    """Holomorphic differentials du_w, one per gap, normalized at infinity."""
+    """Holomorphic differentials du_w, one per gap, normalized at infinity.
+
+    Each u_w is integrated the first time it is read: a derivation reads it
+    only for gaps below its level count.
+    """
 
     fam: CurveFamily
     gaps: tuple[int, ...]
     numerators: list[Monomial]
     du_series: list[LaurentSeries]
-    u_series: list[LaurentSeries]
+    _u: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def u_of_gap(self, w: int) -> LaurentSeries:
-        return self.u_series[self.gaps.index(w)]
+        if w not in self._u:
+            self._u[w] = self.du_series[self.gaps.index(w)].integrate()
+        return self._u[w]
+
+    @property
+    def u_series(self) -> list[LaurentSeries]:
+        return [self.u_of_gap(w) for w in self.gaps]
 
 
 def first_kind_basis(chart: InfinityChart) -> FirstKindBasis:
     fam = chart.fam
-    numerators, du_series, u_series = [], [], []
+    numerators, du_series = [], []
     for w in fam.gaps:
         mono = fam.monomial_of_weight(2 * fam.genus - 1 - w)
         if mono is None:
@@ -149,8 +159,7 @@ def first_kind_basis(chart: InfinityChart) -> FirstKindBasis:
             )
         numerators.append(mono)
         du_series.append(du)
-        u_series.append(du.integrate())
-    return FirstKindBasis(fam, fam.gaps, numerators, du_series, u_series)
+    return FirstKindBasis(fam, fam.gaps, numerators, du_series)
 
 
 @dataclass

@@ -18,7 +18,9 @@ from nscurves.errors import (
     ResidueObstruction,
     ZetaLeakage,
 )
+from nscurves.abelian import build_inversion_system
 from nscurves.expansions import (
+    FirstKindBasis,
     SecondKindBasis,
     associated_second_kind,
     check_rcond,
@@ -254,6 +256,31 @@ def test_gap_and_lead_checks_never_fire(fam):
     first = first_kind_basis(chart)
     assert chart.dxdyf_series.leading() == (n * s - n - s - 1, ONE)
     assert [du.leading() for du in first.du_series] == [(w - 1, ONE) for w in fam.gaps]
+
+
+def test_first_kind_integrates_only_the_gaps_a_derivation_reads(monkeypatch):
+    # u_w is integrated on first read; a (5,9) derivation reads 3 of 16 gaps
+    integrated, read = [], []
+    integrate, u_of_gap = LaurentSeries.integrate, FirstKindBasis.u_of_gap
+
+    def spy_integrate(series):
+        integrated.append(series)
+        return integrate(series)
+
+    def spy_u_of_gap(first, w):
+        read.append(w)
+        return u_of_gap(first, w)
+
+    monkeypatch.setattr(LaurentSeries, "integrate", spy_integrate)
+    monkeypatch.setattr(FirstKindBasis, "u_of_gap", spy_u_of_gap)
+    first = build_inversion_system(make_family(5, 9, "sym")).first
+    gap_of = {id(du): w for w, du in zip(first.gaps, first.du_series)}
+    integrated_gaps = [gap_of[id(s)] for s in integrated if id(s) in gap_of]
+    assert len(first.gaps) == 16
+    assert sorted(integrated_gaps) == sorted(set(read)) == [1, 2, 3]
+    monkeypatch.undo()
+    assert first.u_series == [du.integrate() for du in first.du_series]
+    assert [first.u_of_gap(w) for w in first.gaps] == first.u_series
 
 
 def test_first_kind_subleading_4m3():
