@@ -33,7 +33,6 @@ from .expansions import (
     FirstKindBasis,
     SecondKindBasis,
     associated_second_kind,
-    derivation_order,
     expand_at_infinity,
     first_kind_basis,
     second_kind_count,
@@ -129,17 +128,14 @@ class AbelianExpr:
         """d/du_w; constants vanish, zeta drops to -wp, wp gains an index.
 
         zeta_a goes to wp_{a,w} and wp_S to wp_{S+w}: distinct symbols go to
-        distinct symbols, so the terms are renamed and never added.
+        distinct symbols, so the terms are renamed and never added.  A wp past
+        MAX_WP_RANK raises OrderExceedsSupport where `wp` builds it.
         """
         terms = {}
         for sym, c in self.terms.items():
             if sym.kind == "zeta":
                 terms[wp(sym.indices[0], w)] = -c
             else:
-                if len(sym.indices) + 1 > MAX_WP_RANK:
-                    raise OrderExceedsSupport(
-                        f"differentiation would need wp of rank {len(sym.indices) + 1}"
-                    )
                 terms[wp(*sym.indices, w)] = c
         return AbelianExpr(terms)
 
@@ -327,21 +323,15 @@ class InversionSystem:
     r_functions: list[RFunction]
 
 
-def build_inversion_system(
-    fam: CurveFamily, order: int | None = None
-) -> InversionSystem:
-    """Derive the full inversion system of a family from scratch.
+def build_inversion_system(fam: CurveFamily) -> InversionSystem:
+    """Derive the full inversion system of a family from (n, s) and lambda.
 
-    The series at infinity are expanded to `order`, by default to
-    `derivation_order(fam)`: the level count, the shallowest order whose
-    coefficients cover every T_p and every residue the derivation reads.
-    A deeper order gives the same system.  An order too shallow for it
-    raises `TruncationTooShallow`, never a different system.
+    The series at infinity are expanded to `expand_at_infinity`'s default,
+    the level count c: the shallowest order whose coefficients cover every
+    T_p and every residue the derivation reads (see `second_kind_count`).
     """
-    if order is None:
-        order = derivation_order(fam)
     count = second_kind_count(fam)
-    chart = expand_at_infinity(fam, order)
+    chart = expand_at_infinity(fam)
     first = first_kind_basis(chart)
     second = associated_second_kind(chart, first)
     expansion = log_sigma_derivative_expansion(first, count - 1)

@@ -27,14 +27,8 @@ from .errors import (
     NotCoprime,
     OrderExceedsSupport,
     SymbolicLambda,
-    TruncationTooShallow,
 )
-from .expansions import (
-    associated_second_kind,
-    derivation_order,
-    expand_at_infinity,
-    first_kind_basis,
-)
+from .expansions import associated_second_kind, expand_at_infinity, first_kind_basis
 from .hyperell import (
     MAX_GENUS,
     compute_periods,
@@ -60,28 +54,6 @@ def _emit(args, text: str) -> None:
         Path(args.output).write_text(text)
     else:
         print(text, end="")
-
-
-def _derive(derivation, fam, order: int | None):
-    """Run derivation(fam, order), by default at `derivation_order(fam)`.
-
-    An explicit order too shallow for the derivation is invalid input; at
-    the default order TruncationTooShallow is a fault and propagates.
-    """
-    try:
-        return derivation(fam, derivation_order(fam) if order is None else order)
-    except TruncationTooShallow as exc:
-        if order is None:
-            raise
-        raise ValueError(
-            f"truncation order {order} is too shallow for the ({fam.n},{fam.s}) system"
-        ) from exc
-
-
-def _differential_bases(fam, order: int):
-    chart = expand_at_infinity(fam, order)
-    first = first_kind_basis(chart)
-    return first, associated_second_kind(chart, first)
 
 
 def sigma_weight(n: int, s: int) -> Fraction:
@@ -127,7 +99,9 @@ def cmd_expand(args) -> int:
 
 def cmd_differentials(args) -> int:
     fam = make_family(args.n, args.s, "sym")
-    first, second = _derive(_differential_bases, fam, args.order)
+    chart = expand_at_infinity(fam)
+    first = first_kind_basis(chart)
+    second = associated_second_kind(chart, first)
     du = {
         f"du_{w}": f"({mono.as_text()}) dx / f_y"
         for w, mono in zip(first.gaps, first.numerators)
@@ -153,7 +127,7 @@ def cmd_formulas(args) -> int:
         )
         return 2
     fam = make_family(args.n, args.s, "sym")
-    system = _derive(build_inversion_system, fam, args.order)
+    system = build_inversion_system(fam)
     if args.check_golden:
         name = f"system_{args.n}_{args.s}.json"
         store = resources.files("nscurves") / "golden" / name
@@ -189,6 +163,8 @@ def _max_recovery_error(got, want) -> float:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     fam = family_from_text(Path(args.curve).read_text())
     fam.numeric_lambda()  # raises SymbolicLambda when coefficients are not fixed
     rng = np.random.default_rng(args.seed)
@@ -253,9 +229,7 @@ def cmd_hyper_demo(args) -> int:
     return 0 if worst < args.tolerance else 1
 
 
-def _add_common(sub, order=False, seed=False, tolerance=False, fmt=None):
-    if order:
-        sub.add_argument("--order", type=int, default=None)
+def _add_common(sub, seed=False, tolerance=False, fmt=None):
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     if tolerance:
@@ -281,13 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("expand", help="series at infinity")
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
-    _add_common(p, order=True, fmt=("text", "json"))
+    p.add_argument(
+        "--order", type=int, default=None,
+        help="relative truncation order (default: the level count c)",
+    )
+    _add_common(p, fmt=("text", "json"))
     p.set_defaults(func=cmd_expand)
 
     p = subs.add_parser("differentials", help="first and second kind numerators")
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
-    _add_common(p, order=True, fmt=("text", "json"))
+    _add_common(p, fmt=("text", "json"))
     p.set_defaults(func=cmd_differentials)
 
     p = subs.add_parser("formulas", help="emit the inversion system")
@@ -295,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--check-golden", action="store_true")
-    _add_common(p, order=True, fmt=("latex", "json"))
+    _add_common(p, fmt=("latex", "json"))
     p.set_defaults(func=cmd_formulas)
 
     p = subs.add_parser("roundtrip", help="construct and re-solve random divisors")

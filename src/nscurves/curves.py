@@ -406,13 +406,18 @@ def _coerce_lambda_value(k: int, raw: object) -> LambdaValue:
 # -- curve description files --
 
 _LINE = re.compile(r"^\s*([A-Za-z_.0-9]+)\s*=\s*(.+?)\s*$")
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def family_from_text(text: str) -> CurveFamily:
-    """Parse the key=value curve format (n, s, extended, lambda.k lines)."""
+    """Parse the key=value curve format (n, s, extended, lambda.k lines).
+
+    Each key may appear once; extended is one of 1/true/yes or 0/false/no.
+    """
     n = s = None
     extended = False
     lam: dict[int, object] = {}
+    seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0]
         if not body.strip():
@@ -421,14 +426,22 @@ def family_from_text(text: str) -> CurveFamily:
         if not match:
             raise ValueError(f"line {lineno}: expected key = value")
         key, value = match.group(1), match.group(2)
+        if key.startswith("lambda."):
+            k = int(key.split(".", 1)[1])
+            key = f"lambda.{k}"
+        if key in seen:
+            raise ValueError(f"line {lineno}: {key} is set twice")
+        seen.add(key)
         if key == "n":
             n = int(value)
         elif key == "s":
             s = int(value)
         elif key == "extended":
-            extended = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _SWITCH:
+                msg = f"line {lineno}: extended = {value!r} is not true or false"
+                raise ValueError(msg)
+            extended = _SWITCH[value.lower()]
         elif key.startswith("lambda."):
-            k = int(key.split(".", 1)[1])
             if value == "sym":
                 lam[k] = "sym"
             else:

@@ -277,16 +277,14 @@ def _coefficient_row(terms, count: int) -> list[np.ndarray]:
 def rfunctions_from_divisor(
     fam: CurveFamily,
     divisor: Divisor,
-    extra: Sequence[CurvePoint] = (),
     seed: int = 0,
 ) -> NumericRSystem:
     """Interpolating functions through the divisor, row by row.
 
     Function l vanishes on the divisor plus l auxiliary points: its
     coefficients span the kernel of the interpolation matrix, so they are
-    the interpolation determinant's cofactors up to scale.  Auxiliary points
-    beyond those supplied come from a seeded generator so repeated runs
-    agree.
+    the interpolation determinant's cofactors up to scale.  The auxiliary
+    points come from a generator seeded by `seed`, so repeated runs agree.
     """
     g = fam.genus
     if len(divisor) != g:
@@ -296,11 +294,7 @@ def rfunctions_from_divisor(
     # a Divisor can be built by hand, past make_divisor's checks
     require_finite_points(divisor.points)
     count = second_kind_count(fam)
-    extras = list(extra)
-    if len(extras) > count - 1:
-        raise ValueError(f"at most {count - 1} auxiliary points are used")
-    rng = np.random.default_rng(seed)
-    extras += sample_points(fam, rng, count - 1 - len(extras))
+    extras = sample_points(fam, np.random.default_rng(seed), count - 1)
     # row l reads the first g + l points and the first g + l + 1 monomials
     points = list(divisor.points) + extras
     monos = fam.monomial_basis(g + count)

@@ -32,12 +32,26 @@ from .curves import CurveFamily, EntireRationalFn, Monomial
 from .errors import AsymmetricGaps, NonUnitLeadingCoefficient, UnsolvableCorrection
 
 
-def default_order(fam: CurveFamily) -> int:
-    """Display depth of `expand_at_infinity` when no order is given: 2g + n + 2.
+def second_kind_count(fam: CurveFamily) -> int:
+    """The level count c: 2 when n = 2, else n - 1.
 
-    Derivations do not use it; they expand to `derivation_order`.
+    c is also the one truncation depth chosen by default: the shallowest
+    relative order the inversion derivation can run at.  The derivation reads
+    the series only through T_0 .. T_(c-1) and the coefficients of r_l at
+    xi^(-1-p) for p < c.  At relative order c, du_1 is known through xi^(c-1),
+    which covers T_(c-1).  Each dr_l, with its lead at xi^(-l-1), is known
+    below xi^(c-l-1).  So r_l is known below xi^(c-l), which covers xi^-1.  The
+    pairing residues res(u_w dr_l), w < l <= c, are known as well.  The
+    deepest of these, w = 1 and l = c, needs exactly order c.  Deeper
+    coefficients are never read.
+
+    Every `LaurentSeries` carries its provable truncation.  So an order below
+    this one raises `TruncationTooShallow` and never yields a different
+    system.  The top dr_c is known only below xi^-1.  `integrate` reads its
+    unknown residue as zero, which is exact: a differential whose only pole
+    is at infinity has zero residue there.
     """
-    return 2 * fam.genus + fam.n + 2
+    return 2 if fam.n == 2 else fam.n - 1
 
 
 @dataclass
@@ -46,11 +60,9 @@ class InfinityChart:
 
     fam: CurveFamily
     order: int
-    h_series: LaurentSeries
     x_series: LaurentSeries
     y_series: LaurentSeries
     dyf_series: LaurentSeries
-    dx_series: LaurentSeries
     dxdyf_series: LaurentSeries
     h_powers: list[LaurentSeries]  # h^0 .. h^(n-1)
     _hj_dxdyf: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -63,9 +75,13 @@ class InfinityChart:
 
 
 def expand_at_infinity(fam: CurveFamily, order: int | None = None) -> InfinityChart:
-    """Solve the branch at infinity to the given relative order."""
+    """Solve the branch at infinity to the given relative order.
+
+    The default order is the level count `second_kind_count(fam)`, all that a
+    derivation reads; a display may ask for more.
+    """
     if order is None:
-        order = default_order(fam)
+        order = second_kind_count(fam)
     if order < 2:
         raise ValueError("expansion order must be at least 2")
     n, s = fam.n, fam.s
@@ -115,8 +131,7 @@ def expand_at_infinity(fam: CurveFamily, order: int | None = None) -> InfinityCh
             f"dx/f_y leads with ({lead.to_text()}) xi^{lead_exp}, not xi^{expected}"
         )
     return InfinityChart(
-        fam, order, h_powers[1], x_series, y_series, dyf_series, dx_series,
-        dxdyf_series, h_powers,
+        fam, order, x_series, y_series, dyf_series, dxdyf_series, h_powers
     )
 
 
@@ -177,31 +192,6 @@ class SecondKindBasis:
     r_series: list[LaurentSeries]
 
 
-def second_kind_count(fam: CurveFamily) -> int:
-    return 2 if fam.n == 2 else fam.n - 1
-
-
-def derivation_order(fam: CurveFamily) -> int:
-    """The shallowest relative order the inversion derivation can run at.
-
-    It is the level count c = `second_kind_count(fam)`.  The derivation reads
-    the series only through T_0 .. T_(c-1) and the coefficients of r_l at
-    xi^(-1-p) for p < c.  At relative order c, du_1 is known through xi^(c-1),
-    which covers T_(c-1).  Each dr_l, with its lead at xi^(-l-1), is known
-    below xi^(c-l-1).  So r_l is known below xi^(c-l), which covers xi^-1.  The
-    pairing residues res(u_w dr_l), w < l <= c, are known as well.  The
-    deepest of these, w = 1 and l = c, needs exactly order c.  Deeper
-    coefficients are never read.
-
-    Every `LaurentSeries` carries its provable truncation.  So an order below
-    this one raises `TruncationTooShallow` and never yields a different
-    system.  The top dr_c is known only below xi^-1.  `integrate` reads its
-    unknown residue as zero, which is exact: a differential whose only pole
-    is at infinity has zero residue there.
-    """
-    return second_kind_count(fam)
-
-
 def associated_second_kind(
     chart: InfinityChart, first: FirstKindBasis
 ) -> SecondKindBasis:
@@ -231,7 +221,7 @@ def associated_second_kind(
         numerators.append(EntireRationalFn(coeffs))
         dr_series.append(dr)
         # res(dr) = 0 is forced (single pole), so integrate() may read it as
-        # zero where dr is truncated at xi^-1, as the top dr is at derivation_order
+        # zero where dr is truncated at xi^-1, as the top dr is at the default order
         r_series.append(dr.integrate())
     return SecondKindBasis(fam, numerators, dr_series, r_series)
 

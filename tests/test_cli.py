@@ -50,7 +50,7 @@ def test_sigma_weight_values():
 
 
 def test_expand_json_lists_gap_series(capsys):
-    code, out, _ = run(capsys, "expand", "2", "5", "--format", "json")
+    code, out, _ = run(capsys, "expand", "2", "5", "--order", "8", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert set(data) == {"x", "y", "dx/f_y", "u_1", "u_3"}
@@ -63,6 +63,15 @@ def test_expand_accepts_any_order_from_two(capsys):
     assert out.startswith("x = xi^-5 + O(xi^3)\n")
 
 
+def test_expand_defaults_to_the_level_count(capsys):
+    # (5,9) has c = 4 levels, and c is also the depth expand shows by default
+    code, default, _ = run(capsys, "expand", "5", "9")
+    assert code == 0
+    code, explicit, _ = run(capsys, "expand", "5", "9", "--order", "4")
+    assert code == 0
+    assert default == explicit
+
+
 def test_expand_rejects_order_below_two(capsys):
     code, out, err = run(capsys, "expand", "2", "5", "--order", "1")
     assert code == 2
@@ -70,11 +79,20 @@ def test_expand_rejects_order_below_two(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_differentials_rejects_shallow_order(capsys):
-    code, out, err = run(capsys, "differentials", "5", "9", "--order", "3")
-    assert code == 2
-    assert out == ""
-    assert err == "error: truncation order 3 is too shallow for the (5,9) system\n"
+@pytest.mark.parametrize(
+    "argv",
+    [("formulas", "2", "5", "2", "--order", "8"), ("differentials", "3", "4", "--order", "3")],
+    ids=["formulas", "differentials"],
+)
+def test_derivations_take_no_order(capsys, argv):
+    # the depth of a derivation is a fact of the shape, so --order is unknown
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --order" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_differentials_show_corrected_numerator(capsys):
@@ -123,22 +141,6 @@ def test_formulas_check_golden_reports_a_length_mismatch(capsys, monkeypatch, ed
     code, out, _ = run(capsys, "formulas", "2", "5", "2", "--check-golden")
     assert code == 1
     assert out == "FAIL system_2_5.json: length mismatch\n"
-
-
-def test_formulas_order_is_honoured(capsys):
-    code, out, _ = run(
-        capsys, "formulas", "5", "9", "1", "--order", "8", "--check-golden"
-    )
-    assert code == 0
-    assert out.strip() == "PASS system_5_9.json"
-
-
-def test_formulas_rejects_shallow_order(capsys):
-    code, out, err = run(capsys, "formulas", "5", "9", "1", "--order", "3")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert "truncation order 3 is too shallow" in err
 
 
 def test_formulas_json_emission_parses(capsys):
@@ -199,8 +201,14 @@ def test_roundtrip_needs_numeric_lambda(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["n = 2\ns = 5\nlambda.4 = nan\n", "n = 3\ns = 4\nlambda.2 = inf\n", "n = 2\ns = 4\n"],
-    ids=["nan-lambda", "inf-lambda", "common-factor"],
+    [
+        "n = 2\ns = 5\nlambda.4 = nan\n",
+        "n = 3\ns = 4\nlambda.2 = inf\n",
+        "n = 2\ns = 4\n",
+        "n = 3\ns = 4\nextended = maybe\nlambda.12 = 7/10\n",
+        "n = 3\ns = 4\nlambda.12 = 7/10\nlambda.12 = 3/10\n",
+    ],
+    ids=["nan-lambda", "inf-lambda", "common-factor", "unknown-extended", "repeated-lambda"],
 )
 def test_roundtrip_refuses_malformed_curve_files(capsys, tmp_path, text):
     path = tmp_path / "curve.txt"
@@ -210,6 +218,17 @@ def test_roundtrip_refuses_malformed_curve_files(capsys, tmp_path, text):
         code, _, err = run(capsys, "roundtrip", str(path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_roundtrip_refuses_a_count_below_one(capsys, tmp_path, count):
+    # a PASS over no round trips would check nothing
+    path = tmp_path / "curve.txt"
+    path.write_text(CURVE_25)
+    code, out, err = run(capsys, "roundtrip", str(path), "--count", count)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --count must be at least 1, not {count}\n"
 
 
 def test_roundtrip_missing_file(capsys, tmp_path):

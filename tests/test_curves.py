@@ -225,6 +225,30 @@ def test_curve_file_errors():
         family_from_text("n = 3\ns = 4\nbogus = 1")
 
 
+@pytest.mark.parametrize(
+    "value,expected", [("yes", True), ("TRUE", True), ("0", False), ("no", False)]
+)
+def test_curve_file_reads_extended_switch(value, expected):
+    fam = family_from_text(f"n = 3\ns = 4\nextended = {value}\n")
+    assert fam.extended is expected
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n = 3\ns = 4\nextended = maybe\n", "line 3: extended = 'maybe' is not true or false"),
+        ("n = 3\ns = 4\nlambda.12 = 1\nlambda.12 = 2\n", "line 4: lambda.12 is set twice"),
+        ("n = 3\ns = 4\nlambda.12 = 1\nlambda.012 = 2\n", "line 4: lambda.12 is set twice"),
+        ("n = 3\nn = 2\ns = 5\n", "line 2: n is set twice"),
+    ],
+    ids=["unknown-extended", "repeated-lambda", "repeated-lambda-spelling", "repeated-n"],
+)
+def test_curve_file_refuses_ambiguous_lines(text, message):
+    with pytest.raises(ValueError) as info:
+        family_from_text(text)
+    assert str(info.value) == message
+
+
 def test_nondegeneracy_check():
     good = make_family(2, 3, {4: -1.0, 6: 0.0})
     assert check_nondegenerate(good) > 0.5

@@ -226,10 +226,7 @@ def test_functions_vanish_on_divisor():
     fam = family(3, 4)
     rng = np.random.default_rng(11)
     divisor = random_divisor(fam, rng)
-    extra = [
-        fam.lift_x_to_points(complex(rng.normal(), rng.normal()))[0]
-    ]
-    sys = rfunctions_from_divisor(fam, divisor, extra=extra)
+    sys = rfunctions_from_divisor(fam, divisor)
     assert np.all(residuals_at(sys, divisor.points) < 1e-8)
 
 

@@ -24,8 +24,6 @@ from nscurves.expansions import (
     SecondKindBasis,
     associated_second_kind,
     check_rcond,
-    default_order,
-    derivation_order,
     expand_at_infinity,
     first_kind_basis,
     second_kind_count,
@@ -47,7 +45,7 @@ def chart_for(n, s, order=10, extended=False):
 def test_h_satisfies_transformed_equation(n, s):
     # independent residual check: -h^n + 1 + sum lambda_k xi^k h^j = 0
     chart = chart_for(n, s)
-    fam, h = chart.fam, chart.h_series
+    fam, h = chart.fam, chart.h_powers[1]
     residual = LaurentSeries.one(chart.order) - h ** n
     for k, j, _, value in fam.lambda_terms():
         residual = residual + (h ** j).shift(k).scale(value).truncated(chart.order)
@@ -68,7 +66,7 @@ def rational_families(draw):
 def test_branch_recursion_satisfies_equation(fam, order):
     # checked with plain series products and powers, not with the recursion
     chart = expand_at_infinity(fam, order)
-    n, h = fam.n, chart.h_series
+    n, h = fam.n, chart.h_powers[1]
     assert h.leading() == (0, ONE) and h.trunc == order
     residual = LaurentSeries.one(order) - h ** n
     dy = (h ** (n - 1)).scale(-n)
@@ -104,9 +102,10 @@ def test_chart_leading_terms(n, s):
     assert chart.dxdyf_series.leading() == (2 * g - 2, ONE)
 
 
-def test_default_order():
-    assert default_order(make_family(3, 4)) == 2 * 3 + 3 + 2
-    assert default_order(make_family(2, 9)) == 2 * 4 + 2 + 2
+def test_default_order_is_the_level_count():
+    for n, s in [(2, 5), (3, 4), (5, 9)]:
+        fam = make_family(n, s)
+        assert expand_at_infinity(fam).order == second_kind_count(fam)
 
 
 def test_order_too_small_rejected():
@@ -119,7 +118,7 @@ def test_order_too_small_rejected():
 
 def assert_h_prefix(chart, expected):
     for exponent, value in enumerate(expected):
-        assert chart.h_series.coeff(exponent) == value, f"xi^{exponent}"
+        assert chart.h_powers[1].coeff(exponent) == value, f"xi^{exponent}"
 
 
 @pytest.mark.parametrize("s", [4, 7])
@@ -252,7 +251,7 @@ def test_gap_and_lead_checks_never_fire(fam):
     # the raises above guard what every (n, s) and lambda satisfy
     n, s = fam.n, fam.s
     assert len(fam.gaps) == fam.genus
-    chart = expand_at_infinity(fam, derivation_order(fam))
+    chart = expand_at_infinity(fam)
     first = first_kind_basis(chart)
     assert chart.dxdyf_series.leading() == (n * s - n - s - 1, ONE)
     assert [du.leading() for du in first.du_series] == [(w - 1, ONE) for w in fam.gaps]

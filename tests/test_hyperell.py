@@ -212,7 +212,7 @@ def test_genus_above_the_cap_refused_before_any_theta_sum(monkeypatch):
 def test_baker_rows_are_residue_duals_of_du(s):
     # exact, lambda symbolic: res(u_w dr_k) is 1 for w = 2k - 1, else 0
     fam = make_family(2, s, "sym")
-    chart = expand_at_infinity(fam)
+    chart = expand_at_infinity(fam, 2 * fam.genus + 4)
     first = first_kind_basis(chart)
     p = np.zeros(s + 1, dtype=object)
     p[s] = 1
