@@ -17,7 +17,9 @@ r_l and taking residues produces, for each level l, a closed expression
 
     R_l(u) = -res(r_l T) = -zeta_l - (rank >= 2 terms),
 
-and differentiating those by u_w assembles the inversion system itself.
+and differentiating those by u_w assembles the inversion system itself:
+`AbelianExpr.gradient` takes every u_w derivative of a relation in one pass,
+sharing its coefficients, since each derivative only renames its symbols.
 """
 from __future__ import annotations
 
@@ -54,10 +56,7 @@ class AbelianSymbol:
             if rank != 1:
                 raise ValueError(f"zeta takes one index, not {rank}")
         elif self.kind == "wp":
-            if rank > MAX_WP_RANK:
-                raise OrderExceedsSupport(
-                    f"wp of rank {rank} is above the supported {MAX_WP_RANK}"
-                )
+            _require_supported_rank(rank)
             if rank < 2:
                 raise ValueError(f"wp takes at least two indices, not {rank}")
             if self.indices != tuple(sorted(self.indices)):
@@ -87,6 +86,23 @@ class AbelianSymbol:
         return ("zeta[" if self.kind == "zeta" else "wp[") + body + "]"
 
 
+def _require_supported_rank(rank: int) -> None:
+    if rank > MAX_WP_RANK:
+        raise OrderExceedsSupport(
+            f"wp of rank {rank} is above the supported {MAX_WP_RANK}"
+        )
+
+
+def _raised_wp(indices: tuple[int, ...], w: int) -> AbelianSymbol:
+    """wp(*indices, w) without __post_init__: the indices come from a valid
+    symbol, and the caller has checked the raised rank."""
+    sym = object.__new__(AbelianSymbol)
+    fields = sym.__dict__  # a frozen dataclass without slots keeps them here
+    fields["kind"] = "wp"
+    fields["indices"] = tuple(sorted((*indices, w)))
+    return sym
+
+
 def zeta(w: int) -> AbelianSymbol:
     return AbelianSymbol("zeta", (w,))
 
@@ -111,6 +127,13 @@ class AbelianExpr:
         self.constant = constant if constant is not None else WeightedPoly.zero()
 
     @classmethod
+    def _zero_free(cls, terms: dict, constant: WeightedPoly) -> "AbelianExpr":
+        """An expression over terms already known to hold no zero coefficient."""
+        out = object.__new__(cls)
+        out.terms, out.constant = terms, constant
+        return out
+
+    @classmethod
     def from_constant(cls, value: WeightedPoly | int | Fraction) -> "AbelianExpr":
         if not isinstance(value, WeightedPoly):
             value = WeightedPoly.const(value)
@@ -120,24 +143,34 @@ class AbelianExpr:
         return not self.terms and self.constant.is_zero()
 
     def __neg__(self) -> "AbelianExpr":
-        return AbelianExpr(
+        return AbelianExpr._zero_free(
             {s: -c for s, c in self.terms.items()}, -self.constant
         )
 
     def differentiate(self, w: int) -> "AbelianExpr":
-        """d/du_w; constants vanish, zeta drops to -wp, wp gains an index.
+        """d/du_w, the one-gap case of `gradient`."""
+        return self.gradient((w,))[0]
 
-        zeta_a goes to wp_{a,w} and wp_S to wp_{S+w}: distinct symbols go to
-        distinct symbols, so the terms are renamed and never added.  A wp past
-        MAX_WP_RANK raises OrderExceedsSupport where `wp` builds it.
+    def gradient(self, ws: tuple[int, ...]) -> list["AbelianExpr"]:
+        """[d/du_w for w in ws]: constants vanish, zeta_a goes to -wp_{a,w}
+        and wp_S to wp_{S+w}.  A wp past MAX_WP_RANK raises OrderExceedsSupport.
+
+        Distinct symbols go to distinct symbols, so each derivative renames
+        the terms and shares their (nonzero) coefficients.  Raising by w keeps
+        the least element of two same-rank index multisets' difference, which
+        orders them, so every derivative inherits this expression's canonical
+        order from one sort.
         """
-        terms = {}
-        for sym, c in self.terms.items():
+        grads: list[dict[AbelianSymbol, WeightedPoly]] = [{} for _ in ws]
+        for sym, c in self.canonical_terms():
             if sym.kind == "zeta":
-                terms[wp(sym.indices[0], w)] = -c
+                c = -c
             else:
-                terms[wp(*sym.indices, w)] = c
-        return AbelianExpr(terms)
+                _require_supported_rank(len(sym.indices) + 1)
+            for terms, w in zip(grads, ws):
+                terms[_raised_wp(sym.indices, w)] = c
+        zero = WeightedPoly.zero()
+        return [AbelianExpr._zero_free(terms, zero) for terms in grads]
 
     @property
     def weight(self) -> int | None:
@@ -340,16 +373,14 @@ def build_inversion_system(fam: CurveFamily) -> InversionSystem:
     r_functions = []
     for idx, relation in enumerate(relations):
         level = idx + 1
-        negated = -relation
         terms: dict[Monomial, AbelianExpr] = {
             mono: AbelianExpr.from_constant(c)
             for mono, c in second.numerators[idx].coefficients.items()
         }
-        for i, w in enumerate(fam.gaps):
-            coeff = negated.differentiate(w)
+        gradient = (-relation).gradient(fam.gaps)
+        for mono, w, coeff in zip(first.numerators, fam.gaps, gradient):
             if coeff.is_zero():
                 continue
-            mono = first.numerators[i]
             if mono in terms:
                 msg = f"{mono.as_text()} is in the numerators of du_{w} and dr_{level}"
                 raise NumeratorCollision(msg)
@@ -375,41 +406,66 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _symbol_json(kind: str, indices: tuple, lam: tuple, rational: str) -> str:
+def _symbol_head(kind: str, indices: tuple) -> str:
+    """The opening brace and the "kind" and "indices" lines of one symbol."""
     pad = " " * 8
     indices_text = _json_block([str(i) for i in indices], pad)
+    return f'{{\n{pad}"kind": "{kind}",\n{pad}"indices": {indices_text},\n'
+
+
+def _ratio_tail(lam: tuple, num: int, den: int) -> str:
+    """The "lambda" and "rational" lines and the closing brace of one symbol."""
+    pad = " " * 8
     lambda_text = _json_block([f'"{k}": {e}' for k, e in lam], pad, "{}")
     return (
-        f'{{\n{pad}"kind": "{kind}",\n{pad}"indices": {indices_text},\n'
-        f'{pad}"lambda": {lambda_text},\n{pad}"rational": "{rational}"\n       }}'
+        f'{pad}"lambda": {lambda_text},\n{pad}"rational": "{_ratio_text(num, den)}"'
+        "\n       }"
     )
 
 
-def _coefficient_json(expr: AbelianExpr) -> str:
-    chunks, constant = [], ""
-    for lam, num, den in expr.constant.sorted_ratios():
-        if lam:
-            chunks.append(("const", (), lam, _ratio_text(num, den)))
-        else:
-            constant = _ratio_text(num, den)
+def _coefficient_json(expr: AbelianExpr, heads: dict, tails: dict) -> str:
+    """One R-function coefficient, one symbol object per lambda-monomial.
+
+    heads holds each symbol's rendered head, keyed by its indices, which fix
+    its kind; tails holds each coefficient polynomial's rendered tails, keyed
+    by identity: the derivatives of a relation share its polynomials, and the
+    system keeps every one alive, so no id is reused while the memo lives.
+    """
+    constant, chunks = "", []
+    if not expr.constant.is_zero():
+        ratios = expr.constant.sorted_ratios()
+        if not ratios[0][0]:
+            constant = _ratio_text(*ratios.pop(0)[1:])
+        if ratios:
+            head = _symbol_head("const", ())
+            chunks = [head + _ratio_tail(*ratio) for ratio in ratios]
     for sym, coeff in expr.canonical_terms():
-        kind, indices = sym.json_kind, sym.indices
-        chunks += [
-            (kind, indices, lam, _ratio_text(num, den))
-            for lam, num, den in coeff.sorted_ratios()
-        ]
-    symbols = _json_block([_symbol_json(*chunk) for chunk in chunks], " " * 6)
+        head = heads.get(sym.indices)
+        if head is None:
+            head = heads[sym.indices] = _symbol_head(sym.json_kind, sym.indices)
+        pieces = tails.get(id(coeff))
+        if pieces is None:
+            pieces = tails[id(coeff)] = [
+                _ratio_tail(*ratio) for ratio in coeff.sorted_ratios()
+            ]
+        chunks += [head + tail for tail in pieces]
+    symbols = _json_block(chunks, " " * 6)
     head = f'      "constant": "{constant}",\n' if constant else ""
     return f'{{\n{head}      "symbols": {symbols}\n     }}'
 
 
 def _system_json(system: InversionSystem) -> str:
     fam = system.fam
+    # each symbol and each coefficient polynomial is rendered once per call;
+    # nothing outlives it
+    heads: dict[tuple[int, ...], str] = {}
+    tails: dict[int, list[str]] = {}
     functions = []
     for fn in system.r_functions:
         terms = [
             f'{{\n     "monomial": {{\n      "j": {mono.j},\n      "i": {mono.i}'
-            f'\n     }},\n     "coefficient": {_coefficient_json(coeff)}\n    }}'
+            f'\n     }},\n     "coefficient": {_coefficient_json(coeff, heads, tails)}'
+            "\n    }"
             for mono, coeff in fn.sorted_terms()
         ]
         terms = _json_block(terms, "   ")

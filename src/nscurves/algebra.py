@@ -153,9 +153,10 @@ class WeightedPoly:
     # -- ring operations --
 
     def __add__(self, other: "WeightedPoly | Rat") -> "WeightedPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, WeightedPoly):
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.nums:
             return self
         da, db = self.den, other.den
@@ -194,9 +195,10 @@ class WeightedPoly:
         return other + (-self)
 
     def __mul__(self, other: "WeightedPoly | Rat") -> "WeightedPoly":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, WeightedPoly):
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
         nums: dict[TermKey, int] = {}
         right = other.nums.items()
         for ka, na in self.nums.items():

@@ -5,6 +5,7 @@ Reports are deterministic for a fixed seed, byte for byte.
 """
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -162,9 +163,17 @@ def _max_recovery_error(got, want) -> float:
     return worst
 
 
+def _require_tolerance(tolerance: float) -> None:
+    # err < tolerance fails every error at nan or a bound <= 0 and passes every
+    # finite one at inf, so the verdict would say nothing about the curve
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"--tolerance must be positive and finite, not {tolerance:g}")
+
+
 def cmd_roundtrip(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
+    _require_tolerance(args.tolerance)
     fam = family_from_text(Path(args.curve).read_text())
     fam.numeric_lambda()  # raises SymbolicLambda when coefficients are not fixed
     rng = np.random.default_rng(args.seed)
@@ -200,6 +209,7 @@ def cmd_hyper_demo(args) -> int:
     # also keeps _demo_family finite: it never returns once 2g * 0.25 > 4.4
     if not 1 <= args.g <= MAX_GENUS:
         raise ValueError(f"the demo covers genus 1 to {MAX_GENUS}")
+    _require_tolerance(args.tolerance)
     rng = np.random.default_rng(args.seed)
     fam = _demo_family(args.g, rng)
     periods = compute_periods(fam)

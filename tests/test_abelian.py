@@ -5,9 +5,11 @@ worked out by hand family by family; they are exact in the lambda symbols
 and independent of the stretching index m, which the tests exercise by
 comparing the smallest two members of each family.
 """
+import dataclasses
 import json
 import math
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -536,6 +538,63 @@ def test_differentiate_refuses_only_past_the_rank_cap():
         combo((zeta(2), 1), (wp(*top, 1), 1)).differentiate(3)
 
 
+# the fourteen golden families, as (n, s, extended)
+GOLDEN_SHAPES = [
+    (2, 5, False), (2, 7, False), (2, 9, False), (3, 4, False), (3, 4, True),
+    (3, 5, False), (3, 7, False), (3, 8, False), (4, 5, False), (4, 7, False),
+    (5, 6, False), (5, 7, False), (5, 8, False), (5, 9, False),
+]
+
+
+@pytest.mark.parametrize("n,s,ext", GOLDEN_SHAPES)
+def test_gradient_is_the_derivative_at_each_gap(n, s, ext):
+    # the reference builds every symbol through the validating wp()
+    fam = make_family(n, s, extended=ext)
+    for relation in build_inversion_system(fam).zeta_rel:
+        gradient = relation.gradient(fam.gaps)
+        assert len(gradient) == len(fam.gaps)
+        for w, derivative in zip(fam.gaps, gradient):
+            reference = quadratic_differentiate(relation, w)
+            assert derivative.constant.is_zero()
+            assert len(derivative.terms) == len(reference.terms)
+            for sym, c in derivative.terms.items():
+                assert c == reference.terms[sym], (w, sym)
+            assert derivative == relation.differentiate(w)
+            assert list(derivative.terms.items()) == derivative.canonical_terms()
+
+
+@given(small_shapes())
+@settings(max_examples=40, deadline=None)
+def test_gradient_raises_valid_symbols_over_shared_coefficients(fam):
+    for relation in build_inversion_system(fam).zeta_rel:
+        parents = relation.canonical_terms()
+        gradient = relation.gradient(fam.gaps)
+        for w, derivative in zip(fam.gaps, gradient):
+            assert len(derivative.terms) == len(parents)
+            for (parent, c), (sym, d) in zip(parents, derivative.terms.items()):
+                raised = wp(*parent.indices, w)
+                assert sym == raised and hash(sym) == hash(raised)
+                assert (sym.kind, sym.indices) == (raised.kind, raised.indices)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    sym.indices = ()
+                # a wp coefficient is the parent's object, a zeta one its negation
+                assert d is c if parent.kind == "wp" else d == -c
+        # each zeta coefficient is negated once, for every derivative
+        for i, (parent, _) in enumerate(parents):
+            if parent.kind == "zeta":
+                assert len({id(list(g.terms.values())[i]) for g in gradient}) == 1
+
+
+def test_gradient_refuses_only_past_the_rank_cap():
+    top = (1,) * (MAX_WP_RANK - 1)
+    assert combo((zeta(2), 1), (wp(*top), L(1))).gradient((1, 3)) == [
+        combo((wp(1, 2), -1), (wp(*top, 1), L(1))),
+        combo((wp(2, 3), -1), (wp(*top, 3), L(1))),
+    ]
+    with pytest.raises(OrderExceedsSupport, match=f"rank {MAX_WP_RANK + 1}"):
+        combo((zeta(2), 1), (wp(*top, 1), 1)).gradient((1, 3))
+
+
 @given(small_shapes())
 @settings(max_examples=60, deadline=None)
 def test_first_kind_numerators_miss_the_second_kind_numerators(fam):
@@ -593,6 +652,32 @@ def test_emission_is_deterministic():
     b = emit_system(build_inversion_system(make_family(3, 4)), fmt="json")
     assert a == b
     assert a.endswith("\n")
+
+
+def test_emission_keeps_no_state_between_calls():
+    # the memos are keyed by object identity; had one outlived a call, B,
+    # built where A's freed polynomials lay, could read A's renderings
+    def emitted(fam):
+        system = build_inversion_system(fam)
+        return system, emit_system(system, fmt="json")
+
+    def module_state():
+        return {
+            (module.__name__, name): len(value)
+            for module in (nscurves.abelian, nscurves.algebra)
+            for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        }
+
+    golden = (resources.files("nscurves") / "golden" / "system_5_7.json").read_text()
+    symbolic = make_family(5, 7)
+    rational = make_family(5, 7, {k: F(k, 7) for k in admissible_indices(5, 7)})
+    state = module_state()
+    first = emitted(symbolic)[1]
+    system, text = emitted(rational)
+    assert json.dumps(_payload_by_dicts(system), indent=1) + "\n" == text
+    assert emitted(symbolic)[1] == first == golden
+    assert module_state() == state
 
 
 def test_json_payload_shape():

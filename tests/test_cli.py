@@ -231,6 +231,22 @@ def test_roundtrip_refuses_a_count_below_one(capsys, tmp_path, count):
     assert err == f"error: --count must be at least 1, not {count}\n"
 
 
+TOLERANCES = ["nan", "inf", "-1", "0", "-0"]
+
+
+@pytest.mark.parametrize("tolerance", TOLERANCES)
+def test_roundtrip_refuses_an_invalid_tolerance(capsys, tmp_path, tolerance):
+    # no error passes a nan or a non-positive bound: a FAIL would blame the curve
+    path = tmp_path / "curve.txt"
+    path.write_text(CURVE_25)
+    argv = ("roundtrip", str(path), "--count", "1", "--tolerance", tolerance)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    shown = f"{float(tolerance):g}"
+    assert err == f"error: --tolerance must be positive and finite, not {shown}\n"
+
+
 def test_roundtrip_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "roundtrip", str(tmp_path / "absent.txt"))
     assert code == 2
@@ -272,6 +288,15 @@ def test_hyper_demo_rejects_other_genus(capsys):
         code, _, err = run(capsys, "hyper-demo", genus)
         assert code == 2
         assert "the demo covers genus 1 to 3" in err
+
+
+@pytest.mark.parametrize("tolerance", TOLERANCES)
+def test_hyper_demo_refuses_an_invalid_tolerance(capsys, tolerance):
+    code, out, err = run(capsys, "hyper-demo", "2", "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tolerance must be positive and finite, not ")
+    assert "Traceback" not in err
 
 
 # -- output flag -------------------------------------------------------------
