@@ -354,7 +354,7 @@ class LaurentSeries:
     __slots__ = ("low", "coeffs", "trunc")
 
     def __init__(self, low: int, coeffs: Iterable[WeightedPoly | Rat], trunc: int):
-        polys = [_require_poly(c) for c in coeffs]
+        polys = [c if isinstance(c, WeightedPoly) else _require_poly(c) for c in coeffs]
         # normalize: strip known-zero leading coefficients
         start = 0
         while start < len(polys) and polys[start].is_zero():
@@ -389,7 +389,8 @@ class LaurentSeries:
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, WeightedPoly | Rat], trunc: int) -> "LaurentSeries":
-        polys = {e: _require_poly(c) for e, c in terms.items()}
+        polys = {e: c if isinstance(c, WeightedPoly) else _require_poly(c)
+                 for e, c in terms.items()}
         polys = {e: c for e, c in polys.items() if not c.is_zero()}
         if not polys:
             return cls.zero(trunc)

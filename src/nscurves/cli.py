@@ -16,6 +16,7 @@ import numpy as np
 from .abelian import build_inversion_system, emit_system
 from .curves import family_from_text, make_family
 from .divisors import (
+    divisor_payload,
     make_divisor,
     random_divisor,
     rfunctions_from_divisor,
@@ -229,9 +230,7 @@ def cmd_hyper_demo(args) -> int:
         "tau": [
             [[v.real, v.imag] for v in row] for row in periods.tau
         ],
-        "divisor": [
-            [p.x.real, p.x.imag, p.y.real, p.y.imag] for p in divisor.points
-        ],
+        "divisor": divisor_payload(divisor),
         "report": report_payload(report),
         "max_abs_err": worst,
     }

@@ -8,7 +8,8 @@ polynomial in x and keeping, over each of its roots, the points of the
 curve's fiber that the grid vanishes on.
 """
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,9 +35,8 @@ RESIDUAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
 FIBER_MATCH_TOL = 1e-6
 # relative to the largest: an interpolation matrix's least singular value,
-# det's coefficients above degree g, chi's leading coefficient
+# chi's leading coefficient
 INTERPOLATION_TOL = 1e-10
-EXCESS_TOL = 1e-9
 COLLAPSE_TOL = 1e-10
 # relative, as NumericRSystem.residuals reads it: over a root of chi of
 # multiplicity mu, the mu kept fiber points must fit the grid within it and
@@ -143,18 +143,14 @@ def sample_points(
     return [fiber[sheet] for fiber, (_, sheet) in zip(fibers, draws)]
 
 
-def sample_point(
-    fam: CurveFamily, rng: np.random.Generator, scale: float = 1.0
-) -> CurvePoint:
-    return sample_points(fam, rng, 1, scale)[0]
+def sample_point(fam: CurveFamily, rng: np.random.Generator) -> CurvePoint:
+    return sample_points(fam, rng, 1)[0]
 
 
-def random_divisor(
-    fam: CurveFamily, rng: np.random.Generator, scale: float = 1.0
-) -> Divisor:
+def random_divisor(fam: CurveFamily, rng: np.random.Generator) -> Divisor:
     """A generic non-special divisor; redraws on the measure-zero failures."""
     for _ in range(64):
-        pts = sample_points(fam, rng, fam.genus, scale)
+        pts = sample_points(fam, rng, fam.genus)
         if _worst_residual(fam, pts) <= RESIDUAL_TOL and not _is_special(fam, pts):
             return Divisor(tuple(pts), False)
     raise RootFindingFailure("could not sample a non-special divisor")
@@ -174,54 +170,62 @@ def divisor_from_payload(fam: CurveFamily, data: Sequence[Sequence[float]]) -> D
 # -- numeric coefficient grids -----------------------------------------------
 
 
-@dataclass
-class NumericRSystem:
-    """Coefficient grid rho[l][j](x) of the functions R_{2g+l}.
+def _grid_caps(fam: CurveFamily) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    # caps[l][j] = max((2g + l - j s) // n, -1), and the read-only mask
+    # above[l, j, i] = i > caps[l][j]; both worked out once per shape
+    return _shape_caps(fam.n, fam.s, fam.genus, second_kind_count(fam))
 
-    Row l is the weight-(2g+l) function, column j the polynomial multiplying
-    y^j, stored as ascending complex coefficient arrays.  Degrees obey
-    deg rho[l][j] <= (2g + l - j s) / n, which caps det at degree g.
+
+@lru_cache(maxsize=None)
+def _shape_caps(n: int, s: int, genus: int, count: int):
+    caps = [[max((2 * genus + l - j * s) // n, -1) for j in range(count)] for l in range(count)]
+    above = np.arange(1 + max(map(max, caps))) > np.array(caps)[:, :, None]
+    above.flags.writeable = False
+    return tuple(map(tuple, caps)), above
+
+
+@dataclass(frozen=True, eq=False)
+class NumericRSystem:
+    """Coefficient grid rho[l][j](x) of the functions R_{2g+l}, read-only.
+
+    ``rho[l, j, i]`` is the coefficient of x^i y^j in the weight-(2g+l)
+    function: one complex array of shape (c, c, d), with c the level count
+    ``second_kind_count`` and d - 1 the largest cap.  Cell (l, j) is zero
+    above its cap max((2g + l - j s) // n, -1); a cell with cap -1 is zero
+    throughout.  A grid that is ragged, of another shape, or nonzero above
+    a cap raises MalformedGrid.
+
+    The caps hold det at degree g.  A term of det multiplies the cells
+    (l, sigma(l)) of a permutation sigma; it is zero unless every such cell
+    is live, and then its degree is at most
+    sum_l (2g + l - sigma(l) s) // n <= (sum_l (2g + l - sigma(l) s)) // n.
+    As sigma permutes 0..c-1 and 2g = (n - 1)(s - 1), the inner sum is
+    2gc - (s - 1) c (c - 1) / 2 = (s - 1) c (2n - 1 - c) / 2, and
+    c (2n - 1 - c) <= n (n - 1) for every integer c, with equality at
+    c = n - 1 and c = n.  So the sum is at most n g and the degree at most g.
     """
 
     fam: CurveFamily
-    rho: list[list[np.ndarray]]
-    # eval_grid's Horner table, built on first use: (degree + 1, rows,
-    # columns), highest power first, zero-padded
-    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    rho: np.ndarray
 
     def __post_init__(self):
-        count = second_kind_count(self.fam)
-        if len(self.rho) != count:
-            raise MalformedGrid(f"grid has {len(self.rho)} rows, expected {count}")
-        # complex throughout, so det and Horner never mix in a float array
-        self.rho = [[np.asarray(c, dtype=complex) for c in row] for row in self.rho]
-        bound = 2 * self.fam.genus
-        for l, row in enumerate(self.rho):
-            if len(row) != count:
-                raise MalformedGrid(
-                    f"row {l} has {len(row)} columns, expected {count}"
-                )
-            for j, coeffs in enumerate(row):
-                limit = max((bound + l - j * self.fam.s) // self.fam.n, -1)
-                if len(coeffs) - 1 > limit:
-                    raise MalformedGrid(
-                        f"rho[{l}][{j}] has degree {len(coeffs) - 1}, "
-                        f"above its bound {limit}"
-                    )
-
-    def _horner_table(self) -> np.ndarray:
-        if self._table is None:
-            depth = max(len(c) for row in self.rho for c in row)
-            table = np.zeros((depth, len(self.rho), len(self.rho[0])), dtype=complex)
-            for l, row in enumerate(self.rho):
-                for j, coeffs in enumerate(row):
-                    table[depth - len(coeffs) :, l, j] = coeffs[::-1]
-            self._table = table
-        return self._table
+        caps, above = _grid_caps(self.fam)
+        try:
+            rho = np.array(self.rho, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise MalformedGrid(f"grid is not a complex array: {exc}") from None
+        if rho.shape != above.shape:
+            raise MalformedGrid(f"grid has shape {rho.shape}, expected {above.shape}")
+        if rho[above].any():
+            l, j = np.argwhere((rho != 0) & above)[0, :2]
+            degree, cap = np.flatnonzero(rho[l, j])[-1], caps[l][j]
+            raise MalformedGrid(f"rho[{l}][{j}] has degree {degree}, above its bound {cap}")
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
 
     def eval_grid(self, x) -> np.ndarray:
-        """rho[l][j](x) as a (rows, columns) array; an array of x stacks them."""
-        return _horner(self._horner_table(), x)
+        """rho[l][j](x) as a (c, c) array; an array of x stacks them."""
+        return _horner(self.rho, x)
 
     def residuals(self, xs: Sequence[complex], ys) -> np.ndarray:
         """Largest relative row value at each point (xs[k], ys[k][m]), NaN if any is.
@@ -232,46 +236,21 @@ class NumericRSystem:
         """
         xs = np.asarray(xs, dtype=complex)
         ys = np.asarray(ys, dtype=complex)
-        powers = np.arange(len(self.rho[0]))[:, None]
+        powers = np.arange(self.rho.shape[1])[:, None]
         # (points, rows, m): each row's value at each candidate y
         values = self.eval_grid(xs) @ ys[:, None] ** powers
-        sizes = _horner(np.abs(self._horner_table()), np.maximum(1.0, np.abs(xs)))
+        sizes = _horner(np.abs(self.rho), np.maximum(1.0, np.abs(xs)))
         scale = sizes @ np.maximum(1.0, np.abs(ys))[:, None] ** powers
         return np.max(np.abs(values) / np.maximum(scale, 1e-300), axis=1)
 
 
-def _horner(table: np.ndarray, x) -> np.ndarray:
-    # table: (degree + 1, rows, columns), highest power first; the result is
-    # x's shape followed by (rows, columns)
+def _horner(grid: np.ndarray, x) -> np.ndarray:
+    # Horner over the ascending powers of x on grid's last axis: x's shape, then (c, c)
     x = np.asarray(x)[..., None, None]
-    out = np.zeros(x.shape[:-2] + table.shape[1:], dtype=table.dtype)
-    for layer in table:
+    out = np.zeros(x.shape[:-2] + grid.shape[:2], dtype=grid.dtype)
+    for layer in np.moveaxis(grid, -1, 0)[::-1]:
         out = out * x + layer
     return out
-
-
-def _trimmed(coeffs: np.ndarray, floor: float) -> np.ndarray:
-    keep = len(coeffs)
-    while keep and abs(coeffs[keep - 1]) <= floor:
-        keep -= 1
-    return np.asarray(coeffs[:keep], dtype=complex)
-
-
-def _coefficient_row(terms, count: int) -> list[np.ndarray]:
-    """Sum of value * x^i y^j over (monomial, value) terms, per power of y.
-
-    Entry j holds the ascending x coefficients of the y^j part, trimmed;
-    each coefficient sums its values in the order the terms come.
-    """
-    row = [np.zeros(0, dtype=complex) for _ in range(count)]
-    for mono, value in terms:
-        arr = row[mono.j]
-        if len(arr) <= mono.i:
-            grown = np.zeros(mono.i + 1, dtype=complex)
-            grown[: len(arr)] = arr
-            row[mono.j] = arr = grown
-        arr[mono.i] += value
-    return [_trimmed(arr, 0.0) for arr in row]
 
 
 def rfunctions_from_divisor(
@@ -298,10 +277,9 @@ def rfunctions_from_divisor(
     # row l reads the first g + l points and the first g + l + 1 monomials
     points = list(divisor.points) + extras
     monos = fam.monomial_basis(g + count)
-    table = np.array(
-        [[m.eval(p.x, p.y) for m in monos] for p in points], dtype=complex
-    )
-    rho: list[list[np.ndarray]] = []
+    table = np.array([[m.eval(p.x, p.y) for m in monos] for p in points], dtype=complex)
+    j, i = np.array([(m.j, m.i) for m in monos]).T
+    rho = np.zeros(_grid_caps(fam)[1].shape, dtype=complex)
     for l in range(count):
         _, sv, vh = np.linalg.svd(table[: g + l, : g + l + 1])
         above(sv[-1], INTERPOLATION_TOL * sv[0], DegenerateDeterminant,
@@ -309,31 +287,28 @@ def rfunctions_from_divisor(
         # the last right singular vector spans the kernel: the row's function
         coeffs = vh[-1].conj()
         coeffs /= np.max(np.abs(coeffs))
-        rho.append(_coefficient_row(zip(monos, coeffs), count))
+        rho[l, j[: g + l + 1], i[: g + l + 1]] = coeffs
     return NumericRSystem(fam, rho)
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledSystem:
-    """A derived system at one curve's lambda, as one complex matrix.
+    """A derived system at one curve's lambda, as one complex array.
 
-    Each row of ``matrix`` is the coefficient of one x^i y^j in one level's
-    function, affine in the symbols: column 0 is its constant and column
-    1 + k multiplies ``symbols[k]``.  rho[l][j] is the slice ``blocks[l][j]``
-    of the rows, x^0 first.
+    ``matrix`` has shape (c, c, d, 1 + len(symbols)): row matrix[l, j, i] is
+    the grid's coefficient rho[l, j, i], affine in the symbols.  Its column 0
+    is the constant and column 1 + k multiplies ``symbols[k]``.  The rows of
+    the cells above their caps are zero.
     """
 
     fam: CurveFamily
     symbols: tuple[AbelianSymbol, ...]
     matrix: np.ndarray
-    blocks: tuple[tuple[slice, ...], ...]
 
     def evaluate(self, symbol_values: Mapping[AbelianSymbol, complex]) -> NumericRSystem:
         """The coefficient grid rho = matrix @ [1, symbol values...]."""
         values = np.array([1.0] + [symbol_values[sym] for sym in self.symbols], dtype=complex)
-        flat = self.matrix @ values
-        rho = [[_trimmed(flat[block], 0.0) for block in row] for row in self.blocks]
-        return NumericRSystem(self.fam, rho)
+        return NumericRSystem(self.fam, self.matrix @ values)
 
 
 def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
@@ -348,52 +323,39 @@ def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
             f"{fam.family_label()}"
         )
     lam = fam.numeric_lambda()
-    count = second_kind_count(fam)
-    # cells[l][j]: power of x -> the terms that add into that coefficient
-    cells = [[{} for _ in range(count)] for _ in range(count)]
-    for fn in system.r_functions:
-        if 1 <= fn.level <= count:
-            for mono, coeff in fn.terms.items():
-                cells[fn.level - 1][mono.j].setdefault(mono.i, []).append(coeff)
-    rows, blocks = [], []
-    for level in cells:
-        block = []
-        for cell in level:
-            start = len(rows)
-            rows += [cell.get(i, []) for i in range(max(cell, default=-1) + 1)]
-            block.append(slice(start, len(rows)))
-        blocks.append(tuple(block))
     symbols = tuple(sorted(
-        {sym for terms in rows for coeff in terms for sym in coeff.terms},
+        {sym for fn in system.r_functions for poly in fn.terms.values() for sym in poly.terms},
         key=AbelianSymbol.sort_key,
     ))
     column = {sym: 1 + k for k, sym in enumerate(symbols)}
-    matrix = np.zeros((len(rows), 1 + len(symbols)), dtype=complex)
-    for r, terms in enumerate(rows):
-        for coeff in terms:
-            matrix[r, 0] += coeff.constant.eval_numeric(lam)
+    matrix = np.zeros(_grid_caps(fam)[1].shape + (1 + len(symbols),), dtype=complex)
+    for fn in system.r_functions:
+        for mono, coeff in fn.terms.items():
+            row = matrix[fn.level - 1, mono.j, mono.i]
+            row[0] += coeff.constant.eval_numeric(lam)
             for sym, c in coeff.terms.items():
-                matrix[r, column[sym]] += c.eval_numeric(lam)
+                row[column[sym]] += c.eval_numeric(lam)
     matrix.flags.writeable = False
-    return CompiledSystem(fam, symbols, matrix, tuple(blocks))
+    return CompiledSystem(fam, symbols, matrix)
 
 
 # -- elimination and recovery ------------------------------------------------
 
 
-def _poly_det(grid: list[list[np.ndarray]]) -> np.ndarray:
-    size = len(grid)
-    if size == 1:
-        return grid[0][0]
+def _poly_det(cells, row: int, cols: tuple[int, ...]) -> np.ndarray:
+    # det of the rows row.. of cells over the columns cols, by its first row;
+    # an empty cell is skipped
+    if len(cols) == 1:
+        return cells[row][cols[0]]
     total = np.zeros(1, dtype=complex)
-    for j in range(size):
-        entry = grid[0][j]
+    for k, j in enumerate(cols):
+        entry = cells[row][j]
         if len(entry) == 0:
             continue
-        minor = _poly_det([row[:j] + row[j + 1 :] for row in grid[1:]])
+        minor = _poly_det(cells, row + 1, cols[:k] + cols[k + 1 :])
         if len(minor) == 0:
             continue
-        term = np.convolve(entry, minor) * (-1) ** j
+        term = np.convolve(entry, minor) * (-1) ** k
         if len(term) > len(total):
             term[: len(total)] += total
             total = term
@@ -403,16 +365,19 @@ def _poly_det(grid: list[list[np.ndarray]]) -> np.ndarray:
 
 
 def chi_polynomial(sys: NumericRSystem) -> np.ndarray:
-    """det of the y-coefficient grid: degree exactly g, ascending coeffs."""
+    """det of the y-coefficient grid: degree exactly g, ascending coeffs.
+
+    Each cell enters det cut at its cap, empty at cap -1, so det has at most
+    g + 1 coefficients (see NumericRSystem) and no term above degree g to check.
+    """
     g = sys.fam.genus
-    det = _poly_det(sys.rho)
+    caps, _ = _grid_caps(sys.fam)
+    cells = [[c[: cap + 1] for c, cap in zip(*rows)] for rows in zip(sys.rho, caps)]
+    det = _poly_det(cells, 0, tuple(range(len(caps))))
     if not np.all(np.isfinite(det)):
         raise RootFindingFailure("coefficient grid contains non-finite entries")
     chi = np.zeros(g + 1, dtype=complex)
-    chi[: len(det)] = det[: g + 1]
-    if len(det) > g + 1:
-        at_most(np.max(np.abs(det[g + 1 :])), EXCESS_TOL * np.max(np.abs(det)),
-                MalformedGrid, f"det has coefficients above degree {g}: largest")
+    chi[: len(det)] = det
     above(abs(chi[g]), COLLAPSE_TOL * np.max(np.abs(chi)), DegreeCollapse,
           "divisor is special or nearly so: leading coefficient")
     return chi

@@ -724,8 +724,7 @@ def verify_inversion(
     system = periods.system.evaluate(
         {sym: vals.wp(*sym.indices) for sym in periods.system.symbols}
     )
-    chi = system.rho[0][0]
-    rho0, rho1 = system.rho[1]
+    chi, (rho0, rho1) = system.rho[0, 0], system.rho[1]
     e = [1 + 0j] + [0j] * g  # prod (X + x_k) = sum e_k X^(g-k)
     for p in divisor.points:
         for k in range(g, 0, -1):

@@ -1,5 +1,7 @@
 """Forward construction and backward recovery of divisors."""
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from nscurves.divisors import (
     CLUSTER_TOL,
     NumericRSystem,
     _clusters,
-    _coefficient_row,
     _worst_residual,
     chi_polynomial,
     compile_system,
@@ -52,6 +53,16 @@ def family(n, s):
 
 def sorted_points(points):
     return sorted(points, key=lambda p: (p.x.real, p.x.imag, p.y.real, p.y.imag))
+
+
+def padded(fam, rows):
+    """Hand-written cells of ascending coefficients in NumericRSystem's layout.
+
+    Each cell is zero-padded to the grid's depth d, with d - 1 the largest
+    degree cap (2g + c - 1) // n.
+    """
+    depth = 1 + (2 * fam.genus + second_kind_count(fam) - 1) // fam.n
+    return np.array([[np.pad(np.asarray(c), (0, depth - len(c))) for c in row] for row in rows])
 
 
 def max_point_error(got, want):
@@ -247,7 +258,8 @@ def test_degree_bounds_hold():
     g = fam.genus
     for l, row in enumerate(sys.rho):
         for j, coeffs in enumerate(row):
-            assert len(coeffs) - 1 <= (2 * g + l - j * fam.s) // fam.n
+            degree = np.flatnonzero(coeffs)[-1] if coeffs.any() else -1
+            assert degree <= (2 * g + l - j * fam.s) // fam.n
 
 
 # -- elimination -------------------------------------------------------------
@@ -279,17 +291,34 @@ def test_chi_is_trivial_for_two_sheets():
 
 
 def _grid_34(rows):
-    return NumericRSystem(family(3, 4), rows)
+    fam = family(3, 4)
+    return NumericRSystem(fam, padded(fam, rows))
 
 
 def test_grid_with_wrong_row_count_refused():
-    with pytest.raises(MalformedGrid, match="1 rows, expected 2"):
+    with pytest.raises(MalformedGrid, match=r"shape \(1, 2, 3\), expected \(2, 2, 3\)"):
         _grid_34([[np.ones(1), np.ones(1)]])
 
 
 def test_grid_with_wrong_column_count_refused():
-    with pytest.raises(MalformedGrid, match="row 1 has 3 columns, expected 2"):
-        _grid_34([[np.ones(1), np.ones(1)], [np.ones(1), np.ones(1), np.ones(1)]])
+    with pytest.raises(MalformedGrid, match=r"shape \(2, 3, 3\), expected \(2, 2, 3\)"):
+        _grid_34([[np.ones(1)] * 3] * 2)
+
+
+@pytest.mark.parametrize("rho", [
+    [[np.ones(3), np.ones(1)], [np.ones(3), np.ones(2)]],
+    [[[1, 0, 0], [1, 0, 0]], [[1, 0, 0], [1, 0]]],
+    [[["1", "x", "0"]] * 2] * 2,
+], ids=["ragged-arrays", "ragged-lists", "not-a-number"])
+def test_grid_that_is_not_an_array_refused(rho):
+    # numpy's own ValueError for a ragged list once passed through bare
+    with pytest.raises(MalformedGrid, match="not a complex array"):
+        NumericRSystem(family(3, 4), rho)
+
+
+def test_grid_of_another_depth_refused():
+    with pytest.raises(MalformedGrid, match=r"shape \(2, 2, 4\), expected \(2, 2, 3\)"):
+        NumericRSystem(family(3, 4), np.zeros((2, 2, 4)))
 
 
 def test_grid_entry_above_its_degree_bound_refused():
@@ -298,43 +327,66 @@ def test_grid_entry_above_its_degree_bound_refused():
         _grid_34([[np.ones(3), np.ones(2)], [np.ones(3), np.ones(2)]])
 
 
-def test_det_above_degree_g_refused():
-    # a valid grid edited after construction: det gains an x^4 term at g = 3
-    one = np.ones(1, dtype=complex)
-    sys = _grid_34([[np.ones(3, dtype=complex), one], [np.ones(3, dtype=complex), one]])
-    sys.rho[0][0] = np.ones(5, dtype=complex)
-    with pytest.raises(MalformedGrid, match=r"above degree 3: largest [0-9.e+-]+, tolerance [0-9.e+-]+"):
-        chi_polynomial(sys)
+def test_grid_whose_det_passes_degree_g_refused_when_built():
+    # rho[1][1] of degree 2 would give det an x^4 term at g = 3
+    sys = _grid_34([[np.ones(3), np.ones(1)], [np.ones(3), np.ones(2)]])
+    edited = np.array(sys.rho)
+    edited[1, 1, 2] = 1.0
+    with pytest.raises(MalformedGrid, match=r"rho\[1\]\[1\] has degree 2, above its bound 1$"):
+        NumericRSystem(sys.fam, edited)
+
+
+def test_every_permutation_caps_det_at_degree_g():
+    # the cap-sum bound in NumericRSystem's docstring, over every coprime
+    # shape with 2 <= n <= 8 and n < s < 30: no term of det passes degree g
+    for n in range(2, 9):
+        for s in range(n + 1, 30):
+            if gcd(n, s) != 1:
+                continue
+            fam = CurveFamily(n, s, {}, False, {})
+            count = second_kind_count(fam)
+            caps = [
+                [(2 * fam.genus + l - j * s) // n for j in range(count)] for l in range(count)
+            ]
+            worst = max(
+                sum(caps[l][j] for l, j in enumerate(sigma))
+                for sigma in permutations(range(count))
+                if all(caps[l][j] >= 0 for l, j in enumerate(sigma))
+            )
+            assert worst <= fam.genus, (n, s)
+
+
+def test_grid_is_read_only_so_no_reading_goes_stale():
+    # the mutable grid kept eval_grid's table from before this edit, so
+    # eval_grid read 0.25 while chi_polynomial read the edit
+    sys = _grid_34([[[0, 0, 1], [1]], [[0, 1], [0, 1]]])
+    assert sys.eval_grid(0.5)[0, 0] == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        sys.rho[0][0] = [5, 0, 0]
+    with pytest.raises(AttributeError):
+        sys.rho = np.zeros((2, 2, 3))
+    assert sys.eval_grid(0.5)[0, 0] == 0.25
+    assert np.array_equal(chi_polynomial(sys), [0, -1, 0, 1])  # x^3 - x
 
 
 def test_float_grid_gives_the_chi_of_its_complex_twin():
     # det adds its complex running sum into each term in place, so a float64
-    # entry must reach it as complex
+    # grid must reach it as complex
     rows = [[[1.0, 2.0, 1.0], [0.5]], [[0.2, -0.4, 0.2], [0.1, 1.0]]]
-    floats = _grid_34([[np.array(c) for c in row] for row in rows])
+    floats = _grid_34(rows)
     twin = _grid_34([[np.array(c, dtype=complex) for c in row] for row in rows])
+    assert floats.rho.dtype == complex
     assert np.array_equal(chi_polynomial(floats), chi_polynomial(twin))
 
 
 def test_degree_collapse_refused():
     fam = family(2, 5)
-    sys = NumericRSystem(
-        fam,
-        [
-            [np.array([0.3, 1.0]), np.zeros(0)],
-            [np.array([0.1, 0.2]), np.array([2.0])],
-        ],
-    )
+    sys = NumericRSystem(fam, padded(fam, [[[0.3, 1.0], []], [[0.1, 0.2], [2.0]]]))
     with pytest.raises(DegreeCollapse):
         chi_polynomial(sys)
 
 
 # -- derived systems at numeric lambda ---------------------------------------
-
-
-def _padded(a, b):
-    size = max(len(a), len(b))
-    return np.pad(a, (0, size - len(a))), np.pad(b, (0, size - len(b)))
 
 
 # the (2,7) and (3,4) systems carry no lambda; (3,5) and (4,7) do
@@ -360,8 +412,7 @@ def test_numeric_system_commutes_with_specialisation(n, s, data):
     want = compile_system(build_inversion_system(fam), fam).evaluate(values)
     for got_row, want_row in zip(got.rho, want.rho):
         for a, b in zip(got_row, want_row):
-            a, b = _padded(a, b)
-            scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+            scale = max(1.0, float(np.max(np.abs(b))))
             assert np.allclose(a, b, rtol=0.0, atol=1e-12 * scale)
 
 
@@ -369,18 +420,10 @@ def per_coefficient_system(system, fam, values):
     """The grid before systems were compiled: every coefficient on its own."""
     lam = fam.numeric_lambda()
     count = second_kind_count(fam)
-    rho = [
-        _coefficient_row(
-            (
-                (mono, coeff.eval_numeric(values, lam))
-                for fn in system.r_functions
-                if fn.level == level
-                for mono, coeff in fn.terms.items()
-            ),
-            count,
-        )
-        for level in range(1, count + 1)
-    ]
+    rho = padded(fam, [[[0j]] * count] * count)
+    for fn in system.r_functions:
+        for mono, coeff in fn.terms.items():
+            rho[fn.level - 1, mono.j, mono.i] += coeff.eval_numeric(values, lam)
     return NumericRSystem(fam, rho)
 
 
@@ -496,9 +539,9 @@ def test_row_scaling_leaves_solution_unchanged():
     fam = family(3, 4)
     divisor = random_divisor(fam, np.random.default_rng(31))
     sys = rfunctions_from_divisor(fam, divisor)
-    scaled = NumericRSystem(
-        fam, [[c * (3.7 - 0.4j) for c in sys.rho[0]], list(sys.rho[1])]
-    )
+    rho = np.array(sys.rho)
+    rho[0] *= 3.7 - 0.4j
+    scaled = NumericRSystem(fam, rho)
     a = solve_divisor(sys)
     b = solve_divisor(scaled)
     assert max_point_error(a.points, b.points) < 1e-9
@@ -535,13 +578,7 @@ def test_repeated_point_on_two_sheets_is_refused():
     # alone, so the fiber holds one point that fits where two are needed
     fam = family(2, 5)
     p = fam.lift_x_to_points(0.4 + 0.1j)[0]
-    sys = NumericRSystem(
-        fam,
-        [
-            [np.array([p.x ** 2, -2 * p.x, 1.0]), np.zeros(0)],
-            [np.array([-p.y]), np.array([1.0])],
-        ],
-    )
+    sys = NumericRSystem(fam, padded(fam, [[[p.x ** 2, -2 * p.x, 1.0], []], [[-p.y], [1.0]]]))
     with pytest.raises(NullSpaceDimensionError, match="no fiber point fits .* multiplicity 2"):
         solve_divisor(sys)
 
@@ -550,13 +587,7 @@ def test_recovered_full_fiber_is_special(monkeypatch):
     # det [[x^2, 0], [0.4 x, x]] = x^3: a triple root at 0, where every row
     # vanishes on the whole fiber, so all three points are kept
     fam = make_family(3, 4, {12: 0.7, 6: 0.3})
-    sys = NumericRSystem(
-        fam,
-        [
-            [np.array([0.0, 0.0, 1.0]), np.zeros(0)],
-            [np.array([0.0, 0.4]), np.array([0.0, 1.0])],
-        ],
-    )
+    sys = NumericRSystem(fam, padded(fam, [[[0.0, 0.0, 1.0], []], [[0.0, 0.4], [0.0, 1.0]]]))
     fiber = fam.lift_x_to_points(0j)
     calls = []
 
@@ -580,30 +611,14 @@ def test_recovered_full_fiber_is_special(monkeypatch):
 
 def test_null_space_dimension_guard():
     # chi = (x - 1)^2 x but the kernel over the double root is one-dimensional
-    fam = family(3, 4)
-    sys = NumericRSystem(
-        fam,
-        [
-            [np.array([1.0, -2.0, 1.0], dtype=complex), np.array([0.5 + 0j])],
-            [
-                np.array([0.2, -0.4, 0.2], dtype=complex),
-                np.array([0.1, 1.0], dtype=complex),
-            ],
-        ],
-    )
+    sys = _grid_34([[[1.0, -2.0, 1.0], [0.5]], [[0.2, -0.4, 0.2], [0.1, 1.0]]])
     with pytest.raises(NullSpaceDimensionError):
         solve_divisor(sys)
 
 
 def test_non_finite_grid_refused():
     fam = family(2, 5)
-    sys = NumericRSystem(
-        fam,
-        [
-            [np.array([np.nan, 0.0, 1.0]), np.zeros(0)],
-            [np.array([0.1]), np.array([2.0])],
-        ],
-    )
+    sys = NumericRSystem(fam, padded(fam, [[[np.nan, 0.0, 1.0], []], [[0.1], [2.0]]]))
     with pytest.raises(RootFindingFailure):
         solve_divisor(sys)
     # chi_polynomial refuses the grid itself, before its degree gates

@@ -152,7 +152,7 @@ CASES = [
     ("interpolation", _nan_singular_value, DegenerateDeterminant, True),
     ("chi",
      lambda mp: divisors.chi_polynomial(NumericRSystem(
-         QUINTIC, [[np.array([NAN, 0.0, 1.0]), np.zeros(0)], [np.array([0.1]), np.array([2.0])]])),
+         QUINTIC, [[[NAN, 0.0, 1.0], [0.0, 0.0, 0.0]], [[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]]])),
      RootFindingFailure, False),
     ("fiber-fit", _nan_grid, NullSpaceDimensionError, True),
     ("fiber-ambiguous", _nan_rival, NullSpaceDimensionError, True),
