@@ -198,16 +198,6 @@ class AbelianExpr:
     def canonical_terms(self) -> list[tuple[AbelianSymbol, WeightedPoly]]:
         return sorted(self.terms.items(), key=lambda sc: sc[0].sort_key())
 
-    def eval_numeric(
-        self,
-        symbol_values: Mapping[AbelianSymbol, complex],
-        lam: Mapping[int, complex],
-    ) -> complex:
-        total = self.constant.eval_numeric(lam)
-        for sym, c in self.terms.items():
-            total += c.eval_numeric(lam) * complex(symbol_values[sym])
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbelianExpr):
             return NotImplemented

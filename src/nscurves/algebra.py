@@ -587,7 +587,7 @@ class LaurentSeries:
     def __repr__(self) -> str:
         return f"LaurentSeries({self.to_text()})"
 
-    def to_text(self, var: str = "xi") -> str:
+    def to_text(self) -> str:
         chunks = []
         for e, c in self.items():
             coeff = c.to_text()
@@ -596,9 +596,9 @@ class LaurentSeries:
             if e == 0:
                 chunks.append(coeff)
             else:
-                power = f"{var}^{e}" if e != 1 else var
+                power = f"xi^{e}" if e != 1 else "xi"
                 chunks.append(power if coeff == "1" else f"{coeff}*{power}")
-        chunks.append(f"O({var}^{self.trunc})")
+        chunks.append(f"O(xi^{self.trunc})")
         return " + ".join(chunks)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateDeterminant,
     DegreeCollapse,
     MalformedGrid,
+    NonFiniteValue,
     NullSpaceDimensionError,
     RootFindingFailure,
     SpecialDivisor,
@@ -308,6 +309,11 @@ class CompiledSystem:
     def evaluate(self, symbol_values: Mapping[AbelianSymbol, complex]) -> NumericRSystem:
         """The coefficient grid rho = matrix @ [1, symbol values...]."""
         values = np.array([1.0] + [symbol_values[sym] for sym in self.symbols], dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise NonFiniteValue(
+                f"{self.symbols[bad[0] - 1].to_text()} = {values[bad[0]]} is not finite"
+            )
         return NumericRSystem(self.fam, self.matrix @ values)
 
 

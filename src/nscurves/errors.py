@@ -93,6 +93,10 @@ class DegreeCollapse(NSCurveError):
     """The degree of the x-elimination polynomial dropped below the genus."""
 
 
+class NonFiniteValue(NSCurveError, ValueError):
+    """A symbol value handed to a compiled system is NaN or infinite."""
+
+
 class MalformedGrid(NSCurveError, ValueError):
     """A coefficient grid has the wrong shape or a degree above its bound."""
 

@@ -1,17 +1,18 @@
 """Numeric closure on two-sheeted curves: periods, theta, wp, Abel map.
 
 Everything here works on (2, 2g+1) families with numeric coefficients, real
-branch points e_1 < ... < e_2g+1 and genus 1 to MAX_GENUS.  On the upper lip
-of the real axis y has the closed form sqrt|p(x)| i^#{m : e_m > x}, so the
-periods of du and of Baker's closed-form dr are sums of 2g integrals between
-adjacent branch points, each a Gauss-Chebyshev sum.  Sigma is realized
+branch points e_1 < ... < e_2g+1 and genus 1 to MAX_GENUS.  Every integral
+is a Gauss-Legendre leg along a segment from a branch point, gated by the
+same sum at a finer node count.  The periods of du and of Baker's
+closed-form dr are sums of 2g integrals between adjacent branch points, each
+two legs that meet at the interval's midpoint on the sheet of the upper lip,
+where y has the closed form sqrt|p(x)| i^#{m : e_m > x}.  Sigma is realized
 through theta[delta], delta the characteristic of the Riemann constants, a
 constant of the fixed homology basis, written in closed form and checked by
 one theta value per curve.  Sigma is so known up to a gauge factor
 exp(quadratic) that the wp functions do not see.  The Abel map starts at the
 branch point nearest the point, whose image is a half period in closed form,
-and adds one Gauss-Legendre leg along the segment from there.  Every sum is
-gated by the same sum at a finer node count.  The closing check reads the
+and adds one leg from there.  The closing check reads the
 inversion system that the exact layer derives for the shape, with lambda
 symbolic, at the wp values of A(D); the du numerators come from that system
 too.
@@ -66,13 +67,12 @@ MAX_GENUS = 3
 
 THETA_TAIL = 1e-13
 
-# quadrature: Gauss-Chebyshev nodes per interval between branch points, each
-# sum checked against the sum at twice as many; Gauss-Legendre nodes per leg
-# from a branch point, checked against LEG_CHECK_NODES.  The gate bounds the
-# relative difference of the two sums.  The coarser one is kept: both have
-# converged, and it rounds less (on the hyper-loop pools of seeds 1-40, mean
-# err_margin_digits is 7.00 with 32-node legs and 6.90 with 48-node ones)
-INTERVAL_NODES = 32
+# quadrature: Gauss-Legendre nodes per leg from a branch point, the periods'
+# legs and the Abel map's alike, checked against LEG_CHECK_NODES.  The gate
+# bounds the relative difference of the two sums.  The coarser one is kept:
+# both have converged, and it rounds less (on the hyper-loop pools of seeds
+# 1-40, mean err_margin_digits is 7.01 with 32-node legs and 6.77 with
+# 48-node ones checked against 64)
 LEG_NODES = 32
 LEG_CHECK_NODES = 48
 QUADRATURE_TOL = 1e-10
@@ -183,14 +183,6 @@ def _dr_numerators(p: np.ndarray) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)
-def _chebyshev_nodes(n: int) -> np.ndarray:
-    """Gauss-Chebyshev nodes on [-1, 1], every weight pi/n; cached, so read-only."""
-    ts = np.cos((2 * np.arange(n) + 1) * math.pi / (2 * n))
-    ts.flags.writeable = False
-    return ts
-
-
-@functools.lru_cache(maxsize=4)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]; cached, so read-only."""
     ts, ws = np.polynomial.legendre.leggauss(n)
@@ -207,50 +199,6 @@ def _coefficients(numerators: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _converged(value: np.ndarray, check: np.ndarray, what: str) -> np.ndarray:
-    """value, unless the sum at more nodes moved by more than QUADRATURE_TOL."""
-    margin = float(np.max(np.abs(check - value))) / max(
-        1.0, float(np.max(np.abs(check)))
-    )
-    at_most(margin, QUADRATURE_TOL, QuadratureNotConverged,
-            f"{what} did not converge: relative difference between node counts")
-    return value
-
-
-# i^-n / -2 for n mod 4: 1/(-2y) on the upper lip where y = sqrt|p| i^n
-_LIP_FACTORS = np.array([-0.5, 0.5j, 0.5, -0.5j])
-
-
-def _interval_sums(es: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
-    # one n-node Gauss-Chebyshev sum per interval (e_j, e_j+1) and numerator
-    lo, hi = es[:-1, None], es[1:, None]
-    xs = (lo + hi) / 2 + (hi - lo) / 2 * _chebyshev_nodes(n)
-    # |q_j(x)| = |p(x)| / ((x - e_j)(e_j+1 - x)): the interval's own two
-    # factors become the Chebyshev weight
-    dist = np.abs(xs[:, :, None] - es)
-    ends = np.arange(len(lo))
-    dist[ends, :, ends] = dist[ends, :, ends + 1] = 1.0
-    analytic = np.polynomial.polynomial.polyval(xs, coeffs) / np.sqrt(
-        np.prod(dist, axis=-1)
-    )
-    lip = _LIP_FACTORS[(len(es) - 1 - ends) % 4]  # n = #{m : e_m > x}
-    return math.pi / n * np.sum(analytic, axis=-1).T * lip[:, None]
-
-
-def _interval_integrals(es: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """I_j = integral from e_j to e_j+1 of num(x) dx / (-2 y(x + i0)).
-
-    es are the real branch points in ascending order and coeffs the
-    numerators as columns; row j holds I_j for every numerator.  On the
-    upper lip y = sqrt|p(x)| i^#{m : e_m > x}, so no sheet is tracked.
-    """
-    return _converged(
-        _interval_sums(es, coeffs, INTERVAL_NODES),
-        _interval_sums(es, coeffs, 2 * INTERVAL_NODES),
-        "an interval sum between branch points",
-    )
-
-
 def _leg(
     es: np.ndarray, coeffs: np.ndarray, js: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +208,7 @@ def _leg(
     the segment from the branch point e = e_js[k] to x = xs[k].  With
     x' = e + s^2 (x - e), sigma = sqrt(x - e) and q = p/(x' - e), the
     integrand is -num(x') sigma / sqrt(q(x')) ds on s in [0, 1], which is
-    analytic when e is the branch point nearest x: the segment then lies
+    analytic when no branch point is nearer x than e: the segment then lies
     in the disc about x that holds no other branch point.  Each factor
     x' - e_m of q is turned by r_m, which takes the segment's midpoint to
     the positive axis, so no factor's square root crosses its cut and y
@@ -285,15 +233,37 @@ def _leg(
     terms = -sigma[:, None] * (nums / sqrt_q[:, :-1])
     vals = (terms[..., : len(ts)] @ ws).T
     check = (terms[..., len(ts) :] @ check_ws).T
-    # each point against its own scale, as _converged measures one sum; the
-    # worst point is gated, and argmax picks a NaN first
+    # each point against its own scale; the worst point is gated, and argmax
+    # picks a NaN first
     moves = np.max(np.abs(check - vals), axis=1) / np.maximum(
         1.0, np.max(np.abs(check), axis=1)
     )
     k = int(np.argmax(moves))
-    _converged(vals[k], check[k],
-               f"the leg from the branch point {e[k]:.6g} to x = {xs[k]:.6g}")
+    at_most(float(moves[k]), QUADRATURE_TOL, QuadratureNotConverged,
+            f"the leg from the branch point {e[k]:.6g} to x = {xs[k]:.6g} did not "
+            "converge: relative difference between node counts")
     return vals, sigma * sqrt_q[:, -1]
+
+
+def _interval_integrals(
+    es: np.ndarray, coeffs: np.ndarray, x0: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I, the leg from e_2g+1 to x0), every integral from one batch of legs.
+
+    es are the real branch points in ascending order and coeffs the
+    numerators as columns; row j of I holds, for every numerator, I_j =
+    integral from e_j to e_j+1 of num dx / (-2 y(x + i0)).  That is the leg
+    from e_j to the interval's midpoint m_j minus the leg from e_j+1 to m_j,
+    each on the sheet that meets the upper lip, where y(m_j + i0) =
+    |y(m_j)| i^#{k : e_k > m_j}; the sign is read from the y of each leg.
+    """
+    n = len(es) - 1
+    mid = (es[:-1] + es[1:]) / 2
+    js = np.concatenate([np.arange(n), np.arange(1, n + 1), [n]])
+    legs, ys = _leg(es, coeffs, js, np.concatenate([mid, mid, [x0]]))
+    lip = np.tile(1j ** np.arange(n, 0, -1), 2)  # y(m_j + i0) / |y(m_j)|
+    on_lip = np.copysign(1.0, (ys[:-1] / lip).real)[:, None] * legs[:-1]
+    return on_lip[:n] - on_lip[n:], legs[-1]
 
 
 def _branch_image(omega: np.ndarray, omega_prime: np.ndarray, j: int) -> np.ndarray:
@@ -389,7 +359,9 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
             "interval periods need real branch points; largest |Im e|")
     p = curve_polynomial(fam)
     du = _du_numerators(fam)
-    ints = _interval_integrals(es.real, _coefficients(du + _dr_numerators(p)))
+    # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i
+    ints, leg = _interval_integrals(es.real, _coefficients(du + _dr_numerators(p)),
+                                    es[-1].real + 1.0 + 1.0j)
     # rows are cycles; + 0j makes a -0.0 imaginary part +0.0, so that equal
     # periods have equal bytes
     a = 2.0 * (-1.0) ** np.arange(g - 1, -1, -1)[:, None] * ints[0::2] + 0j
@@ -402,9 +374,8 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     ctx = theta_context(tau, _riemann_characteristic(g))
     du_matrix = _coefficients(du)
     images = np.array([_branch_image(omega, omega_prime, j) for j in range(2 * g + 1)])
-    # A(P0) for P0 over e_2g+1 + 1 + i, the leg from e_2g+1 plus its image
-    legs, _ = _leg(es.real, du_matrix, [2 * g], [es[-1].real + 1.0 + 1.0j])
-    _check_riemann_characteristic(ctx, omega, images[-1] + legs[0])
+    # A(P0): the image of e_2g+1 plus the du columns of its leg
+    _check_riemann_characteristic(ctx, omega, images[-1] + leg[:g])
     system = compile_system(_derived_system(fam.n, fam.s, fam.extended), fam)
     return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect,
                       np.linalg.inv(omega), du_matrix, images, system)

@@ -1,4 +1,6 @@
 """Forward construction and backward recovery of divisors."""
+import re
+import warnings
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -29,6 +31,8 @@ from nscurves.errors import (
     DegenerateDeterminant,
     DegreeCollapse,
     MalformedGrid,
+    NonFiniteValue,
+    NSCurveError,
     NullSpaceDimensionError,
     RootFindingFailure,
     SpecialDivisor,
@@ -423,7 +427,10 @@ def per_coefficient_system(system, fam, values):
     rho = padded(fam, [[[0j]] * count] * count)
     for fn in system.r_functions:
         for mono, coeff in fn.terms.items():
-            rho[fn.level - 1, mono.j, mono.i] += coeff.eval_numeric(values, lam)
+            rho[fn.level - 1, mono.j, mono.i] += sum(
+                (c.eval_numeric(lam) * complex(values[sym]) for sym, c in coeff.terms.items()),
+                coeff.constant.eval_numeric(lam),
+            )
     return NumericRSystem(fam, rho)
 
 
@@ -440,6 +447,21 @@ def test_compiled_system_matches_per_coefficient_evaluation(n, s, extended):
         for a, b in zip(got_row, want_row, strict=True):
             assert a.shape == b.shape
             assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_compiled_system_refuses_a_non_finite_value(bad):
+    fam = make_family(2, 5, LAMBDAS[2, 5])
+    compiled = compile_system(build_inversion_system(fam.symbolic_twin()), fam)
+    values = {sym: 0.5 for sym in compiled.symbols}
+    sym = compiled.symbols[1]
+    values[sym] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        message = re.escape(sym.to_text()) + " = .* is not finite"
+        with pytest.raises(NonFiniteValue, match=message) as info:
+            compiled.evaluate(values)
+    assert isinstance(info.value, NSCurveError)
 
 
 @pytest.mark.parametrize("extended", [False, True])

@@ -127,7 +127,9 @@ CASES = [
     ("branch-collision", _nan_roots, BranchCollision, True),
     ("branch-point-builder",
      lambda mp: hyperell.hyperelliptic_from_branch_points([NAN, -1.0, 1.0]), ValueError, False),
-    ("quadrature", lambda mp: hyperell._converged(np.array([NAN]), np.ones(1), "a sum"),
+    ("quadrature",
+     lambda mp: hyperell._leg(PERIODS.branch_points.real, np.full((1, 1), complex(NAN)),
+                              np.array([2]), [0.3 + 0.2j]),
      QuadratureNotConverged, True),
     ("abel-map-x", lambda mp: hyperell.abel_map(GENUS2, PERIODS, CurvePoint(NAN, 1.0)),
      ValueError, False),

@@ -163,7 +163,7 @@ def test_tau_symmetric_positive_over_random_curves():
 def test_quadrature_refinement_stable(monkeypatch):
     fam = genus2_family()
     a = compute_periods(fam)
-    monkeypatch.setattr(hyperell, "INTERVAL_NODES", 2 * hyperell.INTERVAL_NODES)
+    monkeypatch.setattr(hyperell, "LEG_NODES", 2 * hyperell.LEG_NODES)
     b = compute_periods(fam)
     assert np.max(np.abs(a.omega - b.omega)) < 1e-10
     assert np.max(np.abs(a.omega_prime - b.omega_prime)) < 1e-10
@@ -184,11 +184,19 @@ def test_coarse_quadrature_fails_the_convergence_gate(monkeypatch):
     monkeypatch.setattr(hyperell, "LEG_NODES", 3)
     with pytest.raises(QuadratureNotConverged, match="the leg from .*" + margin):
         abel_map(fam, per, P)
-    monkeypatch.setattr(hyperell, "INTERVAL_NODES", 3)
-    interval = "interval sum .*" + margin
-    with pytest.raises(QuadratureNotConverged, match=interval) as info:
+    with pytest.raises(QuadratureNotConverged, match="the leg from .*" + margin) as info:
         compute_periods(fam)
     assert isinstance(info.value, NSCurveError)
+
+
+@pytest.mark.parametrize("make", [genus1_family, genus2_family], ids=["g1", "g2"])
+def test_compute_periods_integrates_with_one_batch_of_legs(make):
+    fam = make()
+    with mock.patch.object(hyperell, "_leg", wraps=hyperell._leg) as leg:
+        compute_periods(fam)
+    assert leg.call_count == 1
+    # two legs per interval between branch points, and one to P0
+    assert len(leg.call_args.args[3]) == 4 * fam.genus + 1
 
 
 def test_genus_above_the_cap_refused_before_any_theta_sum(monkeypatch):
@@ -1047,9 +1055,33 @@ def _mp_leg(mp, es, num, j, x, y):
 _MP_CURVES = {
     "g1": [-1.0, 0.0, 1.0],
     "g2": GENUS2_BRANCH,
-    # gaps of 0.26 beside gaps of 1.3, where the Chebyshev sums converge slowest
+    # gaps of 0.26 beside gaps of 1.3
     "g3": [-2.1, -1.84, -0.54, -0.28, 1.02, 1.28, 2.46],
 }
+
+# a gap of 0.01 to 0.03 beside gaps near 1, where the Gauss-Chebyshev interval
+# sums that the legs replaced did not converge
+_CLUSTERED_CURVES = {
+    "g1": [-1.0, -0.98, 1.0],
+    "g2": [-2.0, -1.0, -0.97, 1.0, 2.0],
+    "g3": [-2.1, -1.84, -0.54, -0.53, 1.02, 1.28, 2.46],
+}
+
+
+def _check_intervals_against_mpmath(mp, fam, per):
+    """Every I_j of every numerator against 30 digits; returns them as an mp.matrix."""
+    branch = per.branch_points.real
+    nums = _du_numerators(fam) + _dr_numerators(curve_polynomial(fam))
+    got, _ = _interval_integrals(branch, _coefficients(nums), branch[-1] + 1.0 + 1.0j)
+    ex = [mp.mpf(float(e)) for e in branch]
+    want = mp.matrix(
+        [[_mp_interval(mp, ex, n, j) for n in nums] for j in range(len(branch) - 1)]
+    )
+    scale = max(1.0, float(max(abs(v) for v in want)))
+    for j in range(len(branch) - 1):
+        for k in range(len(nums)):
+            assert abs(got[j, k] - complex(want[j, k])) < 1e-13 * scale
+    return want
 
 
 @pytest.mark.parametrize("es", _MP_CURVES.values(), ids=_MP_CURVES)
@@ -1061,17 +1093,9 @@ def test_integrals_match_mpmath(es):
     g = fam.genus
     branch = per.branch_points.real
     du = _du_numerators(fam)
-    nums = du + _dr_numerators(curve_polynomial(fam))
-    got = _interval_integrals(branch, _coefficients(nums))
     with mp.workdps(30):
+        want = _check_intervals_against_mpmath(mp, fam, per)
         ex = [mp.mpf(float(e)) for e in branch]
-        want = mp.matrix(
-            [[_mp_interval(mp, ex, n, j) for n in nums] for j in range(2 * g)]
-        )
-        scale = max(1.0, float(max(abs(v) for v in want)))
-        for j in range(2 * g):
-            for k in range(len(nums)):
-                assert abs(got[j, k] - complex(want[j, k])) < 1e-13 * scale
 
         # tau from the 30-digit I_j, b-cycles oriented as compute_periods does
         omega = mp.matrix(g, g)
@@ -1108,6 +1132,21 @@ def test_integrals_match_mpmath(es):
             want_leg = [complex(_mp_leg(mp, ex, n, j, P.x, P.y)) for n in du]
             scale = max(1.0, np.max(np.abs(want_leg)))
             assert np.max(np.abs(leg - want_leg)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("es", _CLUSTERED_CURVES.values(), ids=_CLUSTERED_CURVES)
+def test_clustered_branch_points_match_mpmath(es):
+    mp = pytest.importorskip("mpmath")
+    fam = hyperelliptic_from_branch_points(np.array(es) - np.mean(es))
+    with mp.workdps(30):
+        _check_intervals_against_mpmath(mp, fam, compute_periods(fam))
+
+
+def test_a_gap_too_tight_for_the_legs_is_refused():
+    es = np.array([-2.0, -1.0, -0.999, 1.0, 2.0])
+    fam = hyperelliptic_from_branch_points(es - es.mean())
+    with pytest.raises(QuadratureNotConverged, match="the leg from .* did not converge"):
+        compute_periods(fam)
 
 
 # -- the per-call code that per-curve constants replaced, kept as oracles ----
