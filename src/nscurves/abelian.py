@@ -112,7 +112,7 @@ def wp(*indices: int) -> AbelianSymbol:
 
 
 class AbelianExpr:
-    """A finite sum  constant + sum c_sym * sym  with WeightedPoly weights."""
+    """constant + sum c_sym * sym, WeightedPoly weights, terms in sort_key order."""
 
     __slots__ = ("terms", "constant")
 
@@ -121,14 +121,14 @@ class AbelianExpr:
         terms: Mapping[AbelianSymbol, WeightedPoly] | None = None,
         constant: WeightedPoly | None = None,
     ):
-        self.terms = {
-            s: c for s, c in (terms or {}).items() if not c.is_zero()
-        }
+        # sorted once here; negation and `gradient` keep the order for every reader
+        items = sorted((terms or {}).items(), key=lambda sc: sc[0].sort_key())
+        self.terms = {s: c for s, c in items if not c.is_zero()}
         self.constant = constant if constant is not None else WeightedPoly.zero()
 
     @classmethod
     def _zero_free(cls, terms: dict, constant: WeightedPoly) -> "AbelianExpr":
-        """An expression over terms already known to hold no zero coefficient."""
+        """An expression over terms already in canonical order, none zero."""
         out = object.__new__(cls)
         out.terms, out.constant = terms, constant
         return out
@@ -159,10 +159,10 @@ class AbelianExpr:
         the terms and shares their (nonzero) coefficients.  Raising by w keeps
         the least element of two same-rank index multisets' difference, which
         orders them, so every derivative inherits this expression's canonical
-        order from one sort.
+        order.
         """
         grads: list[dict[AbelianSymbol, WeightedPoly]] = [{} for _ in ws]
-        for sym, c in self.canonical_terms():
+        for sym, c in self.terms.items():
             if sym.kind == "zeta":
                 c = -c
             else:
@@ -195,9 +195,6 @@ class AbelianExpr:
             s.indices[0]: c for s, c in self.terms.items() if s.kind == "zeta"
         }
 
-    def canonical_terms(self) -> list[tuple[AbelianSymbol, WeightedPoly]]:
-        return sorted(self.terms.items(), key=lambda sc: sc[0].sort_key())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbelianExpr):
             return NotImplemented
@@ -213,7 +210,7 @@ class AbelianExpr:
         chunks = [] if self.constant.is_zero() else [self.constant.to_text()]
         chunks += [
             product_text(c.to_text(), sym.to_text())
-            for sym, c in self.canonical_terms()
+            for sym, c in self.terms.items()
         ]
         return signed_sum_text(chunks)
 
@@ -354,6 +351,8 @@ def build_inversion_system(fam: CurveFamily) -> InversionSystem:
     T_p and every residue the derivation reads (see `second_kind_count`).
     """
     count = second_kind_count(fam)
+    # before any expansion: T_(c-1) holds wp of rank c, and the gradient adds one
+    _require_supported_rank(count + 1)
     chart = expand_at_infinity(fam)
     first = first_kind_basis(chart)
     second = associated_second_kind(chart, first)
@@ -429,7 +428,7 @@ def _coefficient_json(expr: AbelianExpr, heads: dict, tails: dict) -> str:
         if ratios:
             head = _symbol_head("const", ())
             chunks = [head + _ratio_tail(*ratio) for ratio in ratios]
-    for sym, coeff in expr.canonical_terms():
+    for sym, coeff in expr.terms.items():
         head = heads.get(sym.indices)
         if head is None:
             head = heads[sym.indices] = _symbol_head(sym.json_kind, sym.indices)
@@ -478,7 +477,7 @@ def _raw_chunks(expr: AbelianExpr) -> list[tuple[tuple, Fraction, str]]:
     chunks: list[tuple[tuple, Fraction, str]] = []
     for key, q in expr.constant.sorted_terms():
         chunks.append((key, q, ""))
-    for sym, coeff in expr.canonical_terms():
+    for sym, coeff in expr.terms.items():
         for key, q in coeff.sorted_terms():
             chunks.append((key, q, sym.to_latex()))
     return chunks

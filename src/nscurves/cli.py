@@ -182,11 +182,7 @@ def cmd_roundtrip(args) -> int:
     failed = False
     for trial in range(args.count):
         divisor = random_divisor(fam, rng)
-        # a fresh child seed keeps the extra points off the divisor draw
-        system = rfunctions_from_divisor(
-            fam, divisor, seed=int(rng.integers(2 ** 62))
-        )
-        recovered = solve_divisor(system)
+        recovered = solve_divisor(rfunctions_from_divisor(fam, divisor))
         err = _max_recovery_error(recovered.points, divisor.points)
         ok = err < args.tolerance
         failed = failed or not ok

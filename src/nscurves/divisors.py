@@ -1,11 +1,11 @@
 """Divisors on a family and the two constructive directions of inversion.
 
-Forward: a non-special degree-g divisor determines entire rational
-functions vanishing on it, one per pole weight 2g..2g+count-1, through an
-interpolation determinant.  Backward: the coefficient grid of those
-functions determines the divisor again, by eliminating y into a degree-g
-polynomial in x and keeping, over each of its roots, the points of the
-curve's fiber that the grid vanishes on.
+Forward: a non-special degree-g divisor determines entire rational functions
+vanishing on it, one per pole weight 2g..2g+count-1, through one SVD of its
+monomial table and one QR of its null space.  Backward: the coefficient
+grid of those functions determines the divisor again, by eliminating y into
+a degree-g polynomial in x and keeping, over each of its roots, the points
+of the curve's fiber that the grid vanishes on.
 """
 import cmath
 from dataclasses import dataclass
@@ -259,12 +259,14 @@ def rfunctions_from_divisor(
     divisor: Divisor,
     seed: int = 0,
 ) -> NumericRSystem:
-    """Interpolating functions through the divisor, row by row.
+    """The functions R_{2g+l} vanishing on the divisor, from its points alone.
 
-    Function l vanishes on the divisor plus l auxiliary points: its
-    coefficients span the kernel of the interpolation matrix, so they are
-    the interpolation determinant's cofactors up to scale.  The auxiliary
-    points come from a generator seeded by `seed`, so repeated runs agree.
+    The null space of the divisor's g x (g + c) table of the first g + c
+    monomials is L((2g + c - 1)inf - D), of dimension c when D is non-special.
+    One RQ step turns an orthonormal basis of it into one whose column l ends
+    at monomial g + l, the pole order 2g + l: that column is row l.  Any such
+    basis gives the same det up to a constant, so the same divisor.  ``seed``
+    has no effect; it is accepted so that existing callers keep working.
     """
     g = fam.genus
     if len(divisor) != g:
@@ -274,21 +276,20 @@ def rfunctions_from_divisor(
     # a Divisor can be built by hand, past make_divisor's checks
     require_finite_points(divisor.points)
     count = second_kind_count(fam)
-    extras = sample_points(fam, np.random.default_rng(seed), count - 1)
-    # row l reads the first g + l points and the first g + l + 1 monomials
-    points = list(divisor.points) + extras
     monos = fam.monomial_basis(g + count)
-    table = np.array([[m.eval(p.x, p.y) for m in monos] for p in points], dtype=complex)
+    table = np.array([[m.eval(p.x, p.y) for m in monos] for p in divisor.points], dtype=complex)
+    _, sv, vh = np.linalg.svd(table)
+    above(sv[g - 1], INTERPOLATION_TOL * sv[0], DegenerateDeterminant,
+          "interpolation matrix is rank deficient: g-th sv")
+    null = vh[g:].conj().T
+    # RQ of the null space's bottom c x c block, as QR of its row-reversed
+    # conjugate transpose: null @ q[:, ::-1] is upper triangular there
+    q, _ = np.linalg.qr(null[g:][::-1].conj().T)
+    coeffs = null @ q[:, ::-1]
     j, i = np.array([(m.j, m.i) for m in monos]).T
     rho = np.zeros(_grid_caps(fam)[1].shape, dtype=complex)
     for l in range(count):
-        _, sv, vh = np.linalg.svd(table[: g + l, : g + l + 1])
-        above(sv[-1], INTERPOLATION_TOL * sv[0], DegenerateDeterminant,
-              f"weight-{2 * g + l} interpolation matrix is rank deficient: least sv")
-        # the last right singular vector spans the kernel: the row's function
-        coeffs = vh[-1].conj()
-        coeffs /= np.max(np.abs(coeffs))
-        rho[l, j[: g + l + 1], i[: g + l + 1]] = coeffs
+        rho[l, j[: g + l + 1], i[: g + l + 1]] = coeffs[: g + l + 1, l]
     return NumericRSystem(fam, rho)
 
 

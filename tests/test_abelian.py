@@ -560,14 +560,14 @@ def test_gradient_is_the_derivative_at_each_gap(n, s, ext):
             for sym, c in derivative.terms.items():
                 assert c == reference.terms[sym], (w, sym)
             assert derivative == relation.differentiate(w)
-            assert list(derivative.terms.items()) == derivative.canonical_terms()
+            assert list(derivative.terms) == sorted(derivative.terms, key=AbelianSymbol.sort_key)
 
 
 @given(small_shapes())
 @settings(max_examples=40, deadline=None)
 def test_gradient_raises_valid_symbols_over_shared_coefficients(fam):
     for relation in build_inversion_system(fam).zeta_rel:
-        parents = relation.canonical_terms()
+        parents = sorted(relation.terms.items(), key=lambda sc: sc[0].sort_key())
         gradient = relation.gradient(fam.gaps)
         for w, derivative in zip(fam.gaps, gradient):
             assert len(derivative.terms) == len(parents)
@@ -607,6 +607,22 @@ def test_first_kind_numerators_miss_the_second_kind_numerators(fam):
     assert taken.isdisjoint(first.numerators)
     assert all(mono.label < 0 for mono in first.numerators)
     assert all(mono.label > 0 for mono in taken)
+
+
+def test_shape_above_the_rank_cap_refused_before_expansion(monkeypatch):
+    # (6,7) has c = 5 levels, so its gradient would reach wp of rank 6
+    def expanded(*args, **kwargs):
+        raise AssertionError("expanded a shape past the rank cap")
+
+    monkeypatch.setattr(nscurves.abelian, "expand_at_infinity", expanded)
+    with pytest.raises(OrderExceedsSupport, match=f"rank {MAX_WP_RANK + 1}"):
+        build_inversion_system(make_family(6, 7))
+
+
+def test_expression_terms_are_sorted_once_when_built():
+    expr = combo((wp(1, 1, 3), 1), (wp(2, 3), 2), (zeta(3), 3), (zeta(1), 4), (wp(1, 3), 5))
+    assert list(expr.terms) == [zeta(1), zeta(3), wp(1, 3), wp(2, 3), wp(1, 1, 3)]
+    assert list((-expr).terms) == list(expr.terms)
 
 
 def test_numerator_collision_is_a_typed_error(monkeypatch):
@@ -718,7 +734,7 @@ def _payload_by_dicts(system):
         symbols = [
             chunk("const", (), key, q) for key, q in expr.constant.sorted_terms() if key
         ]
-        for sym, coeff in expr.canonical_terms():
+        for sym, coeff in sorted(expr.terms.items(), key=lambda sc: sc[0].sort_key()):
             kind = "zeta" if sym.kind == "zeta" else f"wp{len(sym.indices)}"
             terms = coeff.sorted_terms()
             symbols += [chunk(kind, sym.indices, key, q) for key, q in terms]

@@ -14,7 +14,7 @@ from test_divisors import per_coefficient_system
 from nscurves import hyperell
 from nscurves.algebra import WeightedPoly, residue_of_product
 from nscurves.curves import CurvePoint, make_family
-from nscurves.divisors import Divisor, make_divisor
+from nscurves.divisors import Divisor, make_divisor, rfunctions_from_divisor
 from nscurves.errors import (
     BranchCollision,
     ComplexBranchPoints,
@@ -806,6 +806,33 @@ def test_genus3_inversion_closes_the_loop(es, seed):
     report = verify_inversion(fam, D, per)
     assert len(report) == 6
     assert max(c.abs_err for c in report) < 1e-6
+
+
+_SPAN_BRANCH = {
+    1: [-1.0, 0.1, 0.9],
+    2: GENUS2_BRANCH,
+    3: [-1.6, -1.1, -0.6, -0.05, 0.45, 1.0, 1.6],
+}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_theta_grid_rows_lie_in_the_interpolated_span(g):
+    # the derived system at wp(A(D)) and the interpolation through D are two
+    # bases of the functions vanishing on D: row l of the first lies in the
+    # span of rows 0..l of the second
+    es = np.array(_SPAN_BRANCH[g])
+    fam = hyperelliptic_from_branch_points(es - es.mean())
+    per = compute_periods(fam)
+    rng = np.random.default_rng(g)
+    for _ in range(5):
+        D = make_divisor(fam, [random_point(fam, rng) for _ in range(g)])
+        vals = wp_from_theta(abel_map_divisor(fam, per, D), per)
+        derived = per.system.evaluate({s: vals.wp(*s.indices) for s in per.system.symbols})
+        interpolated = rfunctions_from_divisor(fam, D)
+        for l, row in enumerate(derived.rho):
+            basis = interpolated.rho[: l + 1].reshape(l + 1, -1).T
+            fit = np.linalg.lstsq(basis, row.ravel(), rcond=None)[0]
+            assert np.linalg.norm(basis @ fit - row.ravel()) <= 1e-10 * np.linalg.norm(row)
 
 
 # -- cycle orientation and the tau gate --------------------------------------
