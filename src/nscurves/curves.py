@@ -72,9 +72,6 @@ class Monomial:
             parts.append("x" + (f"^{{{self.i}}}" if self.i > 1 else ""))
         return " ".join(parts) if parts else "1"
 
-    def eval(self, x: complex, y: complex) -> complex:
-        return (y ** self.j) * (x ** self.i)
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -138,7 +135,8 @@ class CurveFamily:
     """An (n,s) curve with exact (possibly symbolic) or numeric coefficients."""
 
     __slots__ = (
-        "n", "s", "extended", "lam", "genus", "gaps", "_index_map", "_monomials", "_y_terms"
+        "n", "s", "extended", "lam", "genus", "gaps", "_index_map", "_monomials", "_f_table",
+        "_f_columns",
     )
 
     def __init__(
@@ -161,7 +159,8 @@ class CurveFamily:
         self.genus = (n - 1) * (s - 1) // 2
         self.gaps = _gap_sequence(n, s)
         self._monomials: list[Monomial] = []
-        self._y_terms: list[tuple[int, int, complex]] | None = None
+        self._f_table: np.ndarray | None = None
+        self._f_columns: list[list[complex]] = []
 
     # -- basis bookkeeping --
 
@@ -231,80 +230,90 @@ class CurveFamily:
 
     # -- numeric curve evaluation --
 
-    def _y_row(self, x: complex) -> list[complex]:
-        # y_poly as a Python list.  The numeric (row, power of x, lambda)
-        # terms are built on first use; ``lam`` is never reassigned after
-        # construction, so they cannot go stale.
-        if self._y_terms is None:
-            lam = self.numeric_lambda()
-            self._y_terms = [
-                (self.n - j, i, lam[k]) for k, j, i, _ in self.lambda_terms()
-            ]
-        row = [0j] * (self.n + 1)
-        row[0] = -1.0 + 0j
+    def _table(self) -> np.ndarray:
+        # the read-only table holds x^i's coefficient in y^(n-r) at [i, r];
+        # built on first use, as ``lam`` is never reassigned, with its columns
+        # as Python lists from their highest nonzero power of x down
+        if self._f_table is None:
+            table = np.zeros((self.s + 1, self.n + 1), dtype=complex)
+            table[0, 0], table[self.s, self.n] = -1.0, 1.0
+            for k, value in self.numeric_lambda().items():
+                j, i = self._index_map[k]
+                table[i, self.n - j] = value
+            table.flags.writeable = False
+            columns = [np.trim_zeros(c, "f").tolist() for c in table.T[:, ::-1]]
+            self._f_table, self._f_columns = table, columns
+        return self._f_table
+
+    def _rows(self, xs) -> np.ndarray:
+        # y_poly of each x; einsum adds up each row on its own, so a row's
+        # bits do not depend on its batch
+        table = self._table()
+        xs = np.asarray(xs, dtype=complex).reshape(-1)
         try:
-            row[self.n] = x ** self.s
-            for r, i, value in self._y_terms:
-                row[r] += value * x ** i
-        except OverflowError:
-            raise CoordinateOverflow(f"x = {x} overflows x^{self.s}") from None
-        return row
+            with np.errstate(over="raise"):
+                powers = xs[:, None] ** np.arange(self.s + 1)
+        except FloatingPointError:
+            raise CoordinateOverflow(f"x = {xs.tolist()} overflows x^{self.s}") from None
+        return np.einsum("bk,km->bm", powers, table)
 
     def y_poly(self, x: complex) -> np.ndarray:
         """Coefficients (highest first) of f(x, .) as a polynomial in y."""
-        return np.array(self._y_row(x), dtype=complex)
+        return self._rows([x])[0]
 
     def eval_f(self, x: complex, y: complex) -> complex:
+        """f(x, y) at one point, by Horner in Python on the table's columns."""
+        self._table()
         value = 0j
-        for coeff in self._y_row(x):
+        for column in self._f_columns:
+            coeff = 0j
+            for c in column:
+                coeff = coeff * x + c
             value = value * y + coeff
+        if not cmath.isfinite(value) and cmath.isfinite(x) and cmath.isfinite(y):
+            raise CoordinateOverflow(f"f({x}, {y}) overflows double precision")
         return complex(value)
 
-    def lift_fibers(self, xs: Sequence[complex]) -> list[list[CurvePoint]]:
-        """All n points of the fiber over each x, each fiber sorted by (re y, im y).
+    def fiber_roots(self, xs: Sequence[complex]) -> np.ndarray:
+        """The n roots y over each x, shape (len(xs), n), each row sorted by (re y, im y).
 
         One eigensolve takes the stacked companion matrices of every x; each
-        fiber's roots equal ``np.roots(self.y_poly(x))`` bit for bit.
+        row equals the sorted ``np.roots(self.y_poly(x))`` bit for bit.
         """
-        if len(xs) == 0:
-            return []
-        if not all(cmath.isfinite(x) for x in xs):
-            raise ValueError(f"fiber x must be finite, not {list(xs)}")
-        try:
-            # numpy scalars overflow to inf where Python numbers raise, and
-            # the residual limit, about the row's size squared, overflows first
-            with np.errstate(over="raise"):
-                roots, value, limit = self._fiber_roots(xs)
-        except FloatingPointError:
-            raise CoordinateOverflow(
-                f"the fibers over x = {list(xs)} overflow double precision"
-            ) from None
-        # the root with the least headroom; argmax picks a NaN first
-        row, col = np.unravel_index(np.argmax(np.abs(value) - limit), value.shape)
-        at_most(abs(value[row, col]), limit[row, col], RootFindingFailure,
-                f"fiber root at x={xs[row]} fails the residual check: |f|")
-        return [
-            [CurvePoint(complex(x), y) for y in fiber]
-            for x, fiber in zip(xs, roots.tolist())
-        ]
-
-    def _fiber_roots(self, xs: Sequence[complex]) -> tuple[np.ndarray, ...]:
-        # each x's fiber roots sorted by (re y, im y), f there and its limit
         n = self.n
-        polys = np.array([self._y_row(x) for x in xs], dtype=complex)
+        if len(xs) == 0:
+            return np.zeros((0, n), dtype=complex)
+        xs = np.asarray(xs, dtype=complex).reshape(-1)
+        if not np.isfinite(xs).all():
+            raise ValueError(f"fiber x must be finite, not {xs.tolist()}")
+        polys = self._rows(xs)
         companion = np.zeros((len(polys), n, n), dtype=complex)
         companion[:, 0, :] = -polys[:, 1:] / polys[:, :1]
         companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         roots = np.linalg.eigvals(companion)
-        roots = np.take_along_axis(
-            roots, np.lexsort((roots.imag, roots.real)), axis=-1
-        )
-        value = np.zeros_like(roots)
-        for coeff in polys.T:
-            value = value * roots + coeff[:, None]
-        scale = np.maximum(1.0, np.abs(polys).max(axis=1))
-        limit = ROOT_RESIDUAL_TOL * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** n
-        return roots, value, limit
+        roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real)), axis=-1)
+        try:
+            # f at each root and its limit, about the row's size squared
+            with np.errstate(over="raise"):
+                value = np.zeros_like(roots)
+                for coeff in polys.T:
+                    value = value * roots + coeff[:, None]
+                scale = np.maximum(1.0, np.abs(polys).max(axis=1))
+                limit = ROOT_RESIDUAL_TOL * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** n
+        except FloatingPointError:
+            raise CoordinateOverflow(f"the fibers over x = {xs.tolist()} overflow") from None
+        # the root with the least headroom; argmax picks a NaN first
+        row, col = np.unravel_index(np.argmax(np.abs(value) - limit), value.shape)
+        at_most(abs(value[row, col]), limit[row, col], RootFindingFailure,
+                f"fiber root at x={xs[row]} fails the residual check: |f|")
+        return roots
+
+    def lift_fibers(self, xs: Sequence[complex]) -> list[list[CurvePoint]]:
+        """All n points of the fiber over each x: ``fiber_roots`` as points."""
+        return [
+            [CurvePoint(complex(x), y) for y in fiber]
+            for x, fiber in zip(xs, self.fiber_roots(xs).tolist())
+        ]
 
     def lift_x_to_points(self, x: complex) -> list[CurvePoint]:
         """All n points of the fiber over x, sorted for determinism."""
@@ -487,7 +496,7 @@ def discriminant_roots(fam: CurveFamily) -> np.ndarray:
     count = degree + 1
     radius = 1.25
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
-    values = np.array([_sylvester_det(fam, x) for x in nodes])
+    values = _sylvester_dets(fam, nodes)
     powers = np.outer(np.arange(count), np.arange(count))
     dft = np.exp(-2j * np.pi * powers / count)
     coeffs = dft @ values / count / radius ** np.arange(count)
@@ -504,17 +513,17 @@ def _closest_pair(roots: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.argmin(dist)), len(roots))
 
 
-def _sylvester_det(fam: CurveFamily, x: complex) -> complex:
-    p = fam.y_poly(x)
-    q = np.polyder(p)
-    n, m = len(p) - 1, len(q) - 1
-    size = n + m
-    mat = np.zeros((size, size), dtype=complex)
-    for r in range(m):
-        mat[r, r : r + n + 1] = p
+def _sylvester_dets(fam: CurveFamily, xs: np.ndarray) -> np.ndarray:
+    # the resultant of f(x, .) and its y-derivative at each x, one stacked det
+    n = fam.n
+    p = fam._rows(xs)
+    q = p[:, :-1] * np.arange(n, 0, -1)  # np.polyder of each row
+    mat = np.zeros((len(xs), 2 * n - 1, 2 * n - 1), dtype=complex)
+    for r in range(n - 1):
+        mat[:, r, r : r + n + 1] = p
     for r in range(n):
-        mat[m + r, r : r + m + 1] = q
-    return complex(np.linalg.det(mat))
+        mat[:, n - 1 + r, r : r + n] = q
+    return np.linalg.det(mat)
 
 
 def check_nondegenerate(fam: CurveFamily, tol: float = SPACING_TOL) -> float:

@@ -8,6 +8,7 @@ a degree-g polynomial in x and keeping, over each of its roots, the points
 of the curve's fiber that the grid vanishes on.
 """
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -43,6 +44,8 @@ COLLAPSE_TOL = 1e-10
 # multiplicity mu, the mu kept fiber points must fit the grid within it and
 # the next candidate must not, or the grid cannot tell them apart
 FIBER_RESIDUAL_TOL = 1e-7
+# the fewest points whose residuals _worst_residual reads in one numpy pass
+BATCH_POINTS = 8
 
 
 # -- divisors ----------------------------------------------------------------
@@ -59,10 +62,10 @@ class Divisor:
         return len(self.points)
 
 
-def _fiber_matches(group: list[CurvePoint], fiber: list[CurvePoint]) -> bool:
-    # does the group's y multiset exhaust the fiber over its x?
+def _fiber_matches(group: list[CurvePoint], fiber: Sequence[complex]) -> bool:
+    # does the group's y multiset exhaust the fiber's roots over its x?
     left = [p.y for p in group]
-    for y in (p.y for p in fiber):
+    for y in fiber:
         limit = FIBER_MATCH_TOL * max(1.0, abs(y))
         hit = next((i for i, c in enumerate(left) if abs(c - y) <= limit), None)
         if hit is None:
@@ -75,20 +78,38 @@ def _clusters(xs: Sequence[complex]) -> list[list[int]]:
     """Indices of xs taken as one x, in order of (re x, im x).
 
     Each x joins the first cluster whose running mean lies within
-    CLUSTER_TOL of it, relative to the mean's size.
+    CLUSTER_TOL of it, relative to the mean's size.  An x whose real part
+    is farther than ``reach`` from both of its neighbours' in that order is
+    farther than reach from every other x, and so a cluster of its own: it
+    is compared with none.
     """
+    order = sorted(range(len(xs)), key=lambda i: (xs[i].real, xs[i].imag))
+    # reach = 2 tau (2 + ln N) (1 + sum |x|), tau = CLUSTER_TOL, N = len(xs),
+    # and H_N <= 1 + ln N.  In a cluster, member m_{t+1} lay within tau M of
+    # the mean c_t of those before it (M the largest max(1, |c|) over its
+    # means) and moved the mean by |m_{t+1} - c_t| / (t + 1).  So every mean,
+    # and every x that joins, lies within tau M (1 + H_N) of each member m,
+    # and M <= max(1, |m|) / (1 - tau (1 + H_N)) < 2 max(1, |m|) for any N
+    # below 1e1000.  An x farther than reach from every other x thus joins no
+    # cluster and none joins its own; the 2 covers rounding.  A NaN or an inf
+    # makes reach NaN or inf, and no x lone.
+    reach = 2 * CLUSTER_TOL * (2 + math.log(max(len(xs), 1))) * (1 + sum(map(abs, xs)))
+    re = [-math.inf] + [xs[i].real for i in order] + [math.inf]
     clusters: list[list[int]] = []
-    totals: list[complex] = []  # each cluster's sum of x
-    for i in sorted(range(len(xs)), key=lambda i: (xs[i].real, xs[i].imag)):
-        for k, members in enumerate(clusters):
-            center = totals[k] / len(members)
+    joinable: list[list] = []  # [members, sum of x] of each cluster of non-lone x
+    for pos, i in enumerate(order, 1):
+        lone = re[pos] - re[pos - 1] > reach and re[pos + 1] - re[pos] > reach
+        for entry in () if lone else joinable:
+            members, total = entry
+            center = total / len(members)
             if abs(xs[i] - center) <= CLUSTER_TOL * max(1.0, abs(center)):
                 members.append(i)
-                totals[k] += xs[i]
+                entry[1] += xs[i]
                 break
         else:
             clusters.append([i])
-            totals.append(xs[i])
+            if not lone:
+                joinable.append([clusters[-1], xs[i]])
     return clusters
 
 
@@ -96,20 +117,37 @@ def _is_special(fam: CurveFamily, points: Sequence[CurvePoint]) -> bool:
     """Do the points over some one x exhaust the fiber there?"""
     full = [c for c in _clusters([p.x for p in points]) if len(c) >= fam.n]
     groups = [[points[i] for i in c] for c in full]
-    fibers = fam.lift_fibers([sum(p.x for p in g) / len(g) for g in groups])
-    return any(_fiber_matches(g, f) for g, f in zip(groups, fibers))
+    fibers = fam.fiber_roots([sum(p.x for p in g) / len(g) for g in groups])
+    return any(_fiber_matches(g, f) for g, f in zip(groups, fibers.tolist()))
 
 
 def _worst_residual(fam: CurveFamily, points: Sequence[CurvePoint]) -> float:
-    """The points' largest |f| / (max(1, |x|)^s + max(1, |y|)^n), NaN if any is."""
-    worst = 0.0
-    for p in points:
-        try:
-            scale = max(1.0, abs(p.x)) ** fam.s + max(1.0, abs(p.y)) ** fam.n
-        except OverflowError:
-            raise CoordinateOverflow(f"{p} overflows x^{fam.s} or y^{fam.n}") from None
-        worst = float(np.maximum(worst, abs(fam.eval_f(p.x, p.y)) / scale))  # keeps NaN
-    return worst
+    """The points' largest |f| / (max(1, |x|)^s + max(1, |y|)^n), NaN if any is.
+
+    From BATCH_POINTS points on, f is read at all of them in one numpy pass
+    on the table; below, one point at a time in Python, where a point costs
+    2-5 us and the pass's numpy calls about 15 us however many points.
+    """
+    if len(points) < BATCH_POINTS:
+        worst = 0.0
+        for p in points:
+            try:
+                scale = max(1.0, abs(p.x)) ** fam.s + max(1.0, abs(p.y)) ** fam.n
+            except OverflowError:
+                raise CoordinateOverflow(f"{p} overflows x^{fam.s} or y^{fam.n}") from None
+            worst = float(np.maximum(worst, abs(fam.eval_f(p.x, p.y)) / scale))  # keeps NaN
+        return worst
+    x, y = np.array([(p.x, p.y) for p in points], dtype=complex).T
+    try:
+        with np.errstate(over="raise"):
+            rows = fam._rows(x)
+            values = rows[:, 0]
+            for coeff in rows.T[1:]:
+                values = values * y + coeff
+            scale = np.maximum(1.0, np.abs(x)) ** fam.s + np.maximum(1.0, np.abs(y)) ** fam.n
+    except (FloatingPointError, CoordinateOverflow):
+        raise CoordinateOverflow(f"{list(points)} overflow x^{fam.s} or y^{fam.n}") from None
+    return float((np.abs(values) / scale).max())  # keeps NaN
 
 
 def require_finite_points(points: Sequence[CurvePoint]) -> None:
@@ -136,12 +174,12 @@ def sample_points(
     Every (x, sheet) pair is drawn first, in the order that drawing the points
     one at a time would use, and then all fibers are lifted in one batch.
     """
-    draws = []
+    xs, sheets = [], []
     for _ in range(count):
-        x = complex(rng.normal(scale=scale), rng.normal(scale=scale))
-        draws.append((x, int(rng.integers(fam.n))))
-    fibers = fam.lift_fibers([x for x, _ in draws])
-    return [fiber[sheet] for fiber, (_, sheet) in zip(fibers, draws)]
+        xs.append(complex(rng.normal(scale=scale), rng.normal(scale=scale)))
+        sheets.append(int(rng.integers(fam.n)))
+    ys = fam.fiber_roots(xs)[np.arange(count), sheets].tolist()
+    return [CurvePoint(x, y) for x, y in zip(xs, ys)]
 
 
 def sample_point(fam: CurveFamily, rng: np.random.Generator) -> CurvePoint:
@@ -277,7 +315,9 @@ def rfunctions_from_divisor(
     require_finite_points(divisor.points)
     count = second_kind_count(fam)
     monos = fam.monomial_basis(g + count)
-    table = np.array([[m.eval(p.x, p.y) for m in monos] for p in divisor.points], dtype=complex)
+    j, i = np.array([(m.j, m.i) for m in monos]).T
+    x, y = np.array([(p.x, p.y) for p in divisor.points], dtype=complex).T
+    table = y[:, None] ** j * x[:, None] ** i
     _, sv, vh = np.linalg.svd(table)
     above(sv[g - 1], INTERPOLATION_TOL * sv[0], DegenerateDeterminant,
           "interpolation matrix is rank deficient: g-th sv")
@@ -286,7 +326,6 @@ def rfunctions_from_divisor(
     # conjugate transpose: null @ q[:, ::-1] is upper triangular there
     q, _ = np.linalg.qr(null[g:][::-1].conj().T)
     coeffs = null @ q[:, ::-1]
-    j, i = np.array([(m.j, m.i) for m in monos]).T
     rho = np.zeros(_grid_caps(fam)[1].shape, dtype=complex)
     for l in range(count):
         rho[l, j[: g + l + 1], i[: g + l + 1]] = coeffs[: g + l + 1, l]
@@ -349,17 +388,20 @@ def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
 # -- elimination and recovery ------------------------------------------------
 
 
-def _poly_det(cells, row: int, cols: tuple[int, ...]) -> np.ndarray:
+def _poly_det(cells, row: int, cols: tuple[int, ...], minors: dict) -> np.ndarray:
     # det of the rows row.. of cells over the columns cols, by its first row;
-    # an empty cell is skipped
+    # an empty cell is skipped.  row is len(cells) - len(cols), so ``minors``
+    # keeps each det by cols alone, and each is expanded once per call
     if len(cols) == 1:
         return cells[row][cols[0]]
+    if cols in minors:
+        return minors[cols]
     total = np.zeros(1, dtype=complex)
     for k, j in enumerate(cols):
         entry = cells[row][j]
         if len(entry) == 0:
             continue
-        minor = _poly_det(cells, row + 1, cols[:k] + cols[k + 1 :])
+        minor = _poly_det(cells, row + 1, cols[:k] + cols[k + 1 :], minors)
         if len(minor) == 0:
             continue
         term = np.convolve(entry, minor) * (-1) ** k
@@ -368,6 +410,7 @@ def _poly_det(cells, row: int, cols: tuple[int, ...]) -> np.ndarray:
             total = term
         else:
             total[: len(term)] += term
+    minors[cols] = total
     return total
 
 
@@ -380,7 +423,7 @@ def chi_polynomial(sys: NumericRSystem) -> np.ndarray:
     g = sys.fam.genus
     caps, _ = _grid_caps(sys.fam)
     cells = [[c[: cap + 1] for c, cap in zip(*rows)] for rows in zip(sys.rho, caps)]
-    det = _poly_det(cells, 0, tuple(range(len(caps))))
+    det = _poly_det(cells, 0, tuple(range(len(caps))), {})
     if not np.all(np.isfinite(det)):
         raise RootFindingFailure("coefficient grid contains non-finite entries")
     chi = np.zeros(g + 1, dtype=complex)
@@ -404,11 +447,11 @@ def solve_divisor(sys: NumericRSystem) -> Divisor:
     chi = chi_polynomial(sys)
     # chi is finite with |chi_k / chi_g| < 1 / COLLAPSE_TOL, so its roots are finite
     roots = np.roots(chi[::-1] / chi[-1])
-    clusters = _clusters(roots)
+    clusters = _clusters(roots.tolist())
     xs = [complex(sum(roots[i] for i in c) / len(c)) for c in clusters]
     mus = np.array([len(c) for c in clusters])
-    fibers = fam.lift_fibers(xs)
-    residuals = sys.residuals(xs, [[p.y for p in fiber] for fiber in fibers])
+    ys = fam.fiber_roots(xs)
+    residuals = sys.residuals(xs, ys)
     order = np.argsort(residuals, axis=1)  # a NaN sorts last
     # candidates past the fiber's n points never fit
     ranked = np.full((len(xs), fam.n + mus.max()), np.inf)
@@ -424,6 +467,7 @@ def solve_divisor(sys: NumericRSystem) -> Divisor:
     above(rival[k], FIBER_RESIDUAL_TOL, NullSpaceDimensionError,
           f"fiber over x={xs[k]:.6g} is ambiguous: next candidate's relative residual")
     points = [
-        fiber[i] for fiber, mu, best in zip(fibers, mus, order) for i in best[:mu]
+        CurvePoint(x, fiber[i])
+        for x, fiber, mu, best in zip(xs, ys.tolist(), mus, order) for i in best[:mu]
     ]
     return Divisor(tuple(points), bool(np.any(mus == fam.n)))

@@ -10,6 +10,7 @@ from test_golden import GOLDEN_TARGETS
 from nscurves.algebra import WeightedPoly
 from nscurves.curves import (
     CurveFamily,
+    _sylvester_dets,
     admissible_indices,
     check_nondegenerate,
     family_from_text,
@@ -191,6 +192,75 @@ def test_batch_lift_equals_np_roots(n, s, ext, seed):
         want = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
         assert [p.y for p in fiber] == [complex(y) for y in want]
         assert all(p.x == x for p in fiber)
+
+
+def y_row_by_terms(fam, x):
+    """y_poly as it was built before the coefficient table, a Python term per
+    lambda, and the row's scale: the sum of the sizes of all its terms."""
+    lam = fam.numeric_lambda()
+    row = [0j] * (fam.n + 1)
+    row[0] = -1.0 + 0j
+    row[fam.n] = x ** fam.s
+    for k, j, i, _ in fam.lambda_terms():
+        row[fam.n - j] += lam[k] * x ** i
+    scale = 1 + abs(x) ** fam.s + sum(abs(lam[k] * x ** i) for k, _, i, _ in fam.lambda_terms())
+    return np.array(row), scale
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_table_rows_equal_the_per_term_rows(n, s, ext, seed):
+    # the same terms, added in another order
+    rng = np.random.default_rng(seed)
+    fam = unit_family(n, s, ext, rng)
+    xs = [complex(rng.normal(scale=2), rng.normal(scale=2)) for _ in range(4)]
+    for x in xs + [0.0, 1.5, -2j, 1e20]:
+        want, scale = y_row_by_terms(fam, x)
+        assert np.max(np.abs(fam.y_poly(x) - want)) <= 1e-15 * scale
+        # eval_f reads the same table by Horner in x, one point in Python
+        y = complex(rng.normal(), rng.normal())
+        value = fam.eval_f(x, y)
+        assert isinstance(value, complex)
+        assert abs(value - np.polyval(want, y)) <= 1e-14 * scale * max(1.0, abs(y)) ** n
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+def test_a_fiber_does_not_depend_on_its_batch(n, s, ext):
+    rng = np.random.default_rng(10 * n + s)
+    fam = unit_family(n, s, ext, rng)
+    xs = [complex(rng.normal(), rng.normal()) for _ in range(82)]
+    batch = fam.fiber_roots(xs)
+    rows = fam._rows(xs)
+    for k, (x, x2) in enumerate(zip(xs, xs[1:])):
+        alone = fam.fiber_roots([x])[0]
+        assert alone.tobytes() == fam.fiber_roots([x, x2])[0].tobytes() == batch[k].tobytes()
+        want = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
+        assert alone.tobytes() == np.array(want).tobytes()
+        assert fam.lift_fibers([x])[0] == fam.lift_fibers([x, x2])[0]
+        assert rows[k].tobytes() == fam.y_poly(x).tobytes()
+
+
+def sylvester_det_per_node(fam, x):
+    """discriminant_roots' value at one node, as it was taken before the batch."""
+    p = fam.y_poly(x)
+    q = np.polyder(p)
+    n, m = len(p) - 1, len(q) - 1
+    mat = np.zeros((n + m, n + m), dtype=complex)
+    for r in range(m):
+        mat[r, r : r + n + 1] = p
+    for r in range(n):
+        mat[m + r, r : r + m + 1] = q
+    return np.linalg.det(mat)
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+def test_stacked_sylvester_dets_equal_the_per_node_dets(n, s, ext):
+    fam = unit_family(n, s, ext, np.random.default_rng(n + s))
+    count = (2 * n - 1) * s + 1
+    nodes = 1.25 * np.exp(2j * np.pi * np.arange(count) / count)
+    want = np.array([sylvester_det_per_node(fam, x) for x in nodes])
+    assert _sylvester_dets(fam, nodes).tobytes() == want.tobytes()
 
 
 def test_fiber_full_size_at_generic_x():

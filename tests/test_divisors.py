@@ -14,6 +14,7 @@ from nscurves import divisors
 from nscurves.abelian import build_inversion_system
 from nscurves.curves import CurveFamily, CurvePoint, make_family
 from nscurves.divisors import (
+    BATCH_POINTS,
     CLUSTER_TOL,
     NumericRSystem,
     _clusters,
@@ -29,6 +30,7 @@ from nscurves.divisors import (
 )
 from nscurves.expansions import second_kind_count
 from nscurves.errors import (
+    CoordinateOverflow,
     DegenerateDeterminant,
     DegreeCollapse,
     MalformedGrid,
@@ -181,6 +183,23 @@ def test_worst_residual_keeps_a_nan():
     assert np.isnan(_worst_residual(family(2, 5), [CurvePoint(np.nan, 1.0)]))
 
 
+def test_worst_residual_reads_the_same_one_by_one_and_in_one_pass():
+    # off the curve, so |f| is of order one and both readings agree closely
+    fam = family(5, 7)
+    rng = np.random.default_rng(8)
+    points = [CurvePoint(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+              for _ in range(BATCH_POINTS + 3)]
+    one_by_one = max(_worst_residual(fam, [p]) for p in points)
+    assert abs(_worst_residual(fam, points) - one_by_one) <= 1e-13 * one_by_one
+    # the pass keeps a NaN and refuses an overflow with its typed error too
+    assert np.isnan(_worst_residual(fam, points + [CurvePoint(np.nan, 1.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (CurvePoint(1e200, 1.0), CurvePoint(0.5, 1e200)):
+            with pytest.raises(CoordinateOverflow, match="overflow"):
+                _worst_residual(fam, points + [bad])
+
+
 def test_full_fiber_is_flagged_special():
     fam = family(3, 4)
     fiber = fam.lift_x_to_points(0.7 + 0.2j)
@@ -205,6 +224,48 @@ def test_points_over_one_x_within_cluster_tol_are_special():
     p = fam.lift_x_to_points(x)[0]
     q = fam.lift_x_to_points(x * (1 + 5e-8))[1]
     assert make_divisor(fam, [p, q]).special
+
+
+def clusters_by_loop(xs):
+    """_clusters before its lone-x pass: each x compared with every cluster."""
+    clusters, totals = [], []
+    for i in sorted(range(len(xs)), key=lambda i: (xs[i].real, xs[i].imag)):
+        for k, members in enumerate(clusters):
+            center = totals[k] / len(members)
+            if abs(xs[i] - center) <= CLUSTER_TOL * max(1.0, abs(center)):
+                members.append(i)
+                totals[k] += xs[i]
+                break
+        else:
+            clusters.append([i])
+            totals.append(xs[i])
+    return clusters
+
+
+FINITE_X = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    bases=st.lists(FINITE_X, min_size=1, max_size=8),
+    # (base, relative offset): offsets straddle CLUSTER_TOL and the lone radius
+    near=st.lists(
+        st.tuples(st.integers(0, 7), st.complex_numbers(max_magnitude=2e-6)), max_size=12
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_clusters_match_the_greedy_loop(bases, near):
+    xs = bases + [
+        bases[k % len(bases)] + d * max(1.0, abs(bases[k % len(bases)])) for k, d in near
+    ]
+    assert _clusters(xs) == clusters_by_loop(xs)
+    assert _clusters(np.array(xs)) == clusters_by_loop(np.array(xs))
+
+
+def test_clusters_chain_of_near_points_matches_the_loop():
+    # a chain of x's CLUSTER_TOL / 2 apart drags the running mean along
+    for count in (2, 3, 5, 17):
+        xs = [1.3 + 0.2j + k * CLUSTER_TOL / 2 for k in range(count)] + [4.0, -1j]
+        assert _clusters(xs) == clusters_by_loop(xs)
 
 
 def test_repeated_point_is_not_special_but_degenerate():
@@ -329,6 +390,48 @@ def test_chi_is_trivial_for_two_sheets():
     assert len(rho) == len(chi)
     monic_chi, monic_rho = chi / chi[-1], rho / rho[-1]
     assert np.all(np.abs(monic_chi - monic_rho) <= 1e-14 * np.max(np.abs(monic_rho)))
+
+
+def poly_det_by_expansion(cells, row, cols):
+    """chi's det as it was expanded before its minors were kept: every minor
+    expanded again wherever it is met."""
+    if len(cols) == 1:
+        return cells[row][cols[0]]
+    total = np.zeros(1, dtype=complex)
+    for k, j in enumerate(cols):
+        entry = cells[row][j]
+        if len(entry) == 0:
+            continue
+        minor = poly_det_by_expansion(cells, row + 1, cols[:k] + cols[k + 1 :])
+        if len(minor) == 0:
+            continue
+        term = np.convolve(entry, minor) * (-1) ** k
+        if len(term) > len(total):
+            term[: len(total)] += total
+            total = term
+        else:
+            total[: len(term)] += term
+    return total
+
+
+@pytest.mark.parametrize("n,s", [(2, 5), (3, 4), (4, 5), (5, 6), (5, 7), (5, 9)])
+def test_chi_equals_the_expansion_without_kept_minors(n, s, monkeypatch):
+    fam = family(n, s)
+    caps, _ = divisors._grid_caps(fam)
+    for seed in range(3):
+        sys = rfunctions_from_divisor(fam, random_divisor(fam, np.random.default_rng(seed)))
+        cells = [[c[: cap + 1] for c, cap in zip(*rows)] for rows in zip(sys.rho, caps)]
+        det = poly_det_by_expansion(cells, 0, tuple(range(len(caps))))
+        want = np.zeros(fam.genus + 1, dtype=complex)
+        want[: len(det)] = det
+        assert chi_polynomial(sys).tobytes() == want.tobytes()
+    # each minor is expanded once: at c = 4, 28 products instead of 40
+    if len(caps) == 4:
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        chi_polynomial(sys)
+        assert len(calls) == 28
 
 
 def _grid_34(rows):
@@ -660,12 +763,12 @@ def test_recovered_full_fiber_is_special(monkeypatch):
         monkeypatch.setattr(CurveFamily, name, counted)
 
     spy("eval_f")
-    spy("lift_fibers")
+    spy("fiber_roots")
     divisor = solve_divisor(sys)
     assert divisor.special
     assert sorted_points(divisor.points) == sorted_points(fiber)
     # specialness is read off the multiplicities, not re-derived from the points
-    assert calls == ["lift_fibers"]
+    assert calls == ["fiber_roots"]
 
 
 def test_null_space_dimension_guard():

@@ -70,7 +70,7 @@ def _nan_eigvals(monkeypatch):
 
 
 def _nan_discriminant(monkeypatch):
-    monkeypatch.setattr(curves, "_sylvester_det", lambda fam, x: complex(NAN))
+    monkeypatch.setattr(curves, "_sylvester_dets", lambda fam, xs: np.full(len(xs), complex(NAN)))
     return curves.discriminant_roots(QUINTIC)
 
 
@@ -107,17 +107,16 @@ def _nan_grid(monkeypatch):
 
 
 def _nan_rival(monkeypatch):
-    # each fiber holds the divisor's own point and a NaN y, which the
+    # each fiber holds the divisor's own y and a NaN y, which the
     # ambiguity gate reads as the next candidate
     divisor, sys = _quintic_system()
 
-    def lift(self, xs):
-        return [
-            [min(divisor.points, key=lambda p: abs(p.x - x)), CurvePoint(x, NAN)]
-            for x in xs
-        ]
+    def roots(self, xs):
+        return np.array([
+            [min(divisor.points, key=lambda p: abs(p.x - x)).y, NAN] for x in xs
+        ])
 
-    monkeypatch.setattr(curves.CurveFamily, "lift_fibers", lift)
+    monkeypatch.setattr(curves.CurveFamily, "fiber_roots", roots)
     return divisors.solve_divisor(sys)
 
 
@@ -205,6 +204,7 @@ OVERFLOWS = [
     ("lift-numpy-scalar", lambda: QUINTIC.lift_x_to_points(np.complex128(1e100))),
     ("lift-residual-limit", lambda: QUINTIC.lift_x_to_points(1e40)),
     ("lift-trigonal", lambda: TRIGONAL.lift_fibers([0.5, 1e80])),
+    ("eval-f", lambda: QUINTIC.eval_f(1e100, 1.0)),
 ]
 
 
