@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -346,15 +346,23 @@ class CompiledSystem:
     symbols: tuple[AbelianSymbol, ...]
     matrix: np.ndarray
 
-    def evaluate(self, symbol_values: Mapping[AbelianSymbol, complex]) -> NumericRSystem:
-        """The coefficient grid rho = matrix @ [1, symbol values...]."""
-        values = np.array([1.0] + [symbol_values[sym] for sym in self.symbols], dtype=complex)
+    def evaluate(self, values: np.ndarray) -> NumericRSystem:
+        """The grid rho = matrix @ [1, values...], values[k] that of symbols[k]."""
+        values = np.asarray(values, dtype=complex)
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             raise NonFiniteValue(
-                f"{self.symbols[bad[0] - 1].to_text()} = {values[bad[0]]} is not finite"
+                f"{self.symbols[bad[0]].to_text()} = {values[bad[0]]} is not finite"
             )
-        return NumericRSystem(self.fam, self.matrix @ values)
+        return NumericRSystem(self.fam, self.matrix @ np.concatenate([[1.0], values]))
+
+
+def _system_symbols(system: InversionSystem) -> tuple[AbelianSymbol, ...]:
+    """The symbols a derived system reads, in the order compile_system keeps."""
+    return tuple(sorted(
+        {sym for fn in system.r_functions for poly in fn.terms.values() for sym in poly.terms},
+        key=AbelianSymbol.sort_key,
+    ))
 
 
 def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
@@ -369,10 +377,7 @@ def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
             f"{fam.family_label()}"
         )
     lam = fam.numeric_lambda()
-    symbols = tuple(sorted(
-        {sym for fn in system.r_functions for poly in fn.terms.values() for sym in poly.terms},
-        key=AbelianSymbol.sort_key,
-    ))
+    symbols = _system_symbols(system)
     column = {sym: 1 + k for k, sym in enumerate(symbols)}
     matrix = np.zeros(_grid_caps(fam)[1].shape + (1 + len(symbols),), dtype=complex)
     for fn in system.r_functions:

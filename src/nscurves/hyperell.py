@@ -17,12 +17,14 @@ inversion system that the exact layer derives for the shape, with lambda
 symbolic, at the wp values of A(D); the du numerators come from that system
 too.
 
-compute_periods keeps everything that depends on the curve alone in
-PeriodData: the theta context with its cached exponents, omega^-1, the du
-numerators, the branch point images and the derived system compiled at the
-curve's lambda.  Each verify_inversion then does only per-divisor work: one
-batch of legs over the divisor's points, one theta pass and one
-matrix-vector product.
+Per shape, cached and read-only: the derived system, the du numerators,
+the branch points' half characteristics, each symbol's place among the wp
+values, and per node count the leg nodes, weights and cyclic tables.  Per
+curve, kept in PeriodData: one batch of legs, one eigvalsh of sym(Im tau)
+for the tau gate and theta, one omega^-1 for kappa and wp, the theta table
+[1 | 2 pi i m' | pairs] and the system compiled at lambda.  Per divisor:
+one batch of legs, one theta product to order 2 and one for order 3, one
+gather of the wp values the system reads.
 """
 from __future__ import annotations
 
@@ -35,25 +37,11 @@ import numpy as np
 
 from .abelian import InversionSystem, build_inversion_system
 from .curves import CurveFamily, CurvePoint, _closest_pair, make_family
-from .divisors import (
-    CompiledSystem,
-    Divisor,
-    compile_system,
-    require_finite_points,
-)
-from .errors import (
-    BranchCollision,
-    ComplexBranchPoints,
-    NonSymmetricTau,
-    NotTwoSheeted,
-    OnThetaDivisor,
-    QuadratureNotConverged,
-    SheetLoss,
-    SpecialDivisor,
-    UnsupportedGenus,
-    above,
-    at_most,
-)
+from .divisors import (CompiledSystem, Divisor, _system_symbols, compile_system,
+                       require_finite_points)
+from .errors import (BranchCollision, ComplexBranchPoints, NonSymmetricTau, NotTwoSheeted,
+                     OnThetaDivisor, QuadratureNotConverged, SheetLoss, SpecialDivisor,
+                     UnsupportedGenus, above, at_most)
 
 # kappa = KAPPA_SIGN * sym(eta omega^-1); the sign is a convention constant
 # tied to the orientation of Baker's dr rows, fixed once against the genus-1
@@ -166,6 +154,31 @@ def _du_numerators(fam: CurveFamily) -> list[np.ndarray]:
     return [np.eye(1, mono.i + 1, mono.i, dtype=complex)[0] for mono in monos]
 
 
+@functools.lru_cache(maxsize=8)
+def _shape_tables(n: int, s: int, extended: bool) -> tuple[np.ndarray, ...]:
+    """The du numerators as columns, half characteristics and wp index; read-only.
+
+    Row j of the second is [eps'_j | eps''_j], so A(e_j) = omega eps'_j +
+    omega' eps''_j for the 0-indexed branch point j is that row times
+    [omega omega']^T.  With j' = j + 1, 2 eps'_j has ones in its first
+    floor(j'/2) entries and 2 eps''_j is the unit vector at ceil(j'/2), zero
+    for j' = 2g + 1 (Buchstaber, Enolski and Leykin 1997, for the a/b basis
+    of compute_periods): half periods, so the cycle signs do not matter.
+    The third holds each symbol's index into [wp2 | wp3], as WpValues.wp reads.
+    """
+    system = _derived_system(n, s, extended)
+    g = system.fam.genus
+    j, k, flat = np.arange(2 * g + 1)[:, None], np.arange(g), np.arange(g * g * (g + 1))
+    halves = np.concatenate([k < (j + 1) // 2, k == j // 2], axis=1) / 2
+    places = WpValues(flat, flat[: g * g].reshape(g, g), flat[g * g :].reshape(g, g, g),
+                      tuple(system.fam.gaps))
+    index = np.array([int(places.wp(*sym.indices).real) for sym in _system_symbols(system)])
+    tables = (_coefficients(_du_numerators(system.fam)), halves, index)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _dr_numerators(p: np.ndarray) -> list[np.ndarray]:
     # Baker's closed form (Baker 1897; Buchstaber, Enolski and Leykin 1997),
     # p ascending and monic: row k, dual to du_(2k-1) = x^(g-k) dx/(-2y),
@@ -182,13 +195,22 @@ def _dr_numerators(p: np.ndarray) -> list[np.ndarray]:
 # -- quadrature from the branch points ---------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
-def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]; cached, so read-only."""
-    ts, ws = np.polynomial.legendre.leggauss(n)
-    ts, ws = (ts + 1) / 2, ws / 2
-    ts.flags.writeable = ws.flags.writeable = False
-    return ts, ws
+@functools.lru_cache(maxsize=8)
+def _leg_tables(count: int, nodes: int, check_nodes: int) -> tuple[np.ndarray, ...]:
+    """_leg's tables for count branch points; cached, so read-only.
+
+    Row j of the first lists the other branch points from j on round the cycle.
+    The second holds both sets' squared Gauss-Legendre nodes on [0, 1], then 1.0
+    for x itself; the rows of the third are the weight sets, zero off their nodes.
+    """
+    (ts, ws), (check_ts, check_ws) = map(np.polynomial.legendre.leggauss, (nodes, check_nodes))
+    weights = np.zeros((2, nodes + check_nodes))
+    weights[0, :nodes], weights[1, nodes:] = ws / 2, check_ws / 2
+    tables = ((np.arange(count)[:, None] + np.arange(1, count)) % count,
+              ((np.concatenate([ts, check_ts, [1.0]]) + 1) / 2) ** 2, weights)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _coefficients(numerators: list[np.ndarray]) -> np.ndarray:
@@ -217,27 +239,25 @@ def _leg(
     """
     js = np.asarray(js)
     xs = np.asarray(xs, dtype=complex)
+    cycle, squares, weights = _leg_tables(len(es), LEG_NODES, LEG_CHECK_NODES)
     e = es[js]
-    # the other branch points, from e_js[k] on round the cycle: points x 1 x 2g
-    others = es[(js[:, None] + np.arange(1, len(es))) % len(es)][:, None, :]
-    r = np.conj((e + xs)[:, None, None] / 2 - others)
+    others = es[cycle[js]].T[..., None]  # 2g x points x 1
+    r = np.conj((e + xs)[:, None] / 2 - others)
     r = r / np.abs(r)
     # both node sets and x itself in one batch: points x nodes
-    ts, ws = _legendre_nodes(LEG_NODES)
-    check_ts, check_ws = _legendre_nodes(LEG_CHECK_NODES)
-    x = e[:, None] + np.concatenate([ts, check_ts]) ** 2 * (xs - e)[:, None]
-    x = np.concatenate([x, xs[:, None]], axis=1)
-    sqrt_q = np.prod(np.sqrt(r * (x[..., None] - others)) / np.sqrt(r), axis=-1)
+    x = e[:, None] + squares * (xs - e)[:, None]
+    sqrt_q = np.prod(np.sqrt(r * (x - others)), axis=0) / np.prod(np.sqrt(r), axis=0)
     sigma = np.sqrt(xs - e)
-    nums = np.polynomial.polynomial.polyval(x[:, :-1], coeffs)  # numerator, point, node
+    nums = coeffs[-1][:, None, None]  # Horner: numerator, point, node
+    for c in coeffs[-2::-1]:
+        nums = nums * x[:, :-1] + c[:, None, None]
+    # one dot product per set: one product with both as columns rounds worse
+    # (on the hyper-loop pools of seeds 1-40, mean margin 6.98 digits, not 7.01)
     terms = -sigma[:, None] * (nums / sqrt_q[:, :-1])
-    vals = (terms[..., : len(ts)] @ ws).T
-    check = (terms[..., len(ts) :] @ check_ws).T
+    vals, check = (terms @ weights[0]).T, (terms @ weights[1]).T
     # each point against its own scale; the worst point is gated, and argmax
     # picks a NaN first
-    moves = np.max(np.abs(check - vals), axis=1) / np.maximum(
-        1.0, np.max(np.abs(check), axis=1)
-    )
+    moves = np.max(np.abs(check - vals), axis=1) / np.maximum(1.0, np.max(np.abs(check), axis=1))
     k = int(np.argmax(moves))
     at_most(float(moves[k]), QUADRATURE_TOL, QuadratureNotConverged,
             f"the leg from the branch point {e[k]:.6g} to x = {xs[k]:.6g} did not "
@@ -245,9 +265,7 @@ def _leg(
     return vals, sigma * sqrt_q[:, -1]
 
 
-def _interval_integrals(
-    es: np.ndarray, coeffs: np.ndarray, x0: complex
-) -> tuple[np.ndarray, np.ndarray]:
+def _interval_integrals(es: np.ndarray, coeffs: np.ndarray, x0: complex) -> tuple[np.ndarray, ...]:
     """(I, the leg from e_2g+1 to x0), every integral from one batch of legs.
 
     es are the real branch points in ascending order and coeffs the
@@ -266,24 +284,15 @@ def _interval_integrals(
     return on_lip[:n] - on_lip[n:], legs[-1]
 
 
-def _branch_image(omega: np.ndarray, omega_prime: np.ndarray, j: int) -> np.ndarray:
-    """A(e_j) = omega eps'_j + omega' eps''_j for the 0-indexed branch point j.
-
-    With j' = j + 1, 2 eps'_j has ones in its first floor(j'/2) entries and
-    2 eps''_j is the unit vector at ceil(j'/2), zero for j' = 2g + 1
-    (Buchstaber, Enolski and Leykin 1997, for the a/b basis of
-    compute_periods).  Half periods, so the cycle signs do not matter.
-    """
-    k = np.arange(len(omega))
-    return omega @ ((k < (j + 1) // 2) / 2) + omega_prime @ ((k == j // 2) / 2)
-
-
 # -- periods -----------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class PeriodData:
-    """One curve's constants: everything verify_inversion does not recompute."""
+    """One curve's constants: everything verify_inversion does not recompute.
+
+    du and symbol_index are the shape's (see _shape_tables), the rest the curve's.
+    """
 
     fam: CurveFamily
     branch_points: np.ndarray
@@ -296,19 +305,24 @@ class PeriodData:
     theta: ThetaContext
     legendre_defect: float
     omega_inv: np.ndarray
-    # the du numerators as columns, and A(e_j) as row j (see _branch_image)
+    # [d2 | d3] flattened in z times this, kron(w, w) and kron(w, w, w) down
+    # its diagonal, is [d2 | d3] in u: d/du = w^T d/dz, w = omega^-1
+    to_u: np.ndarray
+    # the du numerators as columns, and A(e_j) as row j (see _shape_tables)
     du: np.ndarray
     branch_images: np.ndarray
     # the shape's derived inversion system at this curve's lambda
     system: CompiledSystem
+    symbol_index: np.ndarray
 
 
-def _check_riemann_matrix(tau: np.ndarray) -> None:
-    """Raise NonSymmetricTau unless tau is symmetric with Im tau > 0."""
+def _check_riemann_matrix(tau: np.ndarray) -> np.ndarray:
+    """sym(Im tau)'s eigenvalues, ascending; NonSymmetricTau unless tau = tau^T, Im tau > 0."""
     size = max(1.0, float(np.linalg.norm(tau)))
     defect = float(np.linalg.norm(tau - tau.T)) / size
     # of sym(Im tau): eigvalsh reads only one triangle of its input
-    lam_min = float(np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)[0])
+    eigenvalues = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)
+    lam_min = float(eigenvalues[0])
     # each gate's message carries the other's margin too
     eig = f"least eigenvalue of sym(Im tau) {lam_min:.3e}"
     sym = f"symmetry defect {defect:.3e}, tolerance {TAU_SYMMETRY_TOL:g}"
@@ -316,25 +330,24 @@ def _check_riemann_matrix(tau: np.ndarray) -> None:
           f"tau is not a Riemann matrix: {sym}; least eigenvalue of sym(Im tau)")
     at_most(defect, TAU_SYMMETRY_TOL, NonSymmetricTau, "tau is not a Riemann matrix: "
             f"{eig}, needs > {TAU_EIGENVALUE_TOL:g}; symmetry defect")
+    return eigenvalues
 
 
-def _orient_b_cycles(
-    omega: np.ndarray, omega_prime: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """tau and omega' after the one b-cycle flip that can pass the gate.
+def _orient_b_cycles(omega: np.ndarray, omega_prime: np.ndarray) -> tuple[np.ndarray, ...]:
+    """tau, omega' and the gate's eigenvalues after the one b-cycle flip.
 
     Flipping a-cycles by D_a and b-cycles by D_b turns omega^-1 omega' into
     D_a tau_r D_b.  If that passes the gate, so does its conjugate
     tau_r D_b D_a, so the a-cycles never need a flip; and the diagonal of
-    Im(tau_r D_b) is d_k Im(tau_r)_kk, so d_k = sign Im(tau_r)_kk.
+    Im(tau_r D_b) is d_k Im(tau_r)_kk, so d_k = sign Im(tau_r)_kk; that
+    flip is the only one that can pass the gate (see _check_riemann_matrix).
     """
     flips = np.sign(np.linalg.solve(omega, omega_prime).diagonal().imag)
     omega_prime = omega_prime * flips
     # solved again rather than flipping tau_r's columns, so tau has the bits
     # of omega^-1 omega' for the flipped omega'
     tau = np.linalg.solve(omega, omega_prime)
-    _check_riemann_matrix(tau)
-    return tau, omega_prime
+    return tau, omega_prime, _check_riemann_matrix(tau)
 
 
 def compute_periods(fam: CurveFamily) -> PeriodData:
@@ -357,28 +370,32 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     scale = float(np.max(np.abs(es))) + 1.0
     at_most(float(np.max(np.abs(es.imag))), REAL_AXIS_TOL * scale, ComplexBranchPoints,
             "interval periods need real branch points; largest |Im e|")
-    p = curve_polynomial(fam)
-    du = _du_numerators(fam)
+    du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
     # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i
-    ints, leg = _interval_integrals(es.real, _coefficients(du + _dr_numerators(p)),
-                                    es[-1].real + 1.0 + 1.0j)
+    coeffs = _coefficients([*du.T, *_dr_numerators(curve_polynomial(fam))])
+    ints, leg = _interval_integrals(es.real, coeffs, es[-1].real + 1.0 + 1.0j)
     # rows are cycles; + 0j makes a -0.0 imaginary part +0.0, so that equal
     # periods have equal bytes
     a = 2.0 * (-1.0) ** np.arange(g - 1, -1, -1)[:, None] * ints[0::2] + 0j
     b = -2.0 * np.cumsum(ints[-1::-2, :g], axis=0)[::-1]
     omega, eta = a[:, :g].T, a[:, g:].T
-    tau, omega_prime = _orient_b_cycles(omega, b.T)
-    raw = eta @ np.linalg.inv(omega)
+    tau, omega_prime, eigenvalues = _orient_b_cycles(omega, b.T)
+    omega_inv = np.linalg.inv(omega)
+    # the Kronecker products, broadcast: np.kron takes 6 times as long
+    w2 = (omega_inv[:, None, :, None] * omega_inv[:, None]).reshape(g * g, -1)
+    to_u = np.zeros((g * g + g ** 3,) * 2, dtype=complex)
+    to_u[: g * g, : g * g] = w2
+    to_u[g * g :, g * g :] = (w2[:, None, :, None] * omega_inv[:, None]).reshape(g ** 3, -1)
+    raw = eta @ omega_inv
     defect = float(np.linalg.norm(raw - raw.T))
     kappa = KAPPA_SIGN * (raw + raw.T) / 2
-    ctx = theta_context(tau, _riemann_characteristic(g))
-    du_matrix = _coefficients(du)
-    images = np.array([_branch_image(omega, omega_prime, j) for j in range(2 * g + 1)])
+    ctx = theta_context(tau, _riemann_characteristic(g), eigenvalues)
+    images = halves @ np.concatenate([omega, omega_prime], axis=1).T
     # A(P0): the image of e_2g+1 plus the du columns of its leg
     _check_riemann_characteristic(ctx, omega, images[-1] + leg[:g])
     system = compile_system(_derived_system(fam.n, fam.s, fam.extended), fam)
     return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect,
-                      np.linalg.inv(omega), du_matrix, images, system)
+                      omega_inv, to_u, du, images, system, symbol_index)
 
 
 def _riemann_characteristic(g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -430,9 +447,11 @@ class ThetaContext:
 
     The constructor builds every array that depends on tau, delta and the
     radius alone, once: the quadratic exponents i pi m'^T tau m' of the
-    shifted lattice m' = m + delta', the factors 2 pi i m' and their
-    pairwise products, and (Im tau)^-1 for reducing arguments.  The context
-    is frozen and its arrays read-only, so they always match its radius.
+    shifted lattice m' = m + delta', the factors 2 pi i m' (one row per
+    coordinate), the table [1 | 2 pi i m' | their pairwise products] (one
+    row per term; pairs are its last g^2 columns), and (Im tau)^-1 for
+    reducing arguments.  The context is frozen and its arrays read-only, so
+    they always match its radius.
     """
 
     tau: np.ndarray
@@ -440,6 +459,7 @@ class ThetaContext:
     radius: int
     quad: np.ndarray = field(init=False, repr=False)
     factor: np.ndarray = field(init=False, repr=False)
+    table: np.ndarray = field(init=False, repr=False)
     pairs: np.ndarray = field(init=False, repr=False)
     im_tau_inv: np.ndarray = field(init=False, repr=False)
 
@@ -449,11 +469,14 @@ class ThetaContext:
         m = _lattice(len(tau), self.radius) + d1
         # m'_i m'_j, exact: products of half-integers below 64.5
         products = (m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
+        table = np.concatenate([np.ones((len(m), 1)), 2j * math.pi * m,
+                                -4.0 * math.pi ** 2 * products + 0j], axis=1)
         derived = {
             "tau": tau,
             "quad": 1j * math.pi * (products @ tau.ravel()),
-            "factor": 2j * math.pi * m,
-            "pairs": -4.0 * math.pi ** 2 * products + 0j,
+            "factor": np.ascontiguousarray(table[:, 1 : len(tau) + 1].T),
+            "table": table,
+            "pairs": table[:, len(tau) + 1 :],
             "im_tau_inv": np.linalg.inv(tau.imag),
         }
         for value in (d1, d2, *derived.values()):
@@ -475,12 +498,14 @@ def _log_tail(r: int, g: int, lam_min: float) -> float:
 def theta_context(
     tau: np.ndarray,
     characteristic: tuple[np.ndarray, np.ndarray] | None = None,
+    eigenvalues: np.ndarray | None = None,
 ) -> ThetaContext:
     """theta[delta] at tau on the least cube whose tail is below THETA_TAIL.
 
-    At a reduced z (see _reduce_modulo_lattice) Im z = Y c, Y = sym(Im tau),
-    |c_i| <= 1/2, and the term of m + delta' = v - c has modulus
-    exp(pi c^T Y c - pi v^T Y v), so the sum of moduli (the scale) is at least
+    eigenvalues, if given, are sym(Im tau)'s, ascending.  At a reduced z
+    (see _reduce_modulo_lattice) Im z = Y c, Y = sym(Im tau), |c_i| <= 1/2,
+    and the term of m + delta' = v - c has modulus exp(pi c^T Y c -
+    pi v^T Y v), so the sum of moduli (the scale) is at least
     exp(pi c^T Y c - pi g lam_max / 4).  Outside [-R, R]^g, |v|_inf >= R; the
     shell s <= |v|_inf < s + 1 holds at most (2s + 2)^g terms, each below
     exp(pi c^T Y c - pi lam_min s^2) and weighted by at most
@@ -490,7 +515,7 @@ def theta_context(
     g = tau.shape[0]
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
-    lam = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)  # ascending
+    lam = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2) if eigenvalues is None else eigenvalues
     lam_min = float(lam[0])
     above(lam_min, 0.0, NonSymmetricTau,
           "sym(Im tau) is not positive definite: least eigenvalue")
@@ -515,23 +540,19 @@ def theta_with_derivs(z: np.ndarray, ctx: ThetaContext, order: int = 0):
     before the one exp per term rather than cached as its exp: at large
     |Im z| the linear term's exp alone overflows where the sum's does not.
     Derivatives differentiate term by term, which keeps every order as
-    accurate as the sum itself, and are matrix products of the phases with
-    the context's factors 2 pi i m' and their pairwise products.  theta_context
+    accurate as the sum itself: one product of the phases with the context's
+    table gives the sum and its derivatives to order 2, and the third order
+    is one product of the weighted factors with the pairs.  theta_context
     sizes the cube for reduced z; another z needs a wider ThetaContext.
     """
     z = np.asarray(z, dtype=complex)
     g = len(z)
-    phases = np.exp(ctx.quad + ctx.factor @ (z + ctx.characteristic[1]))
-    out = [complex(np.sum(phases))]
-    if order >= 1:
-        out.append(phases @ ctx.factor)
-    if order >= 2:
-        out.append((phases @ ctx.pairs).reshape(g, g))
+    phases = np.exp(ctx.quad + (z + ctx.characteristic[1]) @ ctx.factor)
+    sums = phases @ ctx.table
+    out = [complex(sums[0]), sums[1 : g + 1], sums[g + 1 :].reshape(g, g)][: order + 1]
     if order >= 3:
-        weighted = phases[:, None] * ctx.factor
-        out.append((weighted.T @ ctx.pairs).reshape(g, g, g))
-    scale = float(np.sum(np.abs(phases)))
-    return out, scale
+        out.append(((ctx.factor * phases) @ ctx.pairs).reshape(g, g, g))
+    return out, float(np.sum(np.abs(phases)))
 
 
 def theta(z: np.ndarray, ctx: ThetaContext) -> complex:
@@ -566,10 +587,10 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     """All second and third wp values at u, as tensors over the gaps.
 
     log sigma = (1/2) u^T kappa u + log theta[d](omega^-1 u) up to gauge
-    terms killed by the derivatives; wp_{ij} = -d_i d_j log sigma.
+    terms killed by the derivatives; wp_{ij} = -d_i d_j log sigma.  The
+    z-derivatives of log theta go to u in one product (see PeriodData.to_u).
     """
-    fam = periods.fam
-    g = fam.genus
+    g = periods.fam.genus
     u = np.asarray(u, dtype=complex)
     z = _reduce_modulo_lattice(periods.omega_inv @ u, periods.theta)
     (val, grad, hess, third), scale = theta_with_derivs(z, periods.theta, order=3)
@@ -579,17 +600,11 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     log2 = hess / val - np.outer(log1, log1)
     # hess_ij grad_k summed over the three placements of the lone index
     hg = np.multiply.outer(hess, grad)
-    log3 = (
-        third / val
-        - (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)) / val ** 2
-        + 2.0 * np.multiply.outer(np.outer(log1, log1), log1)
-    )
-    # d/du = w^T d/dz, w = omega^-1, on each index
-    w = periods.omega_inv
-    hess_u = w.T @ log2 @ w
-    partial = (w.T @ (log3 @ w).reshape(g, -1)).reshape(g, g, g)  # u, z, u
-    third_u = w.T @ partial
-    return WpValues(u, -periods.kappa - hess_u, -third_u, tuple(fam.gaps))
+    log3 = (third / val - (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)) / val ** 2
+            + 2.0 * np.multiply.outer(np.outer(log1, log1), log1))
+    in_u = np.concatenate([log2.ravel(), log3.ravel()]) @ periods.to_u
+    return WpValues(u, -periods.kappa - in_u[: g * g].reshape(g, g),
+                    -in_u[g * g :].reshape(g, g, g), tuple(periods.fam.gaps))
 
 
 # -- Abel map ----------------------------------------------------------------
@@ -598,13 +613,12 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
 def _abel_images(periods: PeriodData, points: Sequence[CurvePoint]) -> np.ndarray:
     """Row k: u(P_k) = A(e) + integral of du from e to P_k, e nearest P_k.
 
-    A(e) is a half period in closed form (see _branch_image) and the legs
+    A(e) is a half period in closed form (see _shape_tables) and the legs
     are one gated Gauss-Legendre sum over all the points (see _leg), whose
     y at P.x is sigma sqrt(q(P.x)).  If that is -P.y, the leg is negated,
     as the involution fixes e and negates du.  A point whose y matches
-    neither sheet is refused.
+    neither sheet is refused.  The callers have refused non-finite points.
     """
-    require_finite_points(points)
     if not points:
         return np.zeros((0, len(periods.omega)), dtype=complex)
     xs = np.array([p.x for p in points], dtype=complex)
@@ -631,14 +645,14 @@ def abel_map(
     _require_two_sheets(fam, periods)
     if point is None:
         return np.zeros(fam.genus, dtype=complex)
+    require_finite_points([point])
     return _abel_images(periods, [point])[0]
 
 
-def abel_map_divisor(
-    fam: CurveFamily, periods: PeriodData, divisor: Divisor
-) -> np.ndarray:
+def abel_map_divisor(fam: CurveFamily, periods: PeriodData, divisor: Divisor) -> np.ndarray:
     """A(D), the sum of u(P) over the divisor's points, from one batch of legs."""
     _require_two_sheets(fam, periods)
+    require_finite_points(divisor.points)
     return _abel_images(periods, divisor.points).sum(axis=0)
 
 
@@ -657,21 +671,12 @@ class IdentityCheck:
 
 
 def report_payload(report: list[IdentityCheck]) -> list[dict]:
-    return [
-        {
-            "identity": c.identity,
-            "lhs": [c.lhs.real, c.lhs.imag],
-            "rhs": [c.rhs.real, c.rhs.imag],
-            "abs_err": c.abs_err,
-        }
-        for c in report
-    ]
+    return [{"identity": c.identity, "lhs": [c.lhs.real, c.lhs.imag],
+             "rhs": [c.rhs.real, c.rhs.imag], "abs_err": c.abs_err} for c in report]
 
 
 def verify_inversion(
-    fam: CurveFamily,
-    divisor: Divisor,
-    periods: PeriodData | None = None,
+    fam: CurveFamily, divisor: Divisor, periods: PeriodData | None = None
 ) -> list[IdentityCheck]:
     """Check a concrete divisor against the derived inversion system.
 
@@ -690,28 +695,23 @@ def verify_inversion(
     require_finite_points(divisor.points)
     if periods is None:
         periods = compute_periods(fam)
-    u = abel_map_divisor(fam, periods, divisor)
-    vals = wp_from_theta(u, periods)
-    system = periods.system.evaluate(
-        {sym: vals.wp(*sym.indices) for sym in periods.system.symbols}
-    )
+    # abel_map_divisor's guards have run above
+    vals = wp_from_theta(_abel_images(periods, divisor.points).sum(axis=0), periods)
+    wp = np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])
+    system = periods.system.evaluate(wp[periods.symbol_index])
     chi, (rho0, rho1) = system.rho[0, 0], system.rho[1]
     e = [1 + 0j] + [0j] * g  # prod (X + x_k) = sum e_k X^(g-k)
     for p in divisor.points:
         for k in range(g, 0, -1):
             e[k] += p.x * e[k - 1]
-    checks = [
-        IdentityCheck(
-            f"e_{k}(x) from R_{2 * g}",
-            e[k],
-            complex((-1) ** k * chi[g - k] / chi[g]),
-        )
-        for k in range(1, g + 1)
-    ]
+    checks = [IdentityCheck(f"e_{k}(x) from R_{2 * g}", e[k],
+                            complex((-1) ** k * chi[g - k] / chi[g])) for k in range(1, g + 1)]
     # scalar Horner per point: numpy's array loops can round a complex
     # product differently, which would move the report in its last bits
-    polyval = np.polynomial.polynomial.polyval
+    rho0, rho1 = rho0[::-1].tolist(), rho1[::-1].tolist()
     for idx, p in enumerate(divisor.points, 1):
-        y = -complex(polyval(p.x, rho0)) / complex(polyval(p.x, rho1))
-        checks.append(IdentityCheck(f"y_{idx} from R_{2 * g + 1}", p.y, y))
+        num = den = 0j
+        for a, b in zip(rho0, rho1):
+            num, den = num * p.x + a, den * p.x + b
+        checks.append(IdentityCheck(f"y_{idx} from R_{2 * g + 1}", p.y, -num / den))
     return checks

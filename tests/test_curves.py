@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from test_golden import GOLDEN_TARGETS
 from nscurves.algebra import WeightedPoly
 from nscurves.curves import (
+    DISCRIMINANT_TRIM,
     CurveFamily,
     _sylvester_dets,
     admissible_indices,
     check_nondegenerate,
+    discriminant_roots,
     family_from_text,
     family_to_text,
     make_family,
@@ -261,6 +263,31 @@ def test_stacked_sylvester_dets_equal_the_per_node_dets(n, s, ext):
     nodes = 1.25 * np.exp(2j * np.pi * np.arange(count) / count)
     want = np.array([sylvester_det_per_node(fam, x) for x in nodes])
     assert _sylvester_dets(fam, nodes).tobytes() == want.tobytes()
+
+
+def discriminant_coefficients_by_dft(fam):
+    """discriminant_roots' coefficients as they were taken before the FFT."""
+    count = (2 * fam.n - 1) * fam.s + 1
+    nodes = 1.25 * np.exp(2j * np.pi * np.arange(count) / count)
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(count), np.arange(count)) / count)
+    return dft @ _sylvester_dets(fam, nodes) / count / 1.25 ** np.arange(count)
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+def test_discriminant_fft_equals_the_dft_matrix(n, s, ext, monkeypatch):
+    # the polynomial handed to np.roots, against the DFT matrix's, trimmed alike
+    seen, roots = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda p: seen.append(p) or roots(p))
+    rng = np.random.default_rng([n, s, ext, 5])
+    for _ in range(5):
+        fam = unit_family(n, s, ext, rng)
+        discriminant_roots(fam)
+        want = discriminant_coefficients_by_dft(fam)
+        norm = float(np.max(np.abs(want)))
+        want = np.trim_zeros(np.where(np.abs(want) > DISCRIMINANT_TRIM * norm, want, 0), "b")
+        got = seen.pop()[::-1]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * norm
 
 
 def test_fiber_full_size_at_generic_x():

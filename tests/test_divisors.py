@@ -552,12 +552,17 @@ def test_numeric_system_commutes_with_specialisation(n, s, data):
     }
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     values = {sym: complex(*rng.normal(size=2)) for sym in symbols}
-    got = compile_system(twin, fam).evaluate(values)
-    want = compile_system(build_inversion_system(fam), fam).evaluate(values)
+    got = evaluate_at(compile_system(twin, fam), values)
+    want = evaluate_at(compile_system(build_inversion_system(fam), fam), values)
     for got_row, want_row in zip(got.rho, want.rho):
         for a, b in zip(got_row, want_row):
             scale = max(1.0, float(np.max(np.abs(b))))
             assert np.allclose(a, b, rtol=0.0, atol=1e-12 * scale)
+
+
+def evaluate_at(compiled, values):
+    """A compiled system at a mapping from its symbols to their values."""
+    return compiled.evaluate(np.array([values[sym] for sym in compiled.symbols]))
 
 
 def per_coefficient_system(system, fam, values):
@@ -581,7 +586,7 @@ def test_compiled_system_matches_per_coefficient_evaluation(n, s, extended):
     system = build_inversion_system(fam.symbolic_twin())
     symbols = {sym for fn in system.r_functions for c in fn.terms.values() for sym in c.terms}
     values = {sym: complex(*rng.normal(size=2)) for sym in symbols}
-    got = compile_system(system, fam).evaluate(values)
+    got = evaluate_at(compile_system(system, fam), values)
     want = per_coefficient_system(system, fam, values)
     for got_row, want_row in zip(got.rho, want.rho, strict=True):
         for a, b in zip(got_row, want_row, strict=True):
@@ -593,9 +598,9 @@ def test_compiled_system_matches_per_coefficient_evaluation(n, s, extended):
 def test_compiled_system_refuses_a_non_finite_value(bad):
     fam = make_family(2, 5, LAMBDAS[2, 5])
     compiled = compile_system(build_inversion_system(fam.symbolic_twin()), fam)
-    values = {sym: 0.5 for sym in compiled.symbols}
+    values = np.full(len(compiled.symbols), 0.5 + 0j)
     sym = compiled.symbols[1]
-    values[sym] = bad
+    values[1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         message = re.escape(sym.to_text()) + " = .* is not finite"

@@ -30,7 +30,6 @@ from nscurves.errors import (
 from nscurves.expansions import expand_at_infinity, first_kind_basis
 from nscurves.hyperell import (
     ThetaContext,
-    _branch_image,
     _check_riemann_characteristic,
     _check_riemann_matrix,
     _coefficients,
@@ -334,7 +333,7 @@ def _contour_periods(fam):
         vals = _ellipse_integral(p, du + dr, es[2 * k], es[2 * k + 1], spacing)
         omega[:, k], eta[:, k] = vals[:g], vals[g:]
         omega_prime[:, k] = _ellipse_integral(p, du, es[2 * k + 1], es[2 * g], spacing)
-    tau, omega_prime = _orient_b_cycles(omega, omega_prime)
+    tau, omega_prime, _ = _orient_b_cycles(omega, omega_prime)
     raw = eta @ np.linalg.inv(omega)
     return omega, tau, hyperell.KAPPA_SIGN * (raw + raw.T) / 2
 
@@ -827,7 +826,7 @@ def test_theta_grid_rows_lie_in_the_interpolated_span(g):
     for _ in range(5):
         D = make_divisor(fam, [random_point(fam, rng) for _ in range(g)])
         vals = wp_from_theta(abel_map_divisor(fam, per, D), per)
-        derived = per.system.evaluate({s: vals.wp(*s.indices) for s in per.system.symbols})
+        derived = per.system.evaluate([vals.wp(*s.indices) for s in per.system.symbols])
         interpolated = rfunctions_from_divisor(fam, D)
         for l, row in enumerate(derived.rho):
             basis = interpolated.rho[: l + 1].reshape(l + 1, -1).T
@@ -894,7 +893,7 @@ def period_parts(draw, min_genus=1):
 def test_orientation_matches_the_search_under_any_flips(parts):
     omega, tau0, d1, d2 = parts
     omega, omega_prime = omega * d1, omega @ tau0 * d2
-    tau, got_omega_prime = _orient_b_cycles(omega, omega_prime)
+    tau, got_omega_prime, _ = _orient_b_cycles(omega, omega_prime)
     want_tau, want_omega, want_omega_prime = _orient_by_search(omega, omega_prime)
     assert want_omega.tobytes() == omega.tobytes()  # no a-cycle flip needed
     assert got_omega_prime.tobytes() == want_omega_prime.tobytes()
@@ -1144,7 +1143,7 @@ def test_integrals_match_mpmath(es):
                 complex(-(sum(want[m, i] for m in range(j, 2 * g)) + tails[i]))
                 for i in range(g)
             ]
-            diff = _branch_image(per.omega, per.omega_prime, j) - np.array(image)
+            diff = per.branch_images[j] - np.array(image)
             assert _lattice_offset(diff, per) < 1e-13
 
         # legs: near the real axis, midway between two branch points, far out
@@ -1155,7 +1154,7 @@ def test_integrals_match_mpmath(es):
         ]:
             P = fam.lift_x_to_points(x)[sheet]
             j = int(np.argmin(np.abs(P.x - branch)))
-            leg = abel_map(fam, per, P) - _branch_image(per.omega, per.omega_prime, j)
+            leg = abel_map(fam, per, P) - per.branch_images[j]
             want_leg = [complex(_mp_leg(mp, ex, n, j, P.x, P.y)) for n in du]
             scale = max(1.0, np.max(np.abs(want_leg)))
             assert np.max(np.abs(leg - want_leg)) < 1e-13 * scale
@@ -1261,7 +1260,8 @@ def _point_leg(es, coeffs, j, x):
         return np.prod(np.sqrt(r * (xs[..., None] - others)) / np.sqrt(r), axis=-1)
 
     sigma = np.sqrt(x - e)
-    ts, ws = hyperell._legendre_nodes(hyperell.LEG_NODES)
+    ts, ws = np.polynomial.legendre.leggauss(hyperell.LEG_NODES)
+    ts, ws = (ts + 1) / 2, ws / 2
     xs = e + ts ** 2 * (x - e)
     nums = np.polynomial.polynomial.polyval(xs, coeffs)
     return -sigma * (nums / sqrt_q(xs)) @ ws, complex(sigma * sqrt_q(np.asarray(x)))
@@ -1308,7 +1308,183 @@ def test_compiled_system_matches_per_coefficient_evaluation(es, seed):
     assume(not D.special)
     vals = wp_from_theta(abel_map_divisor(fam, per, D), per)
     values = {sym: vals.wp(*sym.indices) for sym in per.system.symbols}
-    got = _identities(per.system.evaluate(values).rho, D)
+    got = _identities(per.system.evaluate(list(values.values())).rho, D)
     system = hyperell._derived_system(fam.n, fam.s, fam.extended)
     want = _identities(per_coefficient_system(system, fam, values).rho, D)
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+# -- the per-call forms that shape and curve tables replaced, kept as oracles --
+
+
+def _theta_by_separate_products(z, ctx, order):
+    # theta_with_derivs as it read a (terms, g) factor array: a sum, then one
+    # product per order
+    g = len(z)
+    m = _lattice(g, ctx.radius) + ctx.characteristic[0]
+    factor = 2j * math.pi * m
+    pairs = -4.0 * math.pi ** 2 * (m[:, :, None] * m[:, None, :]).reshape(len(m), -1) + 0j
+    phases = np.exp(ctx.quad + factor @ (z + ctx.characteristic[1]))
+    out = [complex(np.sum(phases)), phases @ factor, (phases @ pairs).reshape(g, g)]
+    weighted = phases[:, None] * factor
+    out.append((weighted.T @ pairs).reshape(g, g, g))
+    return out[: order + 1], float(np.sum(np.abs(phases)))
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_theta_table_matches_the_separate_products(g, seed):
+    rng = np.random.default_rng(seed)
+    tau = _random_riemann_matrix(rng, g)
+    ctx = theta_context(tau, tuple(rng.integers(0, 2, size=(2, g)) / 2.0))
+    z = rng.uniform(-0.5, 0.5, size=g) + tau @ rng.uniform(-0.5, 0.5, size=g)
+    for order in range(4):
+        got, scale = theta_with_derivs(z, ctx, order=order)
+        want, want_scale = _theta_by_separate_products(z, ctx, order)
+        assert len(got) == order + 1 and abs(scale - want_scale) <= 1e-13 * want_scale
+        # order k weighs each term by up to (2 pi (radius + 1/2))^k
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert np.shape(a) == np.shape(b)
+            bound = 1e-14 * scale * (2 * math.pi * (ctx.radius + 1)) ** k
+            assert np.max(np.abs(np.asarray(a) - b)) <= bound
+
+
+def _wp_by_z_space_transform(u, per):
+    # wp_from_theta as it was: log derivatives in z, then omega^-1 on each
+    # index in turn
+    g = per.fam.genus
+    z = _reduce_modulo_lattice(per.omega_inv @ u, per.theta)
+    (val, grad, hess, third), _ = theta_with_derivs(z, per.theta, order=3)
+    log1 = grad / val
+    log2 = hess / val - np.outer(log1, log1)
+    hg = np.multiply.outer(hess, grad)
+    log3 = (third / val - (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)) / val ** 2
+            + 2.0 * np.multiply.outer(np.outer(log1, log1), log1))
+    w = per.omega_inv
+    partial = (w.T @ (log3 @ w).reshape(g, -1)).reshape(g, g, g)
+    return -per.kappa - w.T @ log2 @ w, -(w.T @ partial)
+
+
+@given(st.one_of(spaced_branch_points(), genus3_branch_points()), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_wp_matches_the_z_space_transform(es, seed):
+    fam = hyperelliptic_from_branch_points(es)
+    per = compute_periods(fam)
+    rng = np.random.default_rng(seed)
+    D = make_divisor(fam, [random_point(fam, rng) for _ in range(fam.genus)])
+    u = abel_map_divisor(fam, per, D)
+    got = wp_from_theta(u, per)
+    for a, b in zip((got.wp2, got.wp3), _wp_by_z_space_transform(u, per)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _leg_before_tables(es, coeffs, js, xs):
+    # _leg's sums as they were taken before its node, weight and cycle tables:
+    # x appended as its own column, every factor divided by its own sqrt(r)
+    js, xs = np.asarray(js), np.asarray(xs, dtype=complex)
+    e = es[js]
+    others = es[(js[:, None] + np.arange(1, len(es))) % len(es)][:, None, :]
+    r = np.conj((e + xs)[:, None, None] / 2 - others)
+    r = r / np.abs(r)
+    ts, ws = np.polynomial.legendre.leggauss(hyperell.LEG_NODES)
+    ts, ws = (ts + 1) / 2, ws / 2
+    x = np.concatenate([e[:, None] + ts ** 2 * (xs - e)[:, None], xs[:, None]], axis=1)
+    sqrt_q = np.prod(np.sqrt(r * (x[..., None] - others)) / np.sqrt(r), axis=-1)
+    sigma = np.sqrt(xs - e)
+    nums = np.polynomial.polynomial.polyval(x[:, :-1], coeffs)
+    return (-sigma[:, None] * (nums / sqrt_q[:, :-1]) @ ws).T, sigma * sqrt_q[:, -1]
+
+
+def _assert_legs_match_before_tables(*args):
+    legs, ys = hyperell._leg(*args)
+    want, want_ys = _leg_before_tables(*args)
+    assert np.max(np.abs(legs - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(ys - want_ys)) <= 1e-13 * max(1.0, np.max(np.abs(want_ys)))
+
+
+@given(
+    st.one_of(spaced_branch_points(), genus3_branch_points()),
+    st.lists(_complex, min_size=1, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_legs_match_the_legs_before_tables(es, xs):
+    fam = hyperelliptic_from_branch_points(es)
+    with mock.patch.object(hyperell, "_leg", wraps=hyperell._leg) as leg:
+        per = compute_periods(fam)
+    _assert_legs_match_before_tables(*leg.call_args.args)  # the periods' batch
+    branch = per.branch_points.real
+    assume(min(np.min(np.abs(x - branch)) for x in xs) >= 0.1 * _spacing(branch))
+    js = np.array([int(np.argmin(np.abs(x - branch))) for x in xs])
+    _assert_legs_match_before_tables(branch, per.du, js, xs)  # an Abel batch
+
+
+def _branch_image(omega, omega_prime, j):
+    # A(e_j) one branch point at a time, as compute_periods built it before
+    # the shape's half-characteristic table
+    k = np.arange(len(omega))
+    return omega @ ((k < (j + 1) // 2) / 2) + omega_prime @ ((k == j // 2) / 2)
+
+
+@given(st.one_of(spaced_branch_points(), genus3_branch_points()))
+@settings(max_examples=30, deadline=None)
+def test_branch_images_match_the_per_point_images(es):
+    per = compute_periods(hyperelliptic_from_branch_points(es))
+    size = np.max(np.abs(np.concatenate([per.omega, per.omega_prime])))
+    assert per.branch_images.shape == (2 * per.fam.genus + 1, per.fam.genus)
+    for j, image in enumerate(per.branch_images):
+        want = _branch_image(per.omega, per.omega_prime, j)
+        assert np.max(np.abs(image - want)) <= 4 * np.finfo(float).eps * size
+
+
+@pytest.mark.parametrize("es", [_SPAN_BRANCH[1], _SPAN_BRANCH[2], _SPAN_BRANCH[3]],
+                         ids=["2,3", "2,5", "2,7"])
+def test_wp_gather_reads_each_symbol_as_wp_does(es):
+    fam = hyperelliptic_from_branch_points(np.array(es) - np.mean(es))
+    per = compute_periods(fam)
+    rng = np.random.default_rng(fam.s)
+    for _ in range(3):
+        D = make_divisor(fam, [random_point(fam, rng) for _ in range(fam.genus)])
+        vals = wp_from_theta(abel_map_divisor(fam, per, D), per)
+        gathered = np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])[per.symbol_index]
+        want = np.array([vals.wp(*sym.indices) for sym in per.system.symbols])
+        assert gathered.tobytes() == want.tobytes()
+        # and the report reads the system at them, y by scalar Horner
+        rho = per.system.evaluate(want).rho
+        report = verify_inversion(fam, D, per)
+        polyval = np.polynomial.polynomial.polyval
+        for p, check in zip(D.points, report[fam.genus :]):
+            y = -complex(polyval(p.x, rho[1, 0])) / complex(polyval(p.x, rho[1, 1]))
+            assert abs(check.rhs - y) <= 1e-15 * abs(y)
+
+
+def test_verify_inversion_runs_each_guard_once():
+    fam = genus2_family()
+    per = compute_periods(fam)
+    D = make_divisor(fam, [random_point(fam, np.random.default_rng(5)) for _ in range(2)])
+    sheets = mock.patch.object(hyperell, "_require_two_sheets", wraps=hyperell._require_two_sheets)
+    finite = mock.patch.object(hyperell, "require_finite_points",
+                               wraps=hyperell.require_finite_points)
+    with sheets as two_sheets, finite as finite_points:
+        verify_inversion(fam, D, per)
+    assert two_sheets.call_count == 1 and finite_points.call_count == 1
+
+
+def test_shape_tables_are_read_only():
+    per = compute_periods(genus2_family())
+    tables = hyperell._shape_tables(2, 5, False) + hyperell._leg_tables(
+        5, hyperell.LEG_NODES, hyperell.LEG_CHECK_NODES)
+    assert per.du is tables[0] and per.symbol_index is tables[2]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+
+
+def test_one_shape_builds_its_tables_once():
+    hyperell._shape_tables.cache_clear()
+    hyperell._leg_tables.cache_clear()
+    rng = np.random.default_rng(3)
+    first, second = compute_periods(random_genus2(rng)), compute_periods(random_genus2(rng))
+    assert hyperell._shape_tables.cache_info().misses == 1
+    assert hyperell._leg_tables.cache_info().misses == 1
+    assert first.du is second.du and first.symbol_index is second.symbol_index
