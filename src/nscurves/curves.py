@@ -305,7 +305,7 @@ class CurveFamily:
         # the root with the least headroom; argmax picks a NaN first
         row, col = np.unravel_index(np.argmax(np.abs(value) - limit), value.shape)
         at_most(abs(value[row, col]), limit[row, col], RootFindingFailure,
-                f"fiber root at x={xs[row]} fails the residual check: |f|")
+                lambda: f"fiber root at x={xs[row]} fails the residual check: |f|")
         return roots
 
     def lift_fibers(self, xs: Sequence[complex]) -> list[list[CurvePoint]]:

@@ -115,6 +115,8 @@ def _clusters(xs: Sequence[complex]) -> list[list[int]]:
 
 def _is_special(fam: CurveFamily, points: Sequence[CurvePoint]) -> bool:
     """Do the points over some one x exhaust the fiber there?"""
+    if len(points) < fam.n:  # too few points to fill any fiber
+        return False
     full = [c for c in _clusters([p.x for p in points]) if len(c) >= fam.n]
     groups = [[points[i] for i in c] for c in full]
     fibers = fam.fiber_roots([sum(p.x for p in g) / len(g) for g in groups])
@@ -466,11 +468,11 @@ def solve_divisor(sys: NumericRSystem) -> Divisor:
     # the root with the least headroom; argmax and argmin pick a NaN first
     k = np.argmax(kept)
     at_most(kept[k], FIBER_RESIDUAL_TOL, NullSpaceDimensionError,
-            f"no fiber point fits the grid over x={xs[k]:.6g} at multiplicity {mus[k]}: "
+            lambda: f"no fiber point fits the grid over x={xs[k]:.6g} at multiplicity {mus[k]}: "
             "relative residual")
     k = np.argmin(rival)
     above(rival[k], FIBER_RESIDUAL_TOL, NullSpaceDimensionError,
-          f"fiber over x={xs[k]:.6g} is ambiguous: next candidate's relative residual")
+          lambda: f"fiber over x={xs[k]:.6g} is ambiguous: next candidate's relative residual")
     points = [
         CurvePoint(x, fiber[i])
         for x, fiber, mu, best in zip(xs, ys.tolist(), mus, order) for i in best[:mu]

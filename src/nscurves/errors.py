@@ -4,19 +4,25 @@ Each stage of the pipeline raises a dedicated error so callers can tell a
 genuine mathematical obstruction (a residue that refuses to vanish, a curve
 with colliding branch points) from plain bad input.  Every numeric gate goes
 through ``at_most`` or ``above``, which fail a NaN and report value and limit.
+A message to format comes as a zero-argument callable, called only on failure.
 """
 
 
-def at_most(value, limit, error: type[Exception], what: str) -> None:
+def at_most(value, limit, error: type[Exception], what) -> None:
     """Raise error unless value <= limit; a NaN value or limit fails."""
     if not value <= limit:
-        raise error(f"{what} {value:.3e}, tolerance {limit:g}")
+        raise error(f"{_lead(what)} {value:.3e}, tolerance {limit:g}")
 
 
-def above(value, limit, error: type[Exception], what: str) -> None:
+def above(value, limit, error: type[Exception], what) -> None:
     """Raise error unless value > limit; a NaN value or limit fails."""
     if not value > limit:
-        raise error(f"{what} {value:.3e}, needs > {limit:g}")
+        raise error(f"{_lead(what)} {value:.3e}, needs > {limit:g}")
+
+
+def _lead(what) -> str:
+    # a callable is the message formatted only when its gate fails
+    return what() if callable(what) else what
 
 
 class NSCurveError(Exception):

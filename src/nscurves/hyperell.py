@@ -19,12 +19,13 @@ too.
 
 Per shape, cached and read-only: the derived system, the du numerators,
 the branch points' half characteristics, each symbol's place among the wp
-values, and per node count the leg nodes, weights and cyclic tables.  Per
-curve, kept in PeriodData: one batch of legs, one eigvalsh of sym(Im tau)
-for the tau gate and theta, one omega^-1 for kappa and wp, the theta table
-[1 | 2 pi i m' | pairs] and the system compiled at lambda.  Per divisor:
-one batch of legs, one theta product to order 2 and one for order 3, one
-gather of the wp values the system reads.
+values, and per node count the leg tables; per genus, cube radius and
+characteristic, the theta table [1 | 2 pi i m' | pairs].  Per curve, kept
+in PeriodData: one curve polynomial, one batch of legs, one eigvalsh of
+sym(Im tau) for the tau gate and theta, one omega^-1 for kappa, wp and the
+characteristic check, and the system compiled at lambda.  Per divisor: one
+batch of legs, one theta product to order 2 and one for order 3, one gather
+of the wp values the system reads.  Gates format messages only on failure.
 """
 from __future__ import annotations
 
@@ -84,11 +85,9 @@ def _require_y_squared(fam: CurveFamily) -> None:
     """Raise NotTwoSheeted unless the curve reads y^2 = p(x)."""
     if fam.n != 2:
         raise NotTwoSheeted(f"y^2 = p(x) needs n = 2, not n = {fam.n}")
-    on_y = [k for k, j, _, _ in fam.lambda_terms() if j]
+    on_y = [k for k in fam.lam if fam._index_map[k][0]]
     if on_y:
-        raise NotTwoSheeted(
-            f"y^2 = p(x) has no y term, but lambda_{on_y[0]} multiplies y"
-        )
+        raise NotTwoSheeted(f"y^2 = p(x) has no y term, but lambda_{max(on_y)} multiplies y")
 
 
 def _require_two_sheets(fam: CurveFamily, periods: PeriodData | None = None) -> None:
@@ -105,22 +104,30 @@ def _require_two_sheets(fam: CurveFamily, periods: PeriodData | None = None) -> 
 def curve_polynomial(fam: CurveFamily) -> np.ndarray:
     """y^2 = p(x): ascending coefficients of p, degree 2g+1."""
     _require_y_squared(fam)
-    lam = fam.numeric_lambda()
     p = np.zeros(fam.s + 1, dtype=complex)
     p[fam.s] = 1.0
-    for k, _, i, _ in fam.lambda_terms():
-        p[i] += lam[k]
+    for k, value in fam.numeric_lambda().items():
+        p[fam._index_map[k][1]] += value
     return p
 
 
 def branch_points(fam: CurveFamily) -> np.ndarray:
-    p = curve_polynomial(fam)
-    roots = np.roots(p[::-1])
-    scale = max(1.0, float(np.max(np.abs(roots))))
+    return _sorted_roots(curve_polynomial(fam))
+
+
+def _sorted_roots(p: np.ndarray) -> np.ndarray:
+    """The monic p's roots, sorted, with np.roots' bits; BranchCollision if two meet."""
+    low = int(np.flatnonzero(p)[0])
+    top = p[low:][::-1]  # np.roots' companion matrix is that of p / x^low
+    companion = np.eye(len(top) - 1, k=-1, dtype=complex)
+    companion[:1] = -top[1:] / top[0]
+    roots = np.linalg.eigvals(companion) if len(top) > 1 else np.zeros(0)  # p = x^s: none
+    roots = np.concatenate([roots, np.zeros(low, roots.dtype)])  # and x^low's roots
+    scale = max(1.0, float(np.abs(roots).max()))
     a, b = _closest_pair(roots)
     above(abs(roots[a] - roots[b]), COLLISION_TOL * scale, BranchCollision,
-          f"branch points {roots[a]:.6g} and {roots[b]:.6g} collide: distance")
-    return np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
+          lambda: f"branch points {roots[a]:.6g} and {roots[b]:.6g} collide: distance")
+    return np.sort(roots)
 
 
 def hyperelliptic_from_branch_points(es: Sequence[complex]) -> CurveFamily:
@@ -246,7 +253,7 @@ def _leg(
     r = r / np.abs(r)
     # both node sets and x itself in one batch: points x nodes
     x = e[:, None] + squares * (xs - e)[:, None]
-    sqrt_q = np.prod(np.sqrt(r * (x - others)), axis=0) / np.prod(np.sqrt(r), axis=0)
+    sqrt_q = np.sqrt(r * (x - others)).prod(axis=0) / np.sqrt(r).prod(axis=0)
     sigma = np.sqrt(xs - e)
     nums = coeffs[-1][:, None, None]  # Horner: numerator, point, node
     for c in coeffs[-2::-1]:
@@ -257,10 +264,10 @@ def _leg(
     vals, check = (terms @ weights[0]).T, (terms @ weights[1]).T
     # each point against its own scale; the worst point is gated, and argmax
     # picks a NaN first
-    moves = np.max(np.abs(check - vals), axis=1) / np.maximum(1.0, np.max(np.abs(check), axis=1))
-    k = int(np.argmax(moves))
+    moves = np.abs(check - vals).max(axis=1) / np.maximum(1.0, np.abs(check).max(axis=1))
+    k = int(moves.argmax())
     at_most(float(moves[k]), QUADRATURE_TOL, QuadratureNotConverged,
-            f"the leg from the branch point {e[k]:.6g} to x = {xs[k]:.6g} did not "
+            lambda: f"the leg from the branch point {e[k]:.6g} to x = {xs[k]:.6g} did not "
             "converge: relative difference between node counts")
     return vals, sigma * sqrt_q[:, -1]
 
@@ -279,8 +286,8 @@ def _interval_integrals(es: np.ndarray, coeffs: np.ndarray, x0: complex) -> tupl
     mid = (es[:-1] + es[1:]) / 2
     js = np.concatenate([np.arange(n), np.arange(1, n + 1), [n]])
     legs, ys = _leg(es, coeffs, js, np.concatenate([mid, mid, [x0]]))
-    lip = np.tile(1j ** np.arange(n, 0, -1), 2)  # y(m_j + i0) / |y(m_j)|
-    on_lip = np.copysign(1.0, (ys[:-1] / lip).real)[:, None] * legs[:-1]
+    lip = 1j ** np.arange(n, 0, -1)  # y(m_j + i0) / |y(m_j)|
+    on_lip = np.copysign(1.0, (ys[:-1].reshape(2, n) / lip).real).reshape(-1, 1) * legs[:-1]
     return on_lip[:n] - on_lip[n:], legs[-1]
 
 
@@ -324,12 +331,12 @@ def _check_riemann_matrix(tau: np.ndarray) -> np.ndarray:
     eigenvalues = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)
     lam_min = float(eigenvalues[0])
     # each gate's message carries the other's margin too
-    eig = f"least eigenvalue of sym(Im tau) {lam_min:.3e}"
-    sym = f"symmetry defect {defect:.3e}, tolerance {TAU_SYMMETRY_TOL:g}"
     above(lam_min, TAU_EIGENVALUE_TOL, NonSymmetricTau,
-          f"tau is not a Riemann matrix: {sym}; least eigenvalue of sym(Im tau)")
-    at_most(defect, TAU_SYMMETRY_TOL, NonSymmetricTau, "tau is not a Riemann matrix: "
-            f"{eig}, needs > {TAU_EIGENVALUE_TOL:g}; symmetry defect")
+          lambda: f"tau is not a Riemann matrix: symmetry defect {defect:.3e}, tolerance "
+          f"{TAU_SYMMETRY_TOL:g}; least eigenvalue of sym(Im tau)")
+    at_most(defect, TAU_SYMMETRY_TOL, NonSymmetricTau,
+            lambda: f"tau is not a Riemann matrix: least eigenvalue of sym(Im tau) "
+            f"{lam_min:.3e}, needs > {TAU_EIGENVALUE_TOL:g}; symmetry defect")
     return eigenvalues
 
 
@@ -366,13 +373,14 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     """
     _require_two_sheets(fam)
     g = fam.genus
-    es = branch_points(fam)
-    scale = float(np.max(np.abs(es))) + 1.0
-    at_most(float(np.max(np.abs(es.imag))), REAL_AXIS_TOL * scale, ComplexBranchPoints,
+    p = curve_polynomial(fam)
+    es = _sorted_roots(p)
+    scale = float(np.abs(es).max()) + 1.0
+    at_most(float(np.abs(es.imag).max()), REAL_AXIS_TOL * scale, ComplexBranchPoints,
             "interval periods need real branch points; largest |Im e|")
     du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
     # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i
-    coeffs = _coefficients([*du.T, *_dr_numerators(curve_polynomial(fam))])
+    coeffs = _coefficients([*du.T, *_dr_numerators(p)])
     ints, leg = _interval_integrals(es.real, coeffs, es[-1].real + 1.0 + 1.0j)
     # rows are cycles; + 0j makes a -0.0 imaginary part +0.0, so that equal
     # periods have equal bytes
@@ -392,7 +400,7 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     ctx = theta_context(tau, _riemann_characteristic(g), eigenvalues)
     images = halves @ np.concatenate([omega, omega_prime], axis=1).T
     # A(P0): the image of e_2g+1 plus the du columns of its leg
-    _check_riemann_characteristic(ctx, omega, images[-1] + leg[:g])
+    _check_riemann_characteristic(ctx, omega_inv, images[-1] + leg[:g])
     system = compile_system(_derived_system(fam.n, fam.s, fam.extended), fam)
     return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect,
                       omega_inv, to_u, du, images, system, symbol_index)
@@ -409,7 +417,7 @@ def _riemann_characteristic(g: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_riemann_characteristic(
-    ctx: ThetaContext, omega: np.ndarray, u_point: np.ndarray
+    ctx: ThetaContext, omega_inv: np.ndarray, u_point: np.ndarray
 ) -> None:
     """Raise OnThetaDivisor unless theta[delta] vanishes at (g - 1) u_point.
 
@@ -421,10 +429,10 @@ def _check_riemann_characteristic(
     0.1 (0.03 on 20 genus-3 curves; a real P, e_2g+1 + 1, gave 5e-5).
     """
     g = len(u_point)
-    z = _reduce_modulo_lattice(np.linalg.solve(omega, (g - 1) * u_point), ctx)
+    z = _reduce_modulo_lattice(omega_inv @ ((g - 1) * u_point), ctx)
     (val,), scale = theta_with_derivs(z, ctx, order=0)
     at_most(abs(val), CHARACTERISTIC_TOL * scale, OnThetaDivisor,
-            f"theta[delta] does not vanish on A(W_{g - 1}) (tolerance "
+            lambda: f"theta[delta] does not vanish on A(W_{g - 1}) (tolerance "
             f"{CHARACTERISTIC_TOL:g} of scale {scale:.3e}): |theta|")
 
 
@@ -441,17 +449,33 @@ def _lattice(g: int, radius: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _theta_table(g: int, radius: int, shift: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """theta's lattice arrays on m' = m + shift, m in [-radius, radius]^g; cached, so read-only.
+
+    m'_i m'_j (row per term), 2 pi i m' (row per coordinate), and the table
+    [1 | 2 pi i m' | pairs], pairs = -4 pi^2 m'_i m'_j its last g^2 columns.
+    """
+    m = _lattice(g, radius) + np.array(shift)
+    # m'_i m'_j, exact: products of half-integers below 64.5
+    products = (m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
+    table = np.concatenate([np.ones((len(m), 1)), 2j * math.pi * m,
+                            -4.0 * math.pi ** 2 * products + 0j], axis=1)
+    tables = (products, np.ascontiguousarray(table[:, 1 : g + 1].T), table, table[:, g + 1 :])
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
 @dataclass(frozen=True, eq=False)
 class ThetaContext:
     """theta[delta] at tau, truncated to the cube [-radius, radius]^g.
 
-    The constructor builds every array that depends on tau, delta and the
-    radius alone, once: the quadratic exponents i pi m'^T tau m' of the
-    shifted lattice m' = m + delta', the factors 2 pi i m' (one row per
-    coordinate), the table [1 | 2 pi i m' | their pairwise products] (one
-    row per term; pairs are its last g^2 columns), and (Im tau)^-1 for
-    reducing arguments.  The context is frozen and its arrays read-only, so
-    they always match its radius.
+    factor, table and pairs are the lattice's, shared by every context of one
+    genus, radius and delta' (see _theta_table).  The constructor builds what
+    depends on tau: the exponents i pi m'^T tau m' of m' = m + delta' and
+    (Im tau)^-1 for reducing arguments.  The context is frozen and its arrays
+    read-only, so they always match its radius.
     """
 
     tau: np.ndarray
@@ -466,22 +490,12 @@ class ThetaContext:
     def __post_init__(self):
         tau = np.array(self.tau, dtype=complex)
         d1, d2 = (np.array(d, dtype=float) for d in self.characteristic)
-        m = _lattice(len(tau), self.radius) + d1
-        # m'_i m'_j, exact: products of half-integers below 64.5
-        products = (m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
-        table = np.concatenate([np.ones((len(m), 1)), 2j * math.pi * m,
-                                -4.0 * math.pi ** 2 * products + 0j], axis=1)
-        derived = {
-            "tau": tau,
-            "quad": 1j * math.pi * (products @ tau.ravel()),
-            "factor": np.ascontiguousarray(table[:, 1 : len(tau) + 1].T),
-            "table": table,
-            "pairs": table[:, len(tau) + 1 :],
-            "im_tau_inv": np.linalg.inv(tau.imag),
-        }
+        products, factor, table, pairs = _theta_table(len(tau), self.radius, tuple(d1.tolist()))
+        derived = {"tau": tau, "quad": 1j * math.pi * (products @ tau.ravel()),
+                   "im_tau_inv": np.linalg.inv(tau.imag)}
         for value in (d1, d2, *derived.values()):
             value.flags.writeable = False
-        derived["characteristic"] = (d1, d2)
+        derived.update(characteristic=(d1, d2), factor=factor, table=table, pairs=pairs)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -527,7 +541,7 @@ def theta_context(
         radius = max(1, int(radius))
         while _log_tail(radius, g, lam_min) >= target:
             radius += 1
-    at_most(radius, 64, NonSymmetricTau, f"theta's tail bound at least eigenvalue "
+    at_most(radius, 64, NonSymmetricTau, lambda: f"theta's tail bound at least eigenvalue "
             f"{lam_min:.3e} of sym(Im tau) needs a cube radius")
     return ThetaContext(tau, characteristic, radius)
 
@@ -548,11 +562,13 @@ def theta_with_derivs(z: np.ndarray, ctx: ThetaContext, order: int = 0):
     z = np.asarray(z, dtype=complex)
     g = len(z)
     phases = np.exp(ctx.quad + (z + ctx.characteristic[1]) @ ctx.factor)
+    if order == 0:
+        return [complex(phases.sum())], float(np.abs(phases).sum())
     sums = phases @ ctx.table
     out = [complex(sums[0]), sums[1 : g + 1], sums[g + 1 :].reshape(g, g)][: order + 1]
     if order >= 3:
         out.append(((ctx.factor * phases) @ ctx.pairs).reshape(g, g, g))
-    return out, float(np.sum(np.abs(phases)))
+    return out, float(np.abs(phases).sum())
 
 
 def theta(z: np.ndarray, ctx: ThetaContext) -> complex:
@@ -579,8 +595,8 @@ class WpValues:
 
 def _reduce_modulo_lattice(z: np.ndarray, ctx: ThetaContext) -> np.ndarray:
     """z minus the lattice point tau k2 + k1 that brings it nearest the cell."""
-    z = z - ctx.tau @ np.round(ctx.im_tau_inv @ z.imag)
-    return z - np.round(z.real)
+    z = z - ctx.tau @ (ctx.im_tau_inv @ z.imag).round()
+    return z - z.real.round()
 
 
 def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
@@ -597,11 +613,12 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     above(abs(val), THETA_DIVISOR_TOL * scale, OnThetaDivisor,
           "u is on or near the theta divisor: |theta| at the reduced argument")
     log1 = grad / val
-    log2 = hess / val - np.outer(log1, log1)
+    outer = np.outer(log1, log1)  # log1[:, None] * log1 takes another loop, other bits
+    log2 = hess / val - outer
     # hess_ij grad_k summed over the three placements of the lone index
     hg = np.multiply.outer(hess, grad)
     log3 = (third / val - (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)) / val ** 2
-            + 2.0 * np.multiply.outer(np.outer(log1, log1), log1))
+            + 2.0 * np.multiply.outer(outer, log1))
     in_u = np.concatenate([log2.ravel(), log3.ravel()]) @ periods.to_u
     return WpValues(u, -periods.kappa - in_u[: g * g].reshape(g, g),
                     -in_u[g * g :].reshape(g, g, g), tuple(periods.fam.gaps))
@@ -624,14 +641,14 @@ def _abel_images(periods: PeriodData, points: Sequence[CurvePoint]) -> np.ndarra
     xs = np.array([p.x for p in points], dtype=complex)
     ys = np.array([p.y for p in points], dtype=complex)
     es = periods.branch_points.real
-    js = np.argmin(np.abs(xs[:, None] - es), axis=1)
+    js = np.abs(xs[:, None] - es).argmin(axis=1)
     legs, y = _leg(es, periods.du, js, xs)
     limit = LANDING_TOL * np.maximum(1.0, np.abs(ys))
     plus, minus = np.abs(y - ys), np.abs(y + ys)
     # the point with the least headroom; argmax picks a NaN first
-    k = int(np.argmax(np.minimum(plus, minus) - limit))
+    k = int((np.minimum(plus, minus) - limit).argmax())
     at_most(min(plus[k], minus[k]), limit[k], SheetLoss,
-            f"y = {ys[k]:.6g} matches neither sheet over x = {xs[k]:.6g}, "
+            lambda: f"y = {ys[k]:.6g} matches neither sheet over x = {xs[k]:.6g}, "
             f"where y = +-{y[k]:.6g}: distance to the nearest sheet")
     # the + sheet first: beside a branch point both sheets match
     signs = np.where(plus <= limit, 1.0, -1.0)

@@ -226,6 +226,31 @@ def test_points_over_one_x_within_cluster_tol_are_special():
     assert make_divisor(fam, [p, q]).special
 
 
+def is_special_by_clusters(fam, points):
+    """_is_special without its shortcut: each cluster of n or more x's, lifted."""
+    full = [c for c in _clusters([p.x for p in points]) if len(c) >= fam.n]
+    groups = [[points[i] for i in c] for c in full]
+    fibers = fam.fiber_roots([sum(p.x for p in g) / len(g) for g in groups])
+    return any(divisors._fiber_matches(g, f) for g, f in zip(groups, fibers.tolist()))
+
+
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fewer_points_than_n_agree_with_the_clustering_path(shape, seed, data):
+    # part of one fiber, the rest drawn anywhere: clusters form, none is full
+    n, s, ext = shape
+    rng = np.random.default_rng(seed)
+    fam = unit_family(n, s, ext, rng)
+    count = data.draw(st.integers(0, n - 1))
+    shared = data.draw(st.integers(0, count))
+    fiber = fam.lift_x_to_points(complex(*rng.normal(size=2)))
+    points = fiber[:shared] + divisors.sample_points(fam, rng, count - shared)
+    assert divisors._is_special(fam, points) is False
+    assert is_special_by_clusters(fam, points) is False
+    # n points, the whole fiber, are special on both paths
+    assert divisors._is_special(fam, fiber) and is_special_by_clusters(fam, fiber)
+
+
 def clusters_by_loop(xs):
     """_clusters before its lone-x pass: each x compared with every cluster."""
     clusters, totals = [], []

@@ -8,7 +8,9 @@ of the gate return a NaN.  The gate must raise its own typed error, with no
 numpy warning on the way.
 """
 import re
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,13 +48,14 @@ NAN_DIVISOR = Divisor((CurvePoint(NAN, 1.0), CurvePoint(0.3, 0.1)), False)
 
 
 def _nan_roots(monkeypatch):
-    monkeypatch.setattr(np, "roots", lambda p: np.array([NAN, -1.0, 1.0]))
+    # branch_points takes the roots from the companion matrix's eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([NAN, -1.0, 1.0]))
     return hyperell.branch_points(GENUS2)
 
 
 def _complex_branch_points(monkeypatch):
     es = PERIODS.branch_points + np.array([0, 0, NAN * 1j, 0, 0])
-    monkeypatch.setattr(hyperell, "branch_points", lambda fam: es)
+    monkeypatch.setattr(hyperell, "_sorted_roots", lambda p: es)
     return hyperell.compute_periods(GENUS2)
 
 
@@ -138,7 +141,7 @@ CASES = [
     ("real-axis", _complex_branch_points, ComplexBranchPoints, True),
     ("characteristic",
      lambda mp: hyperell._check_riemann_characteristic(
-         PERIODS.theta, PERIODS.omega, np.array([NAN, 0.0])),
+         PERIODS.theta, PERIODS.omega_inv, np.array([NAN, 0.0])),
      OnThetaDivisor, True),
     ("theta-context", lambda mp: hyperell.theta_context(NAN_TAU), NonSymmetricTau, True),
     ("wp", lambda mp: hyperell.wp_from_theta(np.array([NAN, 0]), PERIODS), OnThetaDivisor, True),
@@ -249,6 +252,59 @@ def test_helper_messages_read_value_then_limit():
         above(1e-12, 3e-10, DegreeCollapse, "leading coefficient")
     assert str(info.value) == "leading coefficient 1.000e-12, needs > 3e-10"
     assert isinstance(info.value, NSCurveError)
+
+
+def test_a_callable_message_is_formatted_once_and_only_on_failure():
+    lead = mock.Mock(return_value="a sum moved")
+    at_most(1.0, 1.0, QuadratureNotConverged, lead)
+    above(2.0, 1.0, QuadratureNotConverged, lead)
+    assert lead.call_count == 0
+    with pytest.raises(QuadratureNotConverged) as info:
+        at_most(NAN, 1e-10, QuadratureNotConverged, lead)
+    assert str(info.value) == "a sum moved nan, tolerance 1e-10"
+    with pytest.raises(QuadratureNotConverged) as info:
+        above(0.5, 1.0, QuadratureNotConverged, lead)
+    assert str(info.value) == "a sum moved 5.000e-01, needs > 1"
+    assert lead.call_count == 2
+
+
+# the functions whose gates take a callable message
+LAZY_GATES = {
+    "_sorted_roots", "_leg", "_check_riemann_matrix", "_check_riemann_characteristic",
+    "theta_context", "_abel_images", "fiber_roots", "solve_divisor",
+}
+
+
+def test_passing_gates_go_through_the_helpers_and_format_nothing(monkeypatch):
+    # every gate of a hyper-loop op and of a round trip still calls at_most or
+    # above, each that formats its message passes it as a callable, and no
+    # passing gate calls it
+    lazy, formatted = set(), []
+
+    def spy(gate):
+        def wrapped(value, limit, error, what):
+            site = sys._getframe(1).f_code.co_name
+            lead = what
+            if callable(lead):
+                lazy.add(site)
+
+                def what():
+                    formatted.append(site)
+                    return lead()
+            return gate(value, limit, error, what)
+        return wrapped
+
+    for module in (curves, divisors, hyperell):
+        for gate in (at_most, above):
+            monkeypatch.setattr(module, gate.__name__, spy(gate))
+    per = hyperell.compute_periods(GENUS2)
+    rng = np.random.default_rng(2)
+    points = [GENUS2.lift_x_to_points(complex(*rng.normal(size=2)))[0] for _ in range(2)]
+    hyperell.verify_inversion(GENUS2, divisors.make_divisor(GENUS2, points), per)
+    divisor = divisors.random_divisor(TRIGONAL, rng)
+    divisors.solve_divisor(divisors.rfunctions_from_divisor(TRIGONAL, divisor))
+    assert LAZY_GATES <= lazy
+    assert formatted == []
 
 
 @pytest.mark.parametrize(

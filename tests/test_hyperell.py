@@ -140,6 +140,29 @@ def test_branch_collision_detected():
         branch_points(fam)
 
 
+def _roots_by_np_roots(p):
+    # branch_points as it read np.roots, kept as the oracle
+    return np.array(sorted(np.roots(p[::-1]), key=lambda z: (z.real, z.imag)))
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(0, 1), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sorted_roots_are_np_roots_bit_for_bit(s, low, real, seed):
+    # low = 1 puts a root at exactly 0, which np.roots appends rather than solves
+    rng = np.random.default_rng(seed)
+    p = np.zeros(s + 1, dtype=complex)
+    p[s] = 1.0
+    p[low:s] = rng.normal(size=s - low) + (0 if real else 1j * rng.normal(size=s - low))
+    got, want = hyperell._sorted_roots(p), _roots_by_np_roots(p)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_all_branch_points_at_zero_collide():
+    # y^2 = x^5: np.roots solves no eigenproblem and returns five float zeros
+    with pytest.raises(BranchCollision, match="^branch points 0 and 0 collide"):
+        branch_points(make_family(2, 5, {}))
+
+
 def test_complex_branch_geometry_refused():
     fam = make_family(2, 5, {4: -1.0, 6: 0.5, 8: 0.25, 10: -0.75})
     with pytest.raises(ComplexBranchPoints, match="need real branch points") as info:
@@ -498,7 +521,7 @@ def test_only_the_closed_form_passes_the_gate(make):
     for d1, d2 in _all_characteristics(g):
         ctx = ThetaContext(per.tau, (d1, d2), per.theta.radius)
         try:
-            _check_riemann_characteristic(ctx, per.omega, u_point)
+            _check_riemann_characteristic(ctx, per.omega_inv, u_point)
         except OnThetaDivisor:
             continue
         passing.append((d1.tolist(), d2.tolist()))
@@ -1488,3 +1511,73 @@ def test_one_shape_builds_its_tables_once():
     assert hyperell._shape_tables.cache_info().misses == 1
     assert hyperell._leg_tables.cache_info().misses == 1
     assert first.du is second.du and first.symbol_index is second.symbol_index
+
+
+# -- the per-curve theta table that the cached one replaced, kept as oracle ----
+
+
+def _theta_arrays_per_curve(tau, characteristic, radius):
+    # ThetaContext's arrays as its constructor built them for every curve
+    tau = np.array(tau, dtype=complex)
+    g = len(tau)
+    m = _lattice(g, radius) + np.array(characteristic[0], dtype=float)
+    products = (m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
+    table = np.concatenate([np.ones((len(m), 1)), 2j * math.pi * m,
+                            -4.0 * math.pi ** 2 * products + 0j], axis=1)
+    return {"quad": 1j * math.pi * (products @ tau.ravel()),
+            "factor": np.ascontiguousarray(table[:, 1 : g + 1].T), "table": table,
+            "pairs": table[:, g + 1 :], "im_tau_inv": np.linalg.inv(tau.imag)}
+
+
+@given(st.integers(1, 3), st.sampled_from([1, 2, 4, 6]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cached_theta_table_equals_the_per_curve_one(g, radius, seed):
+    rng = np.random.default_rng(seed)
+    tau = _random_riemann_matrix(rng, g)
+    characteristics = list(_all_characteristics(g))
+    for pick in rng.choice(len(characteristics), size=min(4, len(characteristics)), replace=False):
+        d1, d2 = characteristics[pick]
+        ctx = ThetaContext(tau, (d1, d2), radius)
+        for name, want in _theta_arrays_per_curve(tau, (d1, d2), radius).items():
+            got = getattr(ctx, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+
+
+def test_one_theta_table_per_genus_radius_and_characteristic():
+    rng = np.random.default_rng(11)
+    first = compute_periods(random_genus2(rng))
+    second = next(per for per in (compute_periods(random_genus2(rng)) for _ in range(50))
+                  if per.theta.radius == first.theta.radius)
+    assert second.theta.tau.tobytes() != first.theta.tau.tobytes()
+    for name in ("factor", "table", "pairs"):
+        assert getattr(first.theta, name) is getattr(second.theta, name)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first.theta, name)[0, 0] = 1
+    # another characteristic or radius is another table
+    d1, d2 = first.theta.characteristic
+    other = ThetaContext(first.tau, (np.zeros(2), d2), first.theta.radius)
+    wider = ThetaContext(first.tau, (d1, d2), first.theta.radius + 1)
+    assert other.table is not first.theta.table and wider.table is not first.theta.table
+
+
+def test_each_curve_constant_is_built_once(monkeypatch):
+    fam = genus2_family()
+    compute_periods(fam)  # the shape's and the theta table's caches filled
+    spies = {}
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "inv"), (np.linalg, "solve"),
+                         (hyperell, "curve_polynomial")):
+        spies[name] = mock.Mock(wraps=getattr(module, name))
+        monkeypatch.setattr(module, name, spies[name])
+    per = compute_periods(fam)
+    # one eigvalsh of sym(Im tau), shared by the tau gate and the theta radius
+    assert spies["eigvalsh"].call_count == 1
+    # omega is inverted once; the other inv is theta's (Im tau)^-1
+    inverted = [call.args[0] for call in spies["inv"].call_args_list]
+    assert [a.dtype.kind for a in inverted] == ["c", "f"]
+    assert np.array_equal(inverted[1], per.tau.imag)
+    # both solves orient the b-cycles; the characteristic check solves nothing
+    assert spies["solve"].call_count == 2
+    assert all(call.args[0] is per.omega for call in spies["solve"].call_args_list)
+    assert spies["curve_polynomial"].call_count == 1
