@@ -46,7 +46,6 @@ from .expansions import (
 )
 from .hyperell import (
     PeriodData,
-    ThetaContext,
     WpValues,
     abel_map,
     abel_map_divisor,
@@ -54,11 +53,10 @@ from .hyperell import (
     compute_periods,
     hyperelliptic_from_branch_points,
     report_payload,
-    theta,
-    theta_context,
     verify_inversion,
     wp_from_theta,
 )
+from .theta import ThetaContext, theta, theta_context
 
 __version__ = "0.1.0"
 

@@ -219,7 +219,10 @@ class CurveFamily:
                     raise SymbolicLambda(
                         f"lambda_{k} is symbolic; numeric evaluation impossible"
                     )
-                vals[k] = complex(v.constant_value())
+                try:
+                    vals[k] = complex(v.constant_value())
+                except OverflowError:
+                    raise ValueError(f"lambda_{k} is a rational outside double range") from None
             else:
                 vals[k] = complex(v)
         return vals
@@ -456,6 +459,8 @@ def family_from_text(text: str) -> CurveFamily:
             else:
                 try:
                     lam[k] = Fraction(value)
+                except ZeroDivisionError:
+                    raise ValueError(f"line {lineno}: {key} = {value} divides by zero") from None
                 except ValueError:
                     lam[k] = complex(value)
         else:

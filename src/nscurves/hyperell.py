@@ -1,4 +1,4 @@
-"""Numeric closure on two-sheeted curves: periods, theta, wp, Abel map.
+"""Numeric closure on two-sheeted curves: periods, wp, Abel map.
 
 Everything here works on (2, 2g+1) families with numeric coefficients, real
 branch points e_1 < ... < e_2g+1 and genus 1 to MAX_GENUS.  Every integral
@@ -7,31 +7,30 @@ same sum at a finer node count.  The periods of du and of Baker's
 closed-form dr are sums of 2g integrals between adjacent branch points, each
 two legs that meet at the interval's midpoint on the sheet of the upper lip,
 where y has the closed form sqrt|p(x)| i^#{m : e_m > x}.  Sigma is realized
-through theta[delta], delta the characteristic of the Riemann constants, a
-constant of the fixed homology basis, written in closed form and checked by
-one theta value per curve.  Sigma is so known up to a gauge factor
-exp(quadratic) that the wp functions do not see.  The Abel map starts at the
-branch point nearest the point, whose image is a half period in closed form,
-and adds one leg from there.  The closing check reads the
+through theta[delta] (see nscurves.theta), delta the characteristic of the
+Riemann constants, a constant of the fixed homology basis, written in closed
+form and checked by one theta value per curve.  Sigma is so known up to a
+gauge factor exp(quadratic) that the wp functions do not see.  The Abel map
+starts at the branch point nearest the point, whose image is a half period
+in closed form, and adds one leg from there.  The closing check reads the
 inversion system that the exact layer derives for the shape, with lambda
 symbolic, at the wp values of A(D); the du numerators come from that system
 too.
 
 Per shape, cached and read-only: the derived system, the du numerators,
-the branch points' half characteristics, each symbol's place among the wp
-values, and per node count the leg tables; per genus, cube radius and
-characteristic, the theta table [1 | 2 pi i m' | pairs].  Per curve, kept
-in PeriodData: one curve polynomial, one batch of legs, one eigvalsh of
-sym(Im tau) for the tau gate and theta, one omega^-1 for kappa, wp and the
-characteristic check, and the system compiled at lambda.  Per divisor: one
-batch of legs, one theta product to order 2 and one for order 3, one gather
-of the wp values the system reads.  Gates format messages only on failure.
+the branch points' half characteristics and each symbol's place among the
+wp values; per branch point count, the leg tables.  Per curve, kept in
+PeriodData: one curve polynomial, one batch of legs, one omega^-1 for the
+b-cycle flips, kappa, wp and the characteristic check, one eigvalsh of
+sym(Im tau) for the tau gate and theta, and the system compiled at lambda.
+Per divisor: one batch of legs, one theta evaluation to order 3 and one
+gather of the wp values the system reads.  Gates format messages only on
+failure.
 """
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ from .divisors import (CompiledSystem, Divisor, _system_symbols, compile_system,
 from .errors import (BranchCollision, ComplexBranchPoints, NonSymmetricTau, NotTwoSheeted,
                      OnThetaDivisor, QuadratureNotConverged, SheetLoss, SpecialDivisor,
                      UnsupportedGenus, above, at_most)
+from .theta import ThetaContext, _reduce_modulo_lattice, theta_context, theta_with_derivs
 
 # kappa = KAPPA_SIGN * sym(eta omega^-1); the sign is a convention constant
 # tied to the orientation of Baker's dr rows, fixed once against the genus-1
@@ -53,8 +53,6 @@ KAPPA_SIGN = -1.0
 # 28,561 terms; one x86-64 core, numpy 2.4.6) compute_periods takes 31-37 ms,
 # each verify_inversion 5-7 ms and the process peaks at 58 MB
 MAX_GENUS = 3
-
-THETA_TAIL = 1e-13
 
 # quadrature: Gauss-Legendre nodes per leg from a branch point, the periods'
 # legs and the Abel map's alike, checked against LEG_CHECK_NODES.  The gate
@@ -104,11 +102,7 @@ def _require_two_sheets(fam: CurveFamily, periods: PeriodData | None = None) -> 
 def curve_polynomial(fam: CurveFamily) -> np.ndarray:
     """y^2 = p(x): ascending coefficients of p, degree 2g+1."""
     _require_y_squared(fam)
-    p = np.zeros(fam.s + 1, dtype=complex)
-    p[fam.s] = 1.0
-    for k, value in fam.numeric_lambda().items():
-        p[fam._index_map[k][1]] += value
-    return p
+    return fam._table()[:, 2].copy()  # f = p(x) - y^2: the y^0 column
 
 
 def branch_points(fam: CurveFamily) -> np.ndarray:
@@ -116,13 +110,8 @@ def branch_points(fam: CurveFamily) -> np.ndarray:
 
 
 def _sorted_roots(p: np.ndarray) -> np.ndarray:
-    """The monic p's roots, sorted, with np.roots' bits; BranchCollision if two meet."""
-    low = int(np.flatnonzero(p)[0])
-    top = p[low:][::-1]  # np.roots' companion matrix is that of p / x^low
-    companion = np.eye(len(top) - 1, k=-1, dtype=complex)
-    companion[:1] = -top[1:] / top[0]
-    roots = np.linalg.eigvals(companion) if len(top) > 1 else np.zeros(0)  # p = x^s: none
-    roots = np.concatenate([roots, np.zeros(low, roots.dtype)])  # and x^low's roots
+    """The ascending p's roots, sorted; BranchCollision if two meet."""
+    roots = np.roots(p[::-1])
     scale = max(1.0, float(np.abs(roots).max()))
     a, b = _closest_pair(roots)
     above(abs(roots[a] - roots[b]), COLLISION_TOL * scale, BranchCollision,
@@ -150,40 +139,35 @@ def hyperelliptic_from_branch_points(es: Sequence[complex]) -> CurveFamily:
 
 
 @functools.lru_cache(maxsize=8)
-def _derived_system(n: int, s: int, extended: bool) -> InversionSystem:
-    """The shape's exact inversion system, lambda symbolic; cached, so read-only."""
-    return build_inversion_system(make_family(n, s, "sym", extended=extended))
+def _shape_tables(
+    n: int, s: int, extended: bool
+) -> tuple[InversionSystem, np.ndarray, np.ndarray, np.ndarray]:
+    """The shape's derived system and its tables; cached, so read-only.
 
-
-def _du_numerators(fam: CurveFamily) -> list[np.ndarray]:
-    # the exact layer's du numerators, one x^i per gap in ascending gap order
-    monos = _derived_system(fam.n, fam.s, fam.extended).first.numerators
-    return [np.eye(1, mono.i + 1, mono.i, dtype=complex)[0] for mono in monos]
-
-
-@functools.lru_cache(maxsize=8)
-def _shape_tables(n: int, s: int, extended: bool) -> tuple[np.ndarray, ...]:
-    """The du numerators as columns, half characteristics and wp index; read-only.
-
-    Row j of the second is [eps'_j | eps''_j], so A(e_j) = omega eps'_j +
-    omega' eps''_j for the 0-indexed branch point j is that row times
+    The system is the exact layer's, lambda symbolic.  Its du numerators,
+    one x^i per gap in ascending gap order, are the columns of the first
+    table.  Row j of the second is [eps'_j | eps''_j], so A(e_j) = omega
+    eps'_j + omega' eps''_j for the 0-indexed branch point j is that row times
     [omega omega']^T.  With j' = j + 1, 2 eps'_j has ones in its first
     floor(j'/2) entries and 2 eps''_j is the unit vector at ceil(j'/2), zero
     for j' = 2g + 1 (Buchstaber, Enolski and Leykin 1997, for the a/b basis
     of compute_periods): half periods, so the cycle signs do not matter.
     The third holds each symbol's index into [wp2 | wp3], as WpValues.wp reads.
     """
-    system = _derived_system(n, s, extended)
+    system = build_inversion_system(make_family(n, s, "sym", extended=extended))
     g = system.fam.genus
     j, k, flat = np.arange(2 * g + 1)[:, None], np.arange(g), np.arange(g * g * (g + 1))
     halves = np.concatenate([k < (j + 1) // 2, k == j // 2], axis=1) / 2
     places = WpValues(flat, flat[: g * g].reshape(g, g), flat[g * g :].reshape(g, g, g),
                       tuple(system.fam.gaps))
     index = np.array([int(places.wp(*sym.indices).real) for sym in _system_symbols(system)])
-    tables = (_coefficients(_du_numerators(system.fam)), halves, index)
+    powers = [mono.i for mono in system.first.numerators]
+    du = np.zeros((max(powers) + 1, g), dtype=complex)
+    du[powers, np.arange(g)] = 1.0
+    tables = (du, halves, index)
     for table in tables:
         table.flags.writeable = False
-    return tables
+    return system, *tables
 
 
 def _dr_numerators(p: np.ndarray) -> list[np.ndarray]:
@@ -203,16 +187,18 @@ def _dr_numerators(p: np.ndarray) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _leg_tables(count: int, nodes: int, check_nodes: int) -> tuple[np.ndarray, ...]:
+def _leg_tables(count: int) -> tuple[np.ndarray, ...]:
     """_leg's tables for count branch points; cached, so read-only.
 
     Row j of the first lists the other branch points from j on round the cycle.
-    The second holds both sets' squared Gauss-Legendre nodes on [0, 1], then 1.0
-    for x itself; the rows of the third are the weight sets, zero off their nodes.
+    The second holds the squared Gauss-Legendre nodes on [0, 1] of LEG_NODES,
+    then of LEG_CHECK_NODES, then 1.0 for x itself; the rows of the third are
+    the two weight sets, zero off their nodes.
     """
-    (ts, ws), (check_ts, check_ws) = map(np.polynomial.legendre.leggauss, (nodes, check_nodes))
-    weights = np.zeros((2, nodes + check_nodes))
-    weights[0, :nodes], weights[1, nodes:] = ws / 2, check_ws / 2
+    (ts, ws), (check_ts, check_ws) = map(np.polynomial.legendre.leggauss,
+                                         (LEG_NODES, LEG_CHECK_NODES))
+    weights = np.zeros((2, LEG_NODES + LEG_CHECK_NODES))
+    weights[0, :LEG_NODES], weights[1, LEG_NODES:] = ws / 2, check_ws / 2
     tables = ((np.arange(count)[:, None] + np.arange(1, count)) % count,
               ((np.concatenate([ts, check_ts, [1.0]]) + 1) / 2) ** 2, weights)
     for table in tables:
@@ -246,7 +232,7 @@ def _leg(
     """
     js = np.asarray(js)
     xs = np.asarray(xs, dtype=complex)
-    cycle, squares, weights = _leg_tables(len(es), LEG_NODES, LEG_CHECK_NODES)
+    cycle, squares, weights = _leg_tables(len(es))
     e = es[js]
     others = es[cycle[js]].T[..., None]  # 2g x points x 1
     r = np.conj((e + xs)[:, None] / 2 - others)
@@ -340,7 +326,9 @@ def _check_riemann_matrix(tau: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
-def _orient_b_cycles(omega: np.ndarray, omega_prime: np.ndarray) -> tuple[np.ndarray, ...]:
+def _orient_b_cycles(
+    omega: np.ndarray, omega_prime: np.ndarray, omega_inv: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """tau, omega' and the gate's eigenvalues after the one b-cycle flip.
 
     Flipping a-cycles by D_a and b-cycles by D_b turns omega^-1 omega' into
@@ -349,10 +337,11 @@ def _orient_b_cycles(omega: np.ndarray, omega_prime: np.ndarray) -> tuple[np.nda
     Im(tau_r D_b) is d_k Im(tau_r)_kk, so d_k = sign Im(tau_r)_kk; that
     flip is the only one that can pass the gate (see _check_riemann_matrix).
     """
-    flips = np.sign(np.linalg.solve(omega, omega_prime).diagonal().imag)
+    flips = np.sign((omega_inv @ omega_prime).diagonal().imag)
     omega_prime = omega_prime * flips
-    # solved again rather than flipping tau_r's columns, so tau has the bits
-    # of omega^-1 omega' for the flipped omega'
+    # solved rather than multiplied by omega_inv, so tau has the bits of
+    # omega^-1 omega' for the flipped omega'; a flip read off the product can
+    # differ from one read off the solve only where the gate fails either way
     tau = np.linalg.solve(omega, omega_prime)
     return tau, omega_prime, _check_riemann_matrix(tau)
 
@@ -378,7 +367,7 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     scale = float(np.abs(es).max()) + 1.0
     at_most(float(np.abs(es.imag).max()), REAL_AXIS_TOL * scale, ComplexBranchPoints,
             "interval periods need real branch points; largest |Im e|")
-    du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
+    system, du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
     # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i
     coeffs = _coefficients([*du.T, *_dr_numerators(p)])
     ints, leg = _interval_integrals(es.real, coeffs, es[-1].real + 1.0 + 1.0j)
@@ -387,8 +376,8 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     a = 2.0 * (-1.0) ** np.arange(g - 1, -1, -1)[:, None] * ints[0::2] + 0j
     b = -2.0 * np.cumsum(ints[-1::-2, :g], axis=0)[::-1]
     omega, eta = a[:, :g].T, a[:, g:].T
-    tau, omega_prime, eigenvalues = _orient_b_cycles(omega, b.T)
     omega_inv = np.linalg.inv(omega)
+    tau, omega_prime, eigenvalues = _orient_b_cycles(omega, b.T, omega_inv)
     # the Kronecker products, broadcast: np.kron takes 6 times as long
     w2 = (omega_inv[:, None, :, None] * omega_inv[:, None]).reshape(g * g, -1)
     to_u = np.zeros((g * g + g ** 3,) * 2, dtype=complex)
@@ -401,9 +390,8 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     images = halves @ np.concatenate([omega, omega_prime], axis=1).T
     # A(P0): the image of e_2g+1 plus the du columns of its leg
     _check_riemann_characteristic(ctx, omega_inv, images[-1] + leg[:g])
-    system = compile_system(_derived_system(fam.n, fam.s, fam.extended), fam)
-    return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect,
-                      omega_inv, to_u, du, images, system, symbol_index)
+    return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect, omega_inv,
+                      to_u, du, images, compile_system(system, fam), symbol_index)
 
 
 def _riemann_characteristic(g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -436,145 +424,6 @@ def _check_riemann_characteristic(
             f"{CHARACTERISTIC_TOL:g} of scale {scale:.3e}): |theta|")
 
 
-# -- theta -------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=16)
-def _lattice(g: int, radius: int) -> np.ndarray:
-    """Integer points of the cube [-radius, radius]^g; cached, so read-only."""
-    axes = [np.arange(-radius, radius + 1)] * g
-    grid = np.meshgrid(*axes, indexing="ij")
-    out = np.stack([a.ravel() for a in grid], axis=1)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _theta_table(g: int, radius: int, shift: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """theta's lattice arrays on m' = m + shift, m in [-radius, radius]^g; cached, so read-only.
-
-    m'_i m'_j (row per term), 2 pi i m' (row per coordinate), and the table
-    [1 | 2 pi i m' | pairs], pairs = -4 pi^2 m'_i m'_j its last g^2 columns.
-    """
-    m = _lattice(g, radius) + np.array(shift)
-    # m'_i m'_j, exact: products of half-integers below 64.5
-    products = (m[:, :, None] * m[:, None, :]).reshape(len(m), -1)
-    table = np.concatenate([np.ones((len(m), 1)), 2j * math.pi * m,
-                            -4.0 * math.pi ** 2 * products + 0j], axis=1)
-    tables = (products, np.ascontiguousarray(table[:, 1 : g + 1].T), table, table[:, g + 1 :])
-    for array in tables:
-        array.flags.writeable = False
-    return tables
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaContext:
-    """theta[delta] at tau, truncated to the cube [-radius, radius]^g.
-
-    factor, table and pairs are the lattice's, shared by every context of one
-    genus, radius and delta' (see _theta_table).  The constructor builds what
-    depends on tau: the exponents i pi m'^T tau m' of m' = m + delta' and
-    (Im tau)^-1 for reducing arguments.  The context is frozen and its arrays
-    read-only, so they always match its radius.
-    """
-
-    tau: np.ndarray
-    characteristic: tuple[np.ndarray, np.ndarray]
-    radius: int
-    quad: np.ndarray = field(init=False, repr=False)
-    factor: np.ndarray = field(init=False, repr=False)
-    table: np.ndarray = field(init=False, repr=False)
-    pairs: np.ndarray = field(init=False, repr=False)
-    im_tau_inv: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        tau = np.array(self.tau, dtype=complex)
-        d1, d2 = (np.array(d, dtype=float) for d in self.characteristic)
-        products, factor, table, pairs = _theta_table(len(tau), self.radius, tuple(d1.tolist()))
-        derived = {"tau": tau, "quad": 1j * math.pi * (products @ tau.ravel()),
-                   "im_tau_inv": np.linalg.inv(tau.imag)}
-        for value in (d1, d2, *derived.values()):
-            value.flags.writeable = False
-        derived.update(characteristic=(d1, d2), factor=factor, table=table, pairs=pairs)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-
-
-def _log_tail(r: int, g: int, lam_min: float) -> float:
-    """log of theta_context's bound on the terms outside [-r, r]^g."""
-    # each shell past r is at most q < 1 times the one before
-    q = ((r + 2) / (r + 1)) ** g * ((r + 2.5) / (r + 1.5)) ** 3 * math.exp(
-        -math.pi * lam_min * (2 * r + 1))
-    return (g * math.log(2 * r + 2) + 3 * math.log(2 * math.pi * (r + 1.5))
-            - math.pi * lam_min * r * r - math.log1p(-q)) if q < 1 else math.inf
-
-
-def theta_context(
-    tau: np.ndarray,
-    characteristic: tuple[np.ndarray, np.ndarray] | None = None,
-    eigenvalues: np.ndarray | None = None,
-) -> ThetaContext:
-    """theta[delta] at tau on the least cube whose tail is below THETA_TAIL.
-
-    eigenvalues, if given, are sym(Im tau)'s, ascending.  At a reduced z
-    (see _reduce_modulo_lattice) Im z = Y c, Y = sym(Im tau), |c_i| <= 1/2,
-    and the term of m + delta' = v - c has modulus exp(pi c^T Y c -
-    pi v^T Y v), so the sum of moduli (the scale) is at least
-    exp(pi c^T Y c - pi g lam_max / 4).  Outside [-R, R]^g, |v|_inf >= R; the
-    shell s <= |v|_inf < s + 1 holds at most (2s + 2)^g terms, each below
-    exp(pi c^T Y c - pi lam_min s^2) and weighted by at most
-    (2 pi (s + 3/2))^3 in derivatives to order 3.
-    """
-    tau = np.asarray(tau, dtype=complex)
-    g = tau.shape[0]
-    if characteristic is None:
-        characteristic = (np.zeros(g), np.zeros(g))
-    lam = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2) if eigenvalues is None else eigenvalues
-    lam_min = float(lam[0])
-    above(lam_min, 0.0, NonSymmetricTau,
-          "sym(Im tau) is not positive definite: least eigenvalue")
-    target = math.log(THETA_TAIL) - math.pi * g * float(lam[-1]) / 4
-    # no R below the Gaussian's alone passes; past 64, Im tau is far from
-    # reduced, and the cube is refused rather than cut short
-    radius = math.sqrt(-target / (math.pi * lam_min))
-    if radius <= 64:
-        radius = max(1, int(radius))
-        while _log_tail(radius, g, lam_min) >= target:
-            radius += 1
-    at_most(radius, 64, NonSymmetricTau, lambda: f"theta's tail bound at least eigenvalue "
-            f"{lam_min:.3e} of sym(Im tau) needs a cube radius")
-    return ThetaContext(tau, characteristic, radius)
-
-
-def theta_with_derivs(z: np.ndarray, ctx: ThetaContext, order: int = 0):
-    """Truncated lattice sum and its first derivative tensors in z.
-
-    theta[d](z) = sum exp(i pi m'^T tau m' + 2 pi i m'^T (z + d'')) with
-    m' = m + d'; the quadratic exponent is the context's.  It is added
-    before the one exp per term rather than cached as its exp: at large
-    |Im z| the linear term's exp alone overflows where the sum's does not.
-    Derivatives differentiate term by term, which keeps every order as
-    accurate as the sum itself: one product of the phases with the context's
-    table gives the sum and its derivatives to order 2, and the third order
-    is one product of the weighted factors with the pairs.  theta_context
-    sizes the cube for reduced z; another z needs a wider ThetaContext.
-    """
-    z = np.asarray(z, dtype=complex)
-    g = len(z)
-    phases = np.exp(ctx.quad + (z + ctx.characteristic[1]) @ ctx.factor)
-    if order == 0:
-        return [complex(phases.sum())], float(np.abs(phases).sum())
-    sums = phases @ ctx.table
-    out = [complex(sums[0]), sums[1 : g + 1], sums[g + 1 :].reshape(g, g)][: order + 1]
-    if order >= 3:
-        out.append(((ctx.factor * phases) @ ctx.pairs).reshape(g, g, g))
-    return out, float(np.abs(phases).sum())
-
-
-def theta(z: np.ndarray, ctx: ThetaContext) -> complex:
-    return theta_with_derivs(z, ctx, order=0)[0][0]
-
-
 # -- wp values ---------------------------------------------------------------
 
 
@@ -588,15 +437,12 @@ class WpValues:
     gaps: tuple[int, ...]
 
     def wp(self, *indices: int) -> complex:
+        if len(indices) not in (2, 3) or not set(indices) <= set(self.gaps):
+            raise ValueError(f"wp takes two or three indices among the gaps {self.gaps}, "
+                             f"not {indices}")
         # sorted, so every order of the indices reads the same entry
         key = tuple(sorted(self.gaps.index(i) for i in indices))
         return complex((self.wp2 if len(key) == 2 else self.wp3)[key])
-
-
-def _reduce_modulo_lattice(z: np.ndarray, ctx: ThetaContext) -> np.ndarray:
-    """z minus the lattice point tau k2 + k1 that brings it nearest the cell."""
-    z = z - ctx.tau @ (ctx.im_tau_inv @ z.imag).round()
-    return z - z.real.round()
 
 
 def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
@@ -655,13 +501,9 @@ def _abel_images(periods: PeriodData, points: Sequence[CurvePoint]) -> np.ndarra
     return periods.branch_images[js] + signs[:, None] * legs
 
 
-def abel_map(
-    fam: CurveFamily, periods: PeriodData, point: CurvePoint | None = None
-) -> np.ndarray:
+def abel_map(fam: CurveFamily, periods: PeriodData, point: CurvePoint) -> np.ndarray:
     """u(P), the Abel map from infinity of one point (see _abel_images)."""
     _require_two_sheets(fam, periods)
-    if point is None:
-        return np.zeros(fam.genus, dtype=complex)
     require_finite_points([point])
     return _abel_images(periods, [point])[0]
 
@@ -693,7 +535,7 @@ def report_payload(report: list[IdentityCheck]) -> list[dict]:
 
 
 def verify_inversion(
-    fam: CurveFamily, divisor: Divisor, periods: PeriodData | None = None
+    fam: CurveFamily, divisor: Divisor, periods: PeriodData
 ) -> list[IdentityCheck]:
     """Check a concrete divisor against the derived inversion system.
 
@@ -710,8 +552,6 @@ def verify_inversion(
     if divisor.special:
         raise SpecialDivisor("inversion identities exclude special divisors")
     require_finite_points(divisor.points)
-    if periods is None:
-        periods = compute_periods(fam)
     # abel_map_divisor's guards have run above
     vals = wp_from_theta(_abel_images(periods, divisor.points).sum(axis=0), periods)
     wp = np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])

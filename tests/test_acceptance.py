@@ -32,15 +32,13 @@ from nscurves.expansions import (
     first_kind_basis,
 )
 from nscurves.hyperell import (
-    ThetaContext,
     abel_map_divisor,
     compute_periods,
     hyperelliptic_from_branch_points,
-    theta,
-    theta_context,
     verify_inversion,
     wp_from_theta,
 )
+from nscurves.theta import ThetaContext, theta, theta_context
 
 ONE = WeightedPoly.one()
 ZERO = WeightedPoly.zero()

@@ -207,8 +207,11 @@ def test_roundtrip_needs_numeric_lambda(capsys, tmp_path):
         "n = 2\ns = 4\n",
         "n = 3\ns = 4\nextended = maybe\nlambda.12 = 7/10\n",
         "n = 3\ns = 4\nlambda.12 = 7/10\nlambda.12 = 3/10\n",
+        "n = 3\ns = 4\nlambda.6 = 1/0\n",
+        "n = 3\ns = 4\nlambda.6 = 1e400\n",
     ],
-    ids=["nan-lambda", "inf-lambda", "common-factor", "unknown-extended", "repeated-lambda"],
+    ids=["nan-lambda", "inf-lambda", "common-factor", "unknown-extended", "repeated-lambda",
+         "zero-denominator", "past-double-range"],
 )
 def test_roundtrip_refuses_malformed_curve_files(capsys, tmp_path, text):
     path = tmp_path / "curve.txt"
@@ -217,7 +220,17 @@ def test_roundtrip_refuses_malformed_curve_files(capsys, tmp_path, text):
         warnings.simplefilter("error")
         code, _, err = run(capsys, "roundtrip", str(path))
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_lambda_errors_name_their_line_or_index(capsys, tmp_path):
+    path = tmp_path / "curve.txt"
+    path.write_text("n = 3\ns = 4\nlambda.6 = 1/0\n")
+    assert run(capsys, "roundtrip", str(path))[2] == (
+        "error: line 3: lambda.6 = 1/0 divides by zero\n")
+    path.write_text("n = 3\ns = 4\nlambda.6 = 1e400\n")
+    assert run(capsys, "roundtrip", str(path))[2] == (
+        "error: lambda_6 is a rational outside double range\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

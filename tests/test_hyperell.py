@@ -1,8 +1,10 @@
 """Numeric period, theta, and inversion checks on two-sheeted curves."""
 import dataclasses
 import functools
+import importlib
 import math
 import operator
+import re
 import warnings
 from unittest import mock
 
@@ -29,16 +31,12 @@ from nscurves.errors import (
 )
 from nscurves.expansions import expand_at_infinity, first_kind_basis
 from nscurves.hyperell import (
-    ThetaContext,
     _check_riemann_characteristic,
     _check_riemann_matrix,
     _coefficients,
     _dr_numerators,
-    _du_numerators,
     _interval_integrals,
-    _lattice,
     _orient_b_cycles,
-    _reduce_modulo_lattice,
     _riemann_characteristic,
     abel_map,
     abel_map_divisor,
@@ -47,12 +45,20 @@ from nscurves.hyperell import (
     curve_polynomial,
     hyperelliptic_from_branch_points,
     report_payload,
-    theta,
-    theta_context,
-    theta_with_derivs,
     verify_inversion,
     wp_from_theta,
 )
+from nscurves.theta import (
+    THETA_TAIL,
+    ThetaContext,
+    _reduce_modulo_lattice,
+    theta,
+    theta_context,
+    theta_with_derivs,
+)
+
+# the module itself: the package exports the function theta under its name
+theta_module = importlib.import_module("nscurves.theta")
 
 GENUS1_LAMBDA = {4: -1.25, 6: 0.4}
 GENUS2_BRANCH = [-1.92, -1.12, -0.32, 0.58, 1.38]
@@ -78,6 +84,24 @@ def random_genus2(rng):
 def random_point(fam, rng, scale=1.4):
     x = rng.normal(0.0, scale) + 1j * rng.normal(0.0, scale)
     return fam.lift_x_to_points(x)[int(rng.integers(2))]
+
+
+def _du_numerators(fam):
+    # the exact layer's du numerators as compute_periods reads them: the
+    # columns of the shape's table, zero-padded to one length
+    return list(hyperell._shape_tables(fam.n, fam.s, fam.extended)[1].T)
+
+
+def _lattice(g, radius):
+    # integer points of the cube [-radius, radius]^g, one row each
+    grid = np.meshgrid(*[np.arange(-radius, radius + 1)] * g, indexing="ij")
+    return np.stack([a.ravel() for a in grid], axis=1)
+
+
+def _fresh_leg_tables(monkeypatch):
+    # a cache of its own, so leg tables built at patched node counts go with it
+    monkeypatch.setattr(hyperell, "_leg_tables",
+                        functools.lru_cache(hyperell._leg_tables.__wrapped__))
 
 
 # -- curve polynomial and branch points --------------------------------------
@@ -140,23 +164,6 @@ def test_branch_collision_detected():
         branch_points(fam)
 
 
-def _roots_by_np_roots(p):
-    # branch_points as it read np.roots, kept as the oracle
-    return np.array(sorted(np.roots(p[::-1]), key=lambda z: (z.real, z.imag)))
-
-
-@given(st.sampled_from([3, 5, 7]), st.integers(0, 1), st.booleans(), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_sorted_roots_are_np_roots_bit_for_bit(s, low, real, seed):
-    # low = 1 puts a root at exactly 0, which np.roots appends rather than solves
-    rng = np.random.default_rng(seed)
-    p = np.zeros(s + 1, dtype=complex)
-    p[s] = 1.0
-    p[low:s] = rng.normal(size=s - low) + (0 if real else 1j * rng.normal(size=s - low))
-    got, want = hyperell._sorted_roots(p), _roots_by_np_roots(p)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 def test_all_branch_points_at_zero_collide():
     # y^2 = x^5: np.roots solves no eigenproblem and returns five float zeros
     with pytest.raises(BranchCollision, match="^branch points 0 and 0 collide"):
@@ -185,6 +192,7 @@ def test_tau_symmetric_positive_over_random_curves():
 def test_quadrature_refinement_stable(monkeypatch):
     fam = genus2_family()
     a = compute_periods(fam)
+    _fresh_leg_tables(monkeypatch)
     monkeypatch.setattr(hyperell, "LEG_NODES", 2 * hyperell.LEG_NODES)
     b = compute_periods(fam)
     assert np.max(np.abs(a.omega - b.omega)) < 1e-10
@@ -203,6 +211,7 @@ def test_coarse_quadrature_fails_the_convergence_gate(monkeypatch):
     per = compute_periods(fam)
     P = fam.lift_x_to_points(1.3 + 0.4j)[0]
     margin = r"relative difference between node counts [0-9.e+-]+, tolerance 1e-10"
+    _fresh_leg_tables(monkeypatch)
     monkeypatch.setattr(hyperell, "LEG_NODES", 3)
     with pytest.raises(QuadratureNotConverged, match="the leg from .*" + margin):
         abel_map(fam, per, P)
@@ -225,7 +234,7 @@ def test_genus_above_the_cap_refused_before_any_theta_sum(monkeypatch):
     def no_theta(*args, **kwargs):
         raise AssertionError("a theta lattice was built")
 
-    monkeypatch.setattr(hyperell, "_lattice", no_theta)
+    monkeypatch.setattr(theta_module, "_theta_table", no_theta)
     monkeypatch.setattr(hyperell, "theta_context", no_theta)
     fam = hyperelliptic_from_branch_points(np.arange(9) - 4.0)
     assert fam.genus == 4
@@ -356,8 +365,9 @@ def _contour_periods(fam):
         vals = _ellipse_integral(p, du + dr, es[2 * k], es[2 * k + 1], spacing)
         omega[:, k], eta[:, k] = vals[:g], vals[g:]
         omega_prime[:, k] = _ellipse_integral(p, du, es[2 * k + 1], es[2 * g], spacing)
-    tau, omega_prime, _ = _orient_b_cycles(omega, omega_prime)
-    raw = eta @ np.linalg.inv(omega)
+    omega_inv = np.linalg.inv(omega)
+    tau, omega_prime, _ = _orient_b_cycles(omega, omega_prime, omega_inv)
+    raw = eta @ omega_inv
     return omega, tau, hyperell.KAPPA_SIGN * (raw + raw.T) / 2
 
 
@@ -591,6 +601,21 @@ def test_wp_index_order_irrelevant():
     assert vals.wp(3, 1, 1) == vals.wp(1, 1, 3)
 
 
+@pytest.mark.parametrize("make", [genus1_family, genus2_family], ids=["g1", "g2"])
+@pytest.mark.parametrize("indices", [(1,), (), (1, 1, 1, 1), (2, 1), (2, 2)])
+def test_wp_refuses_indices_off_the_gaps(make, indices):
+    # a count other than two or three, or an index that is not a gap
+    fam = make()
+    per = compute_periods(fam)
+    rng = np.random.default_rng(7)
+    D = make_divisor(fam, [random_point(fam, rng) for _ in range(fam.genus)])
+    vals = wp_from_theta(abel_map_divisor(fam, per, D), per)
+    gaps = re.escape(str(tuple(fam.gaps)))
+    with pytest.raises(ValueError, match=rf"^wp takes two or three indices among the gaps "
+                       rf"{gaps}, not {re.escape(str(indices))}$"):
+        vals.wp(*indices)
+
+
 def test_wp_even_in_u():
     fam = genus2_family()
     per = compute_periods(fam)
@@ -656,9 +681,10 @@ def test_periods_of_another_curve_are_refused():
 
 
 def test_abel_of_infinity_is_zero():
+    # the empty divisor: every point at infinity, where the map starts
     fam = genus1_family()
     per = compute_periods(fam)
-    assert np.all(abel_map(fam, per, None) == 0)
+    assert np.all(abel_map_divisor(fam, per, Divisor((), False)) == 0)
 
 
 def test_abel_landing_off_the_curve_reports_its_miss():
@@ -778,7 +804,8 @@ def test_former_abel_map_defects_pass(es, points):
     fam = hyperelliptic_from_branch_points(es)
     D = make_divisor(fam, [CurvePoint(x, y) for x, y in points])
     tolerance = {1: 1e-8, 2: 1e-6}[fam.genus]  # the benchmark's
-    assert max(c.abs_err for c in verify_inversion(fam, D)) < 0.1 * tolerance
+    report = verify_inversion(fam, D, compute_periods(fam))
+    assert max(c.abs_err for c in report) < 0.1 * tolerance
 
 
 # -- inversion identities ----------------------------------------------------
@@ -891,7 +918,7 @@ def test_orientation_matches_the_search_on_real_curves(es):
     )
     with spy as orient:
         per = compute_periods(hyperelliptic_from_branch_points(es))
-    want_tau, want_omega, want_omega_prime = _orient_by_search(*orient.call_args.args)
+    want_tau, want_omega, want_omega_prime = _orient_by_search(*orient.call_args.args[:2])
     assert per.omega.tobytes() == want_omega.tobytes()
     assert per.omega_prime.tobytes() == want_omega_prime.tobytes()
     assert per.tau.tobytes() == want_tau.tobytes()
@@ -916,7 +943,7 @@ def period_parts(draw, min_genus=1):
 def test_orientation_matches_the_search_under_any_flips(parts):
     omega, tau0, d1, d2 = parts
     omega, omega_prime = omega * d1, omega @ tau0 * d2
-    tau, got_omega_prime, _ = _orient_b_cycles(omega, omega_prime)
+    tau, got_omega_prime, _ = _orient_b_cycles(omega, omega_prime, np.linalg.inv(omega))
     want_tau, want_omega, want_omega_prime = _orient_by_search(omega, omega_prime)
     assert want_omega.tobytes() == omega.tobytes()  # no a-cycle flip needed
     assert got_omega_prime.tobytes() == want_omega_prime.tobytes()
@@ -932,7 +959,7 @@ def test_non_symmetric_tau_refused_by_both(parts):
     bad[1, 0] = tau0[0, 1] + 1.0 + 2.0 * abs(tau0[0, 1])
     omega, omega_prime = omega * d1, omega @ bad * d2
     with pytest.raises(NonSymmetricTau):
-        _orient_b_cycles(omega, omega_prime)
+        _orient_b_cycles(omega, omega_prime, np.linalg.inv(omega))
     with pytest.raises(NonSymmetricTau):
         _orient_by_search(omega, omega_prime)
 
@@ -1258,7 +1285,7 @@ def test_theta_radius_meets_its_tail_bound(g, seed):
     got, scale = theta_with_derivs(z, ctx, order=3)
     want, _ = theta_with_derivs(z, wide, order=3)
     for order, (a, b) in enumerate(zip(got, want)):
-        bound = hyperell.THETA_TAIL * scale * (2 * math.pi * (ctx.radius + 2)) ** order
+        bound = THETA_TAIL * scale * (2 * math.pi * (ctx.radius + 2)) ** order
         assert np.max(np.abs(np.asarray(a) - b)) <= bound
 
 
@@ -1332,7 +1359,7 @@ def test_compiled_system_matches_per_coefficient_evaluation(es, seed):
     vals = wp_from_theta(abel_map_divisor(fam, per, D), per)
     values = {sym: vals.wp(*sym.indices) for sym in per.system.symbols}
     got = _identities(per.system.evaluate(list(values.values())).rho, D)
-    system = hyperell._derived_system(fam.n, fam.s, fam.extended)
+    system = hyperell._shape_tables(fam.n, fam.s, fam.extended)[0]
     want = _identities(per_coefficient_system(system, fam, values).rho, D)
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
@@ -1495,8 +1522,8 @@ def test_verify_inversion_runs_each_guard_once():
 
 def test_shape_tables_are_read_only():
     per = compute_periods(genus2_family())
-    tables = hyperell._shape_tables(2, 5, False) + hyperell._leg_tables(
-        5, hyperell.LEG_NODES, hyperell.LEG_CHECK_NODES)
+    _, *tables = hyperell._shape_tables(2, 5, False)
+    tables += hyperell._leg_tables(5)
     assert per.du is tables[0] and per.symbol_index is tables[2]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
@@ -1565,19 +1592,21 @@ def test_one_theta_table_per_genus_radius_and_characteristic():
 def test_each_curve_constant_is_built_once(monkeypatch):
     fam = genus2_family()
     compute_periods(fam)  # the shape's and the theta table's caches filled
-    spies = {}
+    spies, calls = {}, mock.Mock()
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "inv"), (np.linalg, "solve"),
                          (hyperell, "curve_polynomial")):
         spies[name] = mock.Mock(wraps=getattr(module, name))
+        calls.attach_mock(spies[name], name)
         monkeypatch.setattr(module, name, spies[name])
     per = compute_periods(fam)
     # one eigvalsh of sym(Im tau), shared by the tau gate and the theta radius
     assert spies["eigvalsh"].call_count == 1
-    # omega is inverted once; the other inv is theta's (Im tau)^-1
+    # omega is inverted once, before the one solve, which orients the
+    # b-cycles; the other inv is theta's (Im tau)^-1, and the characteristic
+    # check solves nothing
+    order = [name for name, *_ in calls.mock_calls if name in ("inv", "solve")]
+    assert order == ["inv", "solve", "inv"]
     inverted = [call.args[0] for call in spies["inv"].call_args_list]
-    assert [a.dtype.kind for a in inverted] == ["c", "f"]
-    assert np.array_equal(inverted[1], per.tau.imag)
-    # both solves orient the b-cycles; the characteristic check solves nothing
-    assert spies["solve"].call_count == 2
-    assert all(call.args[0] is per.omega for call in spies["solve"].call_args_list)
+    assert inverted[0] is per.omega and np.array_equal(inverted[1], per.tau.imag)
+    assert spies["solve"].call_args.args[0] is per.omega
     assert spies["curve_polynomial"].call_count == 1
