@@ -56,7 +56,7 @@ from .hyperell import (
     verify_inversion,
     wp_from_theta,
 )
-from .theta import ThetaContext, theta, theta_context
+from .theta import ThetaContext, theta_context
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "rfunctions_from_divisor",
     "solve_divisor",
     "system_payload",
-    "theta",
     "theta_context",
     "verify_inversion",
     "wp",

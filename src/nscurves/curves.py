@@ -311,16 +311,9 @@ class CurveFamily:
                 lambda: f"fiber root at x={xs[row]} fails the residual check: |f|")
         return roots
 
-    def lift_fibers(self, xs: Sequence[complex]) -> list[list[CurvePoint]]:
-        """All n points of the fiber over each x: ``fiber_roots`` as points."""
-        return [
-            [CurvePoint(complex(x), y) for y in fiber]
-            for x, fiber in zip(xs, self.fiber_roots(xs).tolist())
-        ]
-
     def lift_x_to_points(self, x: complex) -> list[CurvePoint]:
         """All n points of the fiber over x, sorted for determinism."""
-        return self.lift_fibers([x])[0]
+        return [CurvePoint(complex(x), y) for y in self.fiber_roots([x])[0].tolist()]
 
     # -- display --
 
@@ -425,6 +418,7 @@ def family_from_text(text: str) -> CurveFamily:
     """Parse the key=value curve format (n, s, extended, lambda.k lines).
 
     Each key may appear once; extended is one of 1/true/yes or 0/false/no.
+    A line that cannot be read raises a ValueError that names it.
     """
     n = s = None
     extended = False
@@ -434,40 +428,56 @@ def family_from_text(text: str) -> CurveFamily:
         body = line.split("#", 1)[0]
         if not body.strip():
             continue
-        match = _LINE.match(body)
-        if not match:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, value = match.group(1), match.group(2)
-        if key.startswith("lambda."):
-            k = int(key.split(".", 1)[1])
-            key = f"lambda.{k}"
-        if key in seen:
-            raise ValueError(f"line {lineno}: {key} is set twice")
-        seen.add(key)
-        if key == "n":
-            n = int(value)
-        elif key == "s":
-            s = int(value)
-        elif key == "extended":
-            if value.lower() not in _SWITCH:
-                msg = f"line {lineno}: extended = {value!r} is not true or false"
-                raise ValueError(msg)
-            extended = _SWITCH[value.lower()]
-        elif key.startswith("lambda."):
-            if value == "sym":
-                lam[k] = "sym"
+        try:
+            match = _LINE.match(body)
+            if not match:
+                raise ValueError("expected key = value")
+            key, value = match.group(1), match.group(2)
+            if key.startswith("lambda."):
+                k = _integer(f"the index of {key}", key.split(".", 1)[1])
+                key = f"lambda.{k}"
+            if key in seen:
+                raise ValueError(f"{key} is set twice")
+            seen.add(key)
+            if key == "n":
+                n = _integer("n", value)
+            elif key == "s":
+                s = _integer("s", value)
+            elif key == "extended":
+                if value.lower() not in _SWITCH:
+                    raise ValueError(f"extended = {value!r} is not true or false")
+                extended = _SWITCH[value.lower()]
+            elif key.startswith("lambda."):
+                lam[k] = _lambda_value(key, value)
             else:
-                try:
-                    lam[k] = Fraction(value)
-                except ZeroDivisionError:
-                    raise ValueError(f"line {lineno}: {key} = {value} divides by zero") from None
-                except ValueError:
-                    lam[k] = complex(value)
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if n is None or s is None:
         raise ValueError("curve description must set both n and s")
     return make_family(n, s, lam, extended=extended)
+
+
+def _integer(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, not {text!r}") from None
+
+
+def _lambda_value(key: str, value: str) -> object:
+    """sym, a Fraction, or else a complex; ValueError if it is none of these."""
+    if value == "sym":
+        return "sym"
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{key} = {value} divides by zero") from None
+    except ValueError:
+        try:
+            return complex(value)
+        except ValueError:
+            raise ValueError(f"{key} = {value!r} is not a number") from None
 
 
 def family_to_text(fam: CurveFamily) -> str:

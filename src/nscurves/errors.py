@@ -134,7 +134,7 @@ class BranchCollision(NSCurveError):
 
 
 class NonSymmetricTau(NSCurveError):
-    """tau is not symmetric with positive-definite imaginary part."""
+    """tau is not a Riemann matrix, or theta's cube at tau needs a radius above 64."""
 
 
 class OnThetaDivisor(NSCurveError):

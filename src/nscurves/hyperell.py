@@ -21,11 +21,11 @@ Per shape, cached and read-only: the derived system, the du numerators,
 the branch points' half characteristics and each symbol's place among the
 wp values; per branch point count, the leg tables.  Per curve, kept in
 PeriodData: one curve polynomial, one batch of legs, one omega^-1 for the
-b-cycle flips, kappa, wp and the characteristic check, one eigvalsh of
-sym(Im tau) for the tau gate and theta, and the system compiled at lambda.
-Per divisor: one batch of legs, one theta evaluation to order 3 and one
-gather of the wp values the system reads.  Gates format messages only on
-failure.
+b-cycle flips, kappa, wp and the characteristic check, the theta context
+(whose constructor, theta_context, is the one gate on tau: nothing here
+checks tau) and the system compiled at lambda.  Per divisor: one batch of
+legs, one theta evaluation to order 3 and one gather of the wp values the
+system reads.  Gates format messages only on failure.
 """
 from __future__ import annotations
 
@@ -39,9 +39,9 @@ from .abelian import InversionSystem, build_inversion_system
 from .curves import CurveFamily, CurvePoint, _closest_pair, make_family
 from .divisors import (CompiledSystem, Divisor, _system_symbols, compile_system,
                        require_finite_points)
-from .errors import (BranchCollision, ComplexBranchPoints, NonSymmetricTau, NotTwoSheeted,
-                     OnThetaDivisor, QuadratureNotConverged, SheetLoss, SpecialDivisor,
-                     UnsupportedGenus, above, at_most)
+from .errors import (BranchCollision, ComplexBranchPoints, NotTwoSheeted, OnThetaDivisor,
+                     QuadratureNotConverged, SheetLoss, SpecialDivisor, UnsupportedGenus,
+                     above, at_most)
 from .theta import ThetaContext, _reduce_modulo_lattice, theta_context, theta_with_derivs
 
 # kappa = KAPPA_SIGN * sym(eta omega^-1); the sign is a convention constant
@@ -68,9 +68,6 @@ QUADRATURE_TOL = 1e-10
 LANDING_TOL = 1e-4
 CHARACTERISTIC_TOL = 1e-6
 THETA_DIVISOR_TOL = 1e-10
-# tau gate: relative symmetry defect, least eigenvalue of sym(Im tau)
-TAU_SYMMETRY_TOL = 1e-8
-TAU_EIGENVALUE_TOL = 1e-12
 # relative to the branch points' size: least distance (over a double root's
 # ~sqrt(eps) smear), largest |Im e|, and |mean| and dropped coefficients
 COLLISION_TOL = 1e-6
@@ -158,7 +155,7 @@ def _shape_tables(
     g = system.fam.genus
     j, k, flat = np.arange(2 * g + 1)[:, None], np.arange(g), np.arange(g * g * (g + 1))
     halves = np.concatenate([k < (j + 1) // 2, k == j // 2], axis=1) / 2
-    places = WpValues(flat, flat[: g * g].reshape(g, g), flat[g * g :].reshape(g, g, g),
+    places = WpValues(flat[: g * g].reshape(g, g), flat[g * g :].reshape(g, g, g),
                       tuple(system.fam.gaps))
     index = np.array([int(places.wp(*sym.indices).real) for sym in _system_symbols(system)])
     powers = [mono.i for mono in system.first.numerators]
@@ -170,17 +167,16 @@ def _shape_tables(
     return system, *tables
 
 
-def _dr_numerators(p: np.ndarray) -> list[np.ndarray]:
+def _dr_numerators(p: np.ndarray) -> np.ndarray:
     # Baker's closed form (Baker 1897; Buchstaber, Enolski and Leykin 1997),
     # p ascending and monic: row k, dual to du_(2k-1) = x^(g-k) dx/(-2y),
-    # holds sum_{m=j}^{2g-j} (m+1-j) p_(m+1+j) x^m with j = g+1-k
+    # holds sum_{m=j}^{2g-j} (m+1-j) p_(m+1+j) x^m with j = g+1-k; the rows
+    # are the columns of one 2g x g array, ascending like the du table
     g = len(p) // 2 - 1
-    rows = []
-    for j in range(g, 0, -1):
-        num = np.zeros_like(p, shape=2 * g + 1 - j)
-        num[j:] = [(m + 1 - j) * p[m + 1 + j] for m in range(j, 2 * g + 1 - j)]
-        rows.append(num)
-    return rows
+    out = np.zeros_like(p, shape=(2 * g, g))
+    for k, j in enumerate(range(g, 0, -1)):
+        out[j : 2 * g + 1 - j, k] = [(m + 1 - j) * p[m + 1 + j] for m in range(j, 2 * g + 1 - j)]
+    return out
 
 
 # -- quadrature from the branch points ---------------------------------------
@@ -204,14 +200,6 @@ def _leg_tables(count: int) -> tuple[np.ndarray, ...]:
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def _coefficients(numerators: list[np.ndarray]) -> np.ndarray:
-    """The ascending numerators as the columns of one zero-padded matrix."""
-    out = np.zeros((max(map(len, numerators)), len(numerators)), dtype=complex)
-    for col, num in enumerate(numerators):
-        out[: len(num), col] = num
-    return out
 
 
 def _leg(
@@ -309,41 +297,23 @@ class PeriodData:
     symbol_index: np.ndarray
 
 
-def _check_riemann_matrix(tau: np.ndarray) -> np.ndarray:
-    """sym(Im tau)'s eigenvalues, ascending; NonSymmetricTau unless tau = tau^T, Im tau > 0."""
-    size = max(1.0, float(np.linalg.norm(tau)))
-    defect = float(np.linalg.norm(tau - tau.T)) / size
-    # of sym(Im tau): eigvalsh reads only one triangle of its input
-    eigenvalues = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)
-    lam_min = float(eigenvalues[0])
-    # each gate's message carries the other's margin too
-    above(lam_min, TAU_EIGENVALUE_TOL, NonSymmetricTau,
-          lambda: f"tau is not a Riemann matrix: symmetry defect {defect:.3e}, tolerance "
-          f"{TAU_SYMMETRY_TOL:g}; least eigenvalue of sym(Im tau)")
-    at_most(defect, TAU_SYMMETRY_TOL, NonSymmetricTau,
-            lambda: f"tau is not a Riemann matrix: least eigenvalue of sym(Im tau) "
-            f"{lam_min:.3e}, needs > {TAU_EIGENVALUE_TOL:g}; symmetry defect")
-    return eigenvalues
-
-
 def _orient_b_cycles(
     omega: np.ndarray, omega_prime: np.ndarray, omega_inv: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """tau, omega' and the gate's eigenvalues after the one b-cycle flip.
+) -> tuple[np.ndarray, np.ndarray]:
+    """tau and omega' after the one b-cycle flip.
 
     Flipping a-cycles by D_a and b-cycles by D_b turns omega^-1 omega' into
-    D_a tau_r D_b.  If that passes the gate, so does its conjugate
+    D_a tau_r D_b.  If that passes the tau gate, so does its conjugate
     tau_r D_b D_a, so the a-cycles never need a flip; and the diagonal of
     Im(tau_r D_b) is d_k Im(tau_r)_kk, so d_k = sign Im(tau_r)_kk; that
-    flip is the only one that can pass the gate (see _check_riemann_matrix).
+    flip is the only one that can pass the gate (see theta_context).
     """
     flips = np.sign((omega_inv @ omega_prime).diagonal().imag)
     omega_prime = omega_prime * flips
     # solved rather than multiplied by omega_inv, so tau has the bits of
     # omega^-1 omega' for the flipped omega'; a flip read off the product can
     # differ from one read off the solve only where the gate fails either way
-    tau = np.linalg.solve(omega, omega_prime)
-    return tau, omega_prime, _check_riemann_matrix(tau)
+    return np.linalg.solve(omega, omega_prime), omega_prime
 
 
 def compute_periods(fam: CurveFamily) -> PeriodData:
@@ -368,8 +338,11 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     at_most(float(np.abs(es.imag).max()), REAL_AXIS_TOL * scale, ComplexBranchPoints,
             "interval periods need real branch points; largest |Im e|")
     system, du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
-    # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i
-    coeffs = _coefficients([*du.T, *_dr_numerators(p)])
+    # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i, of the du
+    # and dr numerators side by side
+    dr = _dr_numerators(p)
+    coeffs = np.zeros((len(dr), 2 * g), dtype=complex)
+    coeffs[: len(du), :g], coeffs[:, g:] = du, dr
     ints, leg = _interval_integrals(es.real, coeffs, es[-1].real + 1.0 + 1.0j)
     # rows are cycles; + 0j makes a -0.0 imaginary part +0.0, so that equal
     # periods have equal bytes
@@ -377,7 +350,9 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     b = -2.0 * np.cumsum(ints[-1::-2, :g], axis=0)[::-1]
     omega, eta = a[:, :g].T, a[:, g:].T
     omega_inv = np.linalg.inv(omega)
-    tau, omega_prime, eigenvalues = _orient_b_cycles(omega, b.T, omega_inv)
+    tau, omega_prime = _orient_b_cycles(omega, b.T, omega_inv)
+    # the one tau gate, before kappa, to_u or the half periods are built
+    ctx = theta_context(tau, _riemann_characteristic(g))
     # the Kronecker products, broadcast: np.kron takes 6 times as long
     w2 = (omega_inv[:, None, :, None] * omega_inv[:, None]).reshape(g * g, -1)
     to_u = np.zeros((g * g + g ** 3,) * 2, dtype=complex)
@@ -386,7 +361,6 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     raw = eta @ omega_inv
     defect = float(np.linalg.norm(raw - raw.T))
     kappa = KAPPA_SIGN * (raw + raw.T) / 2
-    ctx = theta_context(tau, _riemann_characteristic(g), eigenvalues)
     images = halves @ np.concatenate([omega, omega_prime], axis=1).T
     # A(P0): the image of e_2g+1 plus the du columns of its leg
     _check_riemann_characteristic(ctx, omega_inv, images[-1] + leg[:g])
@@ -431,7 +405,6 @@ def _check_riemann_characteristic(
 class WpValues:
     """wp2[a, b] = wp_{gaps[a] gaps[b]} and wp3[a, b, c] likewise at u."""
 
-    u: np.ndarray
     wp2: np.ndarray
     wp3: np.ndarray
     gaps: tuple[int, ...]
@@ -466,7 +439,7 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     log3 = (third / val - (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)) / val ** 2
             + 2.0 * np.multiply.outer(outer, log1))
     in_u = np.concatenate([log2.ravel(), log3.ravel()]) @ periods.to_u
-    return WpValues(u, -periods.kappa - in_u[: g * g].reshape(g, g),
+    return WpValues(-periods.kappa - in_u[: g * g].reshape(g, g),
                     -in_u[g * g :].reshape(g, g, g), tuple(periods.fam.gaps))
 
 

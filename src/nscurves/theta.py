@@ -5,9 +5,11 @@ over m' = m + delta', m in the cube [-R, R]^g, the least cube whose tail is
 below THETA_TAIL at a reduced argument (Deconinck, Heil, Bobenko, van Hoeij
 and Schmies, Computing Riemann theta functions, Math. Comp. 2004, bound the
 same tail over an ellipsoid).  Per genus, cube radius and delta', cached and
-read-only: the lattice table [1 | 2 pi i m' | pairs].  Per tau: the
-quadratic exponents and (Im tau)^-1.  Per argument: one exp per term and one
-product of the phases with the table.
+read-only: the lattice table [1 | 2 pi i m' | pairs].  Per tau: the one
+gate on tau, which reads one eigvalsh of Y = sym(Im tau) for both the
+Riemann-matrix check and the radius, then the quadratic exponents and
+(Im tau)^-1.  Per argument: one exp per term and one product of the phases
+with the table.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ import numpy as np
 from .errors import NonSymmetricTau, above, at_most
 
 THETA_TAIL = 1e-13
+# tau gate: relative symmetry defect of tau
+TAU_SYMMETRY_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=16)
@@ -84,29 +88,37 @@ def _log_tail(r: int, g: int, lam_min: float) -> float:
 
 
 def theta_context(
-    tau: np.ndarray,
-    characteristic: tuple[np.ndarray, np.ndarray] | None = None,
-    eigenvalues: np.ndarray | None = None,
+    tau: np.ndarray, characteristic: tuple[np.ndarray, np.ndarray] | None = None
 ) -> ThetaContext:
     """theta[delta] at tau on the least cube whose tail is below THETA_TAIL.
 
-    eigenvalues, if given, are sym(Im tau)'s, ascending.  At a reduced z
-    (see _reduce_modulo_lattice) Im z = Y c, Y = sym(Im tau), |c_i| <= 1/2,
-    and the term of m + delta' = v - c has modulus exp(pi c^T Y c -
-    pi v^T Y v), so the sum of moduli (the scale) is at least
-    exp(pi c^T Y c - pi g lam_max / 4).  Outside [-R, R]^g, |v|_inf >= R; the
-    shell s <= |v|_inf < s + 1 holds at most (2s + 2)^g terms, each below
-    exp(pi c^T Y c - pi lam_min s^2) and weighted by at most
-    (2 pi (s + 3/2))^3 in derivatives to order 3.
+    The one gate on tau: NonSymmetricTau unless tau is a square matrix,
+    symmetric within TAU_SYMMETRY_TOL and with Y = sym(Im tau) positive
+    definite, and unless the cube's radius is at most 64.  At a reduced z
+    (see _reduce_modulo_lattice) Im z = Y c, |c_i| <= 1/2, and the term of
+    m + delta' = v - c has modulus exp(pi c^T Y c - pi v^T Y v), so the sum
+    of moduli (the scale) is at least exp(pi c^T Y c - pi g lam_max / 4).
+    Outside [-R, R]^g, |v|_inf >= R; the shell s <= |v|_inf < s + 1 holds at
+    most (2s + 2)^g terms, each below exp(pi c^T Y c - pi lam_min s^2) and
+    weighted by at most (2 pi (s + 3/2))^3 in derivatives to order 3.
     """
     tau = np.asarray(tau, dtype=complex)
+    if tau.ndim != 2 or tau.shape[0] != tau.shape[1] or not tau.size:
+        raise NonSymmetricTau(f"tau must be a non-empty square matrix, not of shape {tau.shape}")
     g = tau.shape[0]
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
-    lam = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2) if eigenvalues is None else eigenvalues
+    defect = float(np.linalg.norm(tau - tau.T)) / max(1.0, float(np.linalg.norm(tau)))
+    # eigvalsh reads only one triangle of its input, so it is given sym(Im tau)
+    lam = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)
     lam_min = float(lam[0])
+    # each gate's message carries the other's margin too
     above(lam_min, 0.0, NonSymmetricTau,
-          "sym(Im tau) is not positive definite: least eigenvalue")
+          lambda: f"tau is not a Riemann matrix: symmetry defect {defect:.3e}, tolerance "
+          f"{TAU_SYMMETRY_TOL:g}; sym(Im tau) has least eigenvalue")
+    at_most(defect, TAU_SYMMETRY_TOL, NonSymmetricTau,
+            lambda: f"tau is not a Riemann matrix: sym(Im tau) has least eigenvalue "
+            f"{lam_min:.3e}, needs > 0; symmetry defect")
     target = math.log(THETA_TAIL) - math.pi * g * float(lam[-1]) / 4
     # no R below the Gaussian's alone passes; past 64, Im tau is far from
     # reduced, and the cube is refused rather than cut short
@@ -147,7 +159,3 @@ def theta_with_derivs(z: np.ndarray, ctx: ThetaContext, order: int = 0):
     if order >= 3:
         out.append(((ctx.factor * phases) @ ctx.pairs).reshape(g, g, g))
     return out, float(np.abs(phases).sum())
-
-
-def theta(z: np.ndarray, ctx: ThetaContext) -> complex:
-    return theta_with_derivs(z, ctx)[0][0]

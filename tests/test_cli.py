@@ -209,9 +209,13 @@ def test_roundtrip_needs_numeric_lambda(capsys, tmp_path):
         "n = 3\ns = 4\nlambda.12 = 7/10\nlambda.12 = 3/10\n",
         "n = 3\ns = 4\nlambda.6 = 1/0\n",
         "n = 3\ns = 4\nlambda.6 = 1e400\n",
+        "n = 3\ns = 4\nlambda.6 = abc\n",
+        "n = abc\ns = 4\n",
+        "n = 3\ns = 4\nlambda.x = 1\n",
     ],
     ids=["nan-lambda", "inf-lambda", "common-factor", "unknown-extended", "repeated-lambda",
-         "zero-denominator", "past-double-range"],
+         "zero-denominator", "past-double-range", "malformed-lambda", "non-integer-n",
+         "non-integer-index"],
 )
 def test_roundtrip_refuses_malformed_curve_files(capsys, tmp_path, text):
     path = tmp_path / "curve.txt"
@@ -231,6 +235,15 @@ def test_malformed_lambda_errors_name_their_line_or_index(capsys, tmp_path):
     path.write_text("n = 3\ns = 4\nlambda.6 = 1e400\n")
     assert run(capsys, "roundtrip", str(path))[2] == (
         "error: lambda_6 is a rational outside double range\n")
+    # a value that is not a number, or not an integer where one is needed
+    for text, message in [
+        ("n = 3\ns = 4\nlambda.6 = abc\n", "line 3: lambda.6 = 'abc' is not a number"),
+        ("n = abc\ns = 4\n", "line 1: n must be an integer, not 'abc'"),
+        ("n = 3\ns = 4\nlambda.x = 1\n",
+         "line 3: the index of lambda.x must be an integer, not 'x'"),
+    ]:
+        path.write_text(text)
+        assert run(capsys, "roundtrip", str(path))[2] == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -11,6 +11,7 @@ from nscurves.algebra import WeightedPoly
 from nscurves.curves import (
     DISCRIMINANT_TRIM,
     CurveFamily,
+    CurvePoint,
     _sylvester_dets,
     admissible_indices,
     check_nondegenerate,
@@ -190,10 +191,10 @@ def test_batch_lift_equals_np_roots(n, s, ext, seed):
     rng = np.random.default_rng(seed)
     fam = unit_family(n, s, ext, rng)
     xs = [complex(rng.normal(), rng.normal()) for _ in range(6)]
-    for x, fiber in zip(xs, fam.lift_fibers(xs)):
+    for x, ys in zip(xs, fam.fiber_roots(xs).tolist()):
         want = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
-        assert [p.y for p in fiber] == [complex(y) for y in want]
-        assert all(p.x == x for p in fiber)
+        assert ys == [complex(y) for y in want]
+        assert fam.lift_x_to_points(x) == [CurvePoint(x, y) for y in ys]
 
 
 def y_row_by_terms(fam, x):
@@ -239,7 +240,8 @@ def test_a_fiber_does_not_depend_on_its_batch(n, s, ext):
         assert alone.tobytes() == fam.fiber_roots([x, x2])[0].tobytes() == batch[k].tobytes()
         want = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
         assert alone.tobytes() == np.array(want).tobytes()
-        assert fam.lift_fibers([x])[0] == fam.lift_fibers([x, x2])[0]
+        assert fam.lift_x_to_points(x) == [
+            CurvePoint(x, y) for y in fam.fiber_roots([x, x2])[0].tolist()]
         assert rows[k].tobytes() == fam.y_poly(x).tobytes()
 
 

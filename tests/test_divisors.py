@@ -359,7 +359,7 @@ def test_construction_is_one_svd_and_one_qr(n, s, monkeypatch):
     spy(np.linalg, "svd")
     spy(np.linalg, "qr")
     spy(divisors, "sample_points")
-    spy(CurveFamily, "lift_fibers")
+    spy(CurveFamily, "fiber_roots")
     sys = rfunctions_from_divisor(fam, divisor)
     assert sorted(calls) == ["qr", "svd"]
     assert np.all(residuals_at(sys, divisor.points) < 1e-10)

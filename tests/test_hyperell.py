@@ -1,7 +1,6 @@
 """Numeric period, theta, and inversion checks on two-sheeted curves."""
 import dataclasses
 import functools
-import importlib
 import math
 import operator
 import re
@@ -32,8 +31,6 @@ from nscurves.errors import (
 from nscurves.expansions import expand_at_infinity, first_kind_basis
 from nscurves.hyperell import (
     _check_riemann_characteristic,
-    _check_riemann_matrix,
-    _coefficients,
     _dr_numerators,
     _interval_integrals,
     _orient_b_cycles,
@@ -48,17 +45,14 @@ from nscurves.hyperell import (
     verify_inversion,
     wp_from_theta,
 )
+import nscurves.theta as theta_module
 from nscurves.theta import (
     THETA_TAIL,
     ThetaContext,
     _reduce_modulo_lattice,
-    theta,
     theta_context,
     theta_with_derivs,
 )
-
-# the module itself: the package exports the function theta under its name
-theta_module = importlib.import_module("nscurves.theta")
 
 GENUS1_LAMBDA = {4: -1.25, 6: 0.4}
 GENUS2_BRANCH = [-1.92, -1.12, -0.32, 0.58, 1.38]
@@ -90,6 +84,16 @@ def _du_numerators(fam):
     # the exact layer's du numerators as compute_periods reads them: the
     # columns of the shape's table, zero-padded to one length
     return list(hyperell._shape_tables(fam.n, fam.s, fam.extended)[1].T)
+
+
+def _period_numerators(fam):
+    # compute_periods' numerators: the du table's columns, zero-padded to the
+    # length of Baker's dr rows, then those rows
+    table = hyperell._shape_tables(fam.n, fam.s, fam.extended)[1]
+    dr = _dr_numerators(curve_polynomial(fam))
+    du = np.zeros((len(dr), fam.genus), dtype=complex)
+    du[: len(table)] = table
+    return np.concatenate([du, dr], axis=1)
 
 
 def _lattice(g, radius):
@@ -266,7 +270,7 @@ def test_baker_rows_are_residue_duals_of_du(s):
                 if c
             ],
         )
-        for row in _dr_numerators(p)
+        for row in _dr_numerators(p).T
     ]
     assert len(dr) == fam.genus
     for a, u in enumerate(first.u_series):
@@ -292,7 +296,10 @@ def test_baker_rows_equal_the_old_table_bit_for_bit(genus):
         lam = {k: complex(*rng.normal(size=2)) for k in range(4, 4 * genus + 3, 2)}
         fam = make_family(2, 2 * genus + 1, lam)
         got = _dr_numerators(curve_polynomial(fam))
-        assert [r.tobytes() for r in got] == [r.tobytes() for r in _dr_table(fam)]
+        want = np.zeros_like(got)
+        for k, row in enumerate(_dr_table(fam)):
+            want[: len(row), k] = row
+        assert got.tobytes() == want.tobytes()
 
 
 # -- the contour periods and the map from infinity, kept as oracles ----------
@@ -358,15 +365,15 @@ def _contour_periods(fam):
     g = fam.genus
     es = branch_points(fam)
     p = curve_polynomial(fam)
-    du, dr = _du_numerators(fam), _dr_numerators(p)
+    nums = list(_period_numerators(fam).T)
     spacing = _spacing(es)
     omega, omega_prime, eta = np.zeros((3, g, g), dtype=complex)
     for k in range(g):
-        vals = _ellipse_integral(p, du + dr, es[2 * k], es[2 * k + 1], spacing)
+        vals = _ellipse_integral(p, nums, es[2 * k], es[2 * k + 1], spacing)
         omega[:, k], eta[:, k] = vals[:g], vals[g:]
-        omega_prime[:, k] = _ellipse_integral(p, du, es[2 * k + 1], es[2 * g], spacing)
+        omega_prime[:, k] = _ellipse_integral(p, nums[:g], es[2 * k + 1], es[2 * g], spacing)
     omega_inv = np.linalg.inv(omega)
-    tau, omega_prime, _ = _orient_b_cycles(omega, omega_prime, omega_inv)
+    tau, omega_prime = _orient_b_cycles(omega, omega_prime, omega_inv)
     raw = eta @ omega_inv
     return omega, tau, hyperell.KAPPA_SIGN * (raw + raw.T) / 2
 
@@ -550,9 +557,22 @@ def test_wrong_characteristic_fails_the_gate_with_its_margin(monkeypatch):
 # -- theta -------------------------------------------------------------------
 
 
+def test_nscurves_theta_is_the_module(monkeypatch):
+    import nscurves
+    import nscurves.theta as m
+
+    assert m is theta_module is nscurves.theta
+    assert m.theta_context is theta_context is nscurves.theta_context
+    tau = np.array([[0.8j]])
+    radius = theta_context(tau).radius
+    # a string target reaches the module's constant, and theta_context reads it
+    monkeypatch.setattr("nscurves.theta.THETA_TAIL", 1e-4)
+    assert theta_context(tau).radius < radius
+
+
 def test_theta_constant_at_square_lattice():
     ctx = theta_context(np.array([[1j]]))
-    value = theta(np.array([0.0]), ctx)
+    value = theta_with_derivs(np.array([0.0]), ctx)[0][0]
     assert abs(value - math.pi ** 0.25 / math.gamma(0.75)) < 1e-12
 
 
@@ -563,12 +583,12 @@ def test_theta_cutoff_saturated():
     wide = ThetaContext(per.tau, ctx.characteristic, ctx.radius + 2)
     assert len(wide.quad) > len(ctx.quad)
     z = np.array([0.31 + 0.12j, -0.22 + 0.05j])
-    assert abs(theta(z, ctx) - theta(z, wide)) < 1e-12
+    assert abs(theta_with_derivs(z, ctx)[0][0] - theta_with_derivs(z, wide)[0][0]) < 1e-12
 
 
 def test_theta_odd_characteristic_vanishes():
     ctx = theta_context(np.array([[0.8j]]), (np.array([0.5]), np.array([0.5])))
-    assert abs(theta(np.array([0.0]), ctx)) < 1e-13
+    assert abs(theta_with_derivs(np.array([0.0]), ctx)[0][0]) < 1e-13
 
 
 def test_theta_quasi_periodicity():
@@ -577,8 +597,8 @@ def test_theta_quasi_periodicity():
     base = theta_context(per.tau)
     ctx = ThetaContext(per.tau, base.characteristic, base.radius + 2)
     z = np.array([0.21 - 0.07j, -0.33 + 0.11j])
-    shifted = theta(z + per.tau[:, 0], ctx)
-    ratio = shifted / theta(z, ctx)
+    shifted = theta_with_derivs(z + per.tau[:, 0], ctx)[0][0]
+    ratio = shifted / theta_with_derivs(z, ctx)[0][0]
     expected = np.exp(-1j * math.pi * per.tau[0, 0] - 2j * math.pi * z[0])
     assert abs(ratio - expected) < 1e-10
 
@@ -943,7 +963,7 @@ def period_parts(draw, min_genus=1):
 def test_orientation_matches_the_search_under_any_flips(parts):
     omega, tau0, d1, d2 = parts
     omega, omega_prime = omega * d1, omega @ tau0 * d2
-    tau, got_omega_prime, _ = _orient_b_cycles(omega, omega_prime, np.linalg.inv(omega))
+    tau, got_omega_prime = _orient_b_cycles(omega, omega_prime, np.linalg.inv(omega))
     want_tau, want_omega, want_omega_prime = _orient_by_search(omega, omega_prime)
     assert want_omega.tobytes() == omega.tobytes()  # no a-cycle flip needed
     assert got_omega_prime.tobytes() == want_omega_prime.tobytes()
@@ -958,8 +978,9 @@ def test_non_symmetric_tau_refused_by_both(parts):
     bad = tau0.copy()
     bad[1, 0] = tau0[0, 1] + 1.0 + 2.0 * abs(tau0[0, 1])
     omega, omega_prime = omega * d1, omega @ bad * d2
+    tau = _orient_b_cycles(omega, omega_prime, np.linalg.inv(omega))[0]
     with pytest.raises(NonSymmetricTau):
-        _orient_b_cycles(omega, omega_prime, np.linalg.inv(omega))
+        theta_context(tau)
     with pytest.raises(NonSymmetricTau):
         _orient_by_search(omega, omega_prime)
 
@@ -968,16 +989,46 @@ def test_non_symmetric_tau_refused_by_both(parts):
     "tau, margin",
     [
         (np.array([[1j, 0.5], [0.2, 1j]]), r"symmetry defect 2\.804e-01"),
-        (-1j * np.eye(2), r"least eigenvalue of sym\(Im tau\) -1\.000e\+00"),
+        (-1j * np.eye(2), r"sym\(Im tau\) has least eigenvalue -1\.000e\+00"),
         (np.full((2, 2), complex(np.nan, np.nan)), "symmetry defect nan"),
     ],
     ids=["non-symmetric", "im-negative-definite", "nan"],
 )
 def test_tau_gate_reports_its_margins(tau, margin):
     with pytest.raises(NonSymmetricTau, match=margin) as info:
-        _check_riemann_matrix(tau)
+        theta_context(tau)
     assert "tolerance 1e-08" in str(info.value)
-    assert "needs > 1e-12" in str(info.value)
+    assert "needs > 0" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [np.array([1j, 1j]), np.full((2, 3), 1j), np.full((1, 1, 1), 1j), np.zeros((0, 0))],
+    ids=["one-dimensional", "not-square", "three-dimensional", "empty"],
+)
+def test_theta_context_refuses_a_tau_that_is_not_a_square_matrix(tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonSymmetricTau, match=re.escape(f"not of shape {tau.shape}")):
+            theta_context(tau)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [np.full((2, 2), complex(np.nan, np.nan)), np.array([[1j, 0.5], [0.2, 1j]])],
+    ids=["nan", "non-symmetric"],
+)
+def test_compute_periods_gates_tau_as_soon_as_it_is_oriented(monkeypatch, tau):
+    # nothing between the b-cycle flip and the gate: the bad tau is refused
+    # before the characteristic check, with no numpy warning on the way
+    monkeypatch.setattr(hyperell, "_orient_b_cycles", lambda omega, omega_prime, inv: (
+        tau, omega_prime))
+    check = mock.patch.object(hyperell, "_check_riemann_characteristic")
+    with warnings.catch_warnings(), check as reached:
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonSymmetricTau, match="tau is not a Riemann matrix"):
+            compute_periods(genus2_family())
+    reached.assert_not_called()
 
 
 @pytest.mark.parametrize(
@@ -1147,8 +1198,9 @@ _CLUSTERED_CURVES = {
 def _check_intervals_against_mpmath(mp, fam, per):
     """Every I_j of every numerator against 30 digits; returns them as an mp.matrix."""
     branch = per.branch_points.real
-    nums = _du_numerators(fam) + _dr_numerators(curve_polynomial(fam))
-    got, _ = _interval_integrals(branch, _coefficients(nums), branch[-1] + 1.0 + 1.0j)
+    coeffs = _period_numerators(fam)
+    nums = list(coeffs.T)
+    got, _ = _interval_integrals(branch, coeffs, branch[-1] + 1.0 + 1.0j)
     ex = [mp.mpf(float(e)) for e in branch]
     want = mp.matrix(
         [[_mp_interval(mp, ex, n, j) for n in nums] for j in range(len(branch) - 1)]
