@@ -281,7 +281,10 @@ class CurveFamily:
         """The n roots y over each x, shape (len(xs), n), each row sorted by (re y, im y).
 
         One eigensolve takes the stacked companion matrices of every x; each
-        row equals the sorted ``np.roots(self.y_poly(x))`` bit for bit.
+        row equals the sorted ``np.roots(self.y_poly(x))`` bit for bit.  One
+        stable complex sort orders every row as ``np.lexsort((im, re))``
+        would, and one product of the roots' powers with the rows reads f at
+        every root for the residual check.
         """
         n = self.n
         if len(xs) == 0:
@@ -291,22 +294,19 @@ class CurveFamily:
             raise ValueError(f"fiber x must be finite, not {xs.tolist()}")
         polys = self._rows(xs)
         companion = np.zeros((len(polys), n, n), dtype=complex)
-        companion[:, 0, :] = -polys[:, 1:] / polys[:, :1]
-        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        roots = np.linalg.eigvals(companion)
-        roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real)), axis=-1)
+        companion[:, 0] = -polys[:, 1:] / polys[:, :1]
+        companion.reshape(-1, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
+        roots = np.sort(np.linalg.eigvals(companion), axis=-1, kind="stable")
         try:
             # f at each root and its limit, about the row's size squared
             with np.errstate(over="raise"):
-                value = np.zeros_like(roots)
-                for coeff in polys.T:
-                    value = value * roots + coeff[:, None]
-                scale = np.maximum(1.0, np.abs(polys).max(axis=1))
+                value = (roots[:, :, None] ** np.arange(n, -1, -1) @ polys[:, :, None])[:, :, 0]
+                scale = np.abs(polys).max(axis=1, initial=1.0)
                 limit = ROOT_RESIDUAL_TOL * scale[:, None] * np.maximum(1.0, np.abs(roots)) ** n
         except FloatingPointError:
             raise CoordinateOverflow(f"the fibers over x = {xs.tolist()} overflow") from None
         # the root with the least headroom; argmax picks a NaN first
-        row, col = np.unravel_index(np.argmax(np.abs(value) - limit), value.shape)
+        row, col = divmod(int(np.argmax(np.abs(value) - limit)), n)
         at_most(abs(value[row, col]), limit[row, col], RootFindingFailure,
                 lambda: f"fiber root at x={xs[row]} fails the residual check: |f|")
         return roots

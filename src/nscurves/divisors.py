@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .abelian import AbelianSymbol, InversionSystem
-from .curves import CurveFamily, CurvePoint
+from .curves import CurveFamily, CurvePoint, make_family
 from .errors import (
     CoordinateOverflow,
     DegenerateDeterminant,
@@ -225,6 +225,22 @@ def _shape_caps(n: int, s: int, genus: int, count: int):
     return tuple(map(tuple, caps)), above
 
 
+@lru_cache(maxsize=None)
+def _shape_rows(n: int, s: int):
+    # the exponents j, i of the first g + c monomials, the construction
+    # table's columns, and the scatter rho[cells] = coeffs[entries] that puts
+    # coeffs[k, l] at rho[l, j[k], i[k]] for k <= g + l; read-only, once per
+    # shape, as the monomials depend on (n, s) alone
+    fam = make_family(n, s, {})
+    g = fam.genus
+    j, i = np.array([(m.j, m.i) for m in fam.monomial_basis(g + second_kind_count(fam))]).T
+    l, k = np.array([(l, k) for l in range(len(j) - g) for k in range(g + l + 1)]).T
+    cells, entries = (l, j[k], i[k]), (k, l)
+    for array in (j, i, *cells, k):
+        array.flags.writeable = False
+    return j, i, cells, entries
+
+
 @dataclass(frozen=True, eq=False)
 class NumericRSystem:
     """Coefficient grid rho[l][j](x) of the functions R_{2g+l}, read-only.
@@ -265,33 +281,35 @@ class NumericRSystem:
         object.__setattr__(self, "rho", rho)
 
     def eval_grid(self, x) -> np.ndarray:
-        """rho[l][j](x) as a (c, c) array; an array of x stacks them."""
-        return _horner(self.rho, x)
+        """rho[l][j](x) as a (c, c) array; an array of x stacks them.
+
+        One product of the powers x^0 .. x^(d-1) with the grid read as a
+        (c c, d) view.
+        """
+        c, _, d = self.rho.shape
+        x = np.asarray(x, dtype=complex)
+        grid = x[..., None] ** np.arange(d) @ self.rho.reshape(c * c, d).T
+        return grid.reshape(x.shape + (c, c))
 
     def residuals(self, xs: Sequence[complex], ys) -> np.ndarray:
         """Largest relative row value at each point (xs[k], ys[k][m]), NaN if any is.
 
         Row l's value sum_j rho[l][j](x) y^j is read relative to
         sum |c| max(1, |x|)^i max(1, |y|)^j over its coefficients c of x^i y^j,
-        the size of the terms that cancel in it.  Returns shape (len(xs), m).
+        the size of the terms that cancel in it.  The values read the grid
+        through ``eval_grid``; the sizes are one product of the powers of
+        max(1, |x|) with |rho|.  Returns shape (len(xs), m).
         """
         xs = np.asarray(xs, dtype=complex)
         ys = np.asarray(ys, dtype=complex)
-        powers = np.arange(self.rho.shape[1])[:, None]
+        c, _, d = self.rho.shape
+        powers = np.arange(c)[:, None]
         # (points, rows, m): each row's value at each candidate y
         values = self.eval_grid(xs) @ ys[:, None] ** powers
-        sizes = _horner(np.abs(self.rho), np.maximum(1.0, np.abs(xs)))
-        scale = sizes @ np.maximum(1.0, np.abs(ys))[:, None] ** powers
+        sizes = np.maximum(1.0, np.abs(xs))[:, None] ** np.arange(d) @ np.abs(
+            self.rho.reshape(c * c, d)).T
+        scale = sizes.reshape(-1, c, c) @ np.maximum(1.0, np.abs(ys))[:, None] ** powers
         return np.max(np.abs(values) / np.maximum(scale, 1e-300), axis=1)
-
-
-def _horner(grid: np.ndarray, x) -> np.ndarray:
-    # Horner over the ascending powers of x on grid's last axis: x's shape, then (c, c)
-    x = np.asarray(x)[..., None, None]
-    out = np.zeros(x.shape[:-2] + grid.shape[:2], dtype=grid.dtype)
-    for layer in np.moveaxis(grid, -1, 0)[::-1]:
-        out = out * x + layer
-    return out
 
 
 def rfunctions_from_divisor(
@@ -315,9 +333,7 @@ def rfunctions_from_divisor(
         raise SpecialDivisor("divisor contains a full fiber over one x")
     # a Divisor can be built by hand, past make_divisor's checks
     require_finite_points(divisor.points)
-    count = second_kind_count(fam)
-    monos = fam.monomial_basis(g + count)
-    j, i = np.array([(m.j, m.i) for m in monos]).T
+    j, i, cells, entries = _shape_rows(fam.n, fam.s)
     x, y = np.array([(p.x, p.y) for p in divisor.points], dtype=complex).T
     table = y[:, None] ** j * x[:, None] ** i
     _, sv, vh = np.linalg.svd(table)
@@ -329,8 +345,7 @@ def rfunctions_from_divisor(
     q, _ = np.linalg.qr(null[g:][::-1].conj().T)
     coeffs = null @ q[:, ::-1]
     rho = np.zeros(_grid_caps(fam)[1].shape, dtype=complex)
-    for l in range(count):
-        rho[l, j[: g + l + 1], i[: g + l + 1]] = coeffs[: g + l + 1, l]
+    rho[cells] = coeffs[entries]
     return NumericRSystem(fam, rho)
 
 
@@ -443,26 +458,36 @@ def chi_polynomial(sys: NumericRSystem) -> np.ndarray:
 def solve_divisor(sys: NumericRSystem) -> Divisor:
     """The backward direction: x from the roots of chi, y from the fiber over each.
 
+    The roots of chi are the eigenvalues of the companion matrix that
+    ``np.roots`` builds for it, solved directly, so they keep np.roots' bits.
     Every root's fiber is lifted in one batch and ranked by the grid's
-    relative residual there (``NumericRSystem.residuals``).  A root of
-    multiplicity mu keeps its mu best points.  They must fit within
-    FIBER_RESIDUAL_TOL and the next candidate must not, or
+    relative residual there (``NumericRSystem.residuals``), from one argsort.
+    A root of multiplicity mu keeps its mu best points.  They must fit
+    within FIBER_RESIDUAL_TOL and the next candidate must not, or
     NullSpaceDimensionError names the root.  As mu <= n, the divisor is
     special exactly when some root keeps its whole fiber.
     """
     fam = sys.fam
     chi = chi_polynomial(sys)
-    # chi is finite with |chi_k / chi_g| < 1 / COLLAPSE_TOL, so its roots are finite
-    roots = np.roots(chi[::-1] / chi[-1])
-    clusters = _clusters(roots.tolist())
-    xs = [complex(sum(roots[i] for i in c) / len(c)) for c in clusters]
+    # chi is finite with |chi_k / chi_g| < 1 / COLLAPSE_TOL, so its roots are
+    # finite.  As np.roots does, the monic p's zero low coefficients are roots
+    # at 0 and drop out of the companion, whose first row is -p[1:] / p[0]
+    p = chi[::-1] / chi[-1]
+    zeros = len(p) - 1 - np.flatnonzero(p)[-1]
+    p = p[: len(p) - zeros]
+    companion = np.eye(len(p) - 1, k=-1, dtype=complex)
+    companion[:1] = -p[1:] / p[0]
+    roots = np.concatenate([np.linalg.eigvals(companion), np.zeros(zeros, dtype=complex)]).tolist()
+    clusters = _clusters(roots)
+    # times 1 / len, as numpy divides a complex scalar by len, bit for bit
+    xs = [sum(roots[i] for i in c) * (1 / len(c)) for c in clusters]
     mus = np.array([len(c) for c in clusters])
     ys = fam.fiber_roots(xs)
     residuals = sys.residuals(xs, ys)
     order = np.argsort(residuals, axis=1)  # a NaN sorts last
     # candidates past the fiber's n points never fit
     ranked = np.full((len(xs), fam.n + mus.max()), np.inf)
-    ranked[:, : fam.n] = np.sort(residuals, axis=1)
+    ranked[:, : fam.n] = np.take_along_axis(residuals, order, axis=1)
     rows = np.arange(len(xs))
     kept, rival = ranked[rows, mus - 1], ranked[rows, mus]
     # the root with the least headroom; argmax and argmin pick a NaN first
@@ -475,6 +500,7 @@ def solve_divisor(sys: NumericRSystem) -> Divisor:
           lambda: f"fiber over x={xs[k]:.6g} is ambiguous: next candidate's relative residual")
     points = [
         CurvePoint(x, fiber[i])
-        for x, fiber, mu, best in zip(xs, ys.tolist(), mus, order) for i in best[:mu]
+        for x, fiber, mu, best in zip(xs, ys.tolist(), mus.tolist(), order.tolist())
+        for i in best[:mu]
     ]
     return Divisor(tuple(points), bool(np.any(mus == fam.n)))

@@ -6,10 +6,10 @@ below THETA_TAIL at a reduced argument (Deconinck, Heil, Bobenko, van Hoeij
 and Schmies, Computing Riemann theta functions, Math. Comp. 2004, bound the
 same tail over an ellipsoid).  Per genus, cube radius and delta', cached and
 read-only: the lattice table [1 | 2 pi i m' | pairs].  Per tau: the one
-gate on tau, which reads one eigvalsh of Y = sym(Im tau) for both the
-Riemann-matrix check and the radius, then the quadratic exponents and
-(Im tau)^-1.  Per argument: one exp per term and one product of the phases
-with the table.
+gate on tau, which refuses a non-finite entry first and then reads one
+eigvalsh of Y = sym(Im tau) for both the Riemann-matrix check and the
+radius, then the quadratic exponents and (Im tau)^-1.  Per argument: one
+exp per term and one product of the phases with the table.
 """
 from __future__ import annotations
 
@@ -22,8 +22,11 @@ import numpy as np
 from .errors import NonSymmetricTau, above, at_most
 
 THETA_TAIL = 1e-13
-# tau gate: relative symmetry defect of tau
+# tau gate: relative symmetry defect of tau; the largest |Re|, |Im| of an
+# entry, a bound that keeps the exponents pi m'^T tau m' (|m'_i| <= 64.5, so
+# at most 4161 g^2 |tau_ij| in size) far below overflow
 TAU_SYMMETRY_TOL = 1e-8
+TAU_ENTRY_LIMIT = 1e300
 
 
 @functools.lru_cache(maxsize=16)
@@ -92,7 +95,8 @@ def theta_context(
 ) -> ThetaContext:
     """theta[delta] at tau on the least cube whose tail is below THETA_TAIL.
 
-    The one gate on tau: NonSymmetricTau unless tau is a square matrix,
+    The one gate on tau: NonSymmetricTau unless tau is a square matrix with
+    finite entries whose parts are at most TAU_ENTRY_LIMIT in size,
     symmetric within TAU_SYMMETRY_TOL and with Y = sym(Im tau) positive
     definite, and unless the cube's radius is at most 64.  At a reduced z
     (see _reduce_modulo_lattice) Im z = Y c, |c_i| <= 1/2, and the term of
@@ -108,9 +112,19 @@ def theta_context(
     g = tau.shape[0]
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
-    defect = float(np.linalg.norm(tau - tau.T)) / max(1.0, float(np.linalg.norm(tau)))
-    # eigvalsh reads only one triangle of its input, so it is given sym(Im tau)
-    lam = np.linalg.eigvalsh((tau.imag + tau.imag.T) / 2)
+    # a NaN or an inf would reach the defect as a numpy warning and eigvalsh
+    # as a silent 0, so it is refused first
+    largest = float(np.abs(np.stack([tau.real, tau.imag])).max())
+    at_most(largest, TAU_ENTRY_LIMIT, NonSymmetricTau,
+            "tau is not a Riemann matrix: largest |Re|, |Im| of an entry")
+    # the defect of tau / 2^k, |entries| <= 1, cannot overflow; scaling by a
+    # power of two rounds nothing, so it is the defect of tau itself
+    unit = math.ldexp(1.0, -max(0, math.frexp(largest)[1]))
+    scaled = tau * unit
+    defect = float(np.linalg.norm(scaled - scaled.T)) / max(unit, float(np.linalg.norm(scaled)))
+    # eigvalsh reads only one triangle of its input, so it is given sym(Im tau),
+    # halved before the sum, which is exact and cannot overflow
+    lam = np.linalg.eigvalsh(tau.imag / 2 + tau.imag.T / 2)
     lam_min = float(lam[0])
     # each gate's message carries the other's margin too
     above(lam_min, 0.0, NonSymmetricTau,

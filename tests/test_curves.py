@@ -24,6 +24,7 @@ from nscurves.errors import (
     BranchCollision,
     InvalidLambdaIndex,
     NotCoprime,
+    RootFindingFailure,
     SymbolicLambda,
 )
 
@@ -195,6 +196,60 @@ def test_batch_lift_equals_np_roots(n, s, ext, seed):
         want = sorted(np.roots(fam.y_poly(x)), key=lambda z: (z.real, z.imag))
         assert ys == [complex(y) for y in want]
         assert fam.lift_x_to_points(x) == [CurvePoint(x, y) for y in ys]
+
+
+H = math.sqrt(3) / 2
+NAN = float("nan")
+
+
+def lexsorted(row):
+    """The order fiber_roots gave each row before its one complex sort."""
+    row = np.asarray(row)
+    return row[np.lexsort((row.imag, row.real))]
+
+
+# y^3 = x^4: over x = 1 the cube roots of 1, two of them on one real part;
+# over x = 0 a triple root, here carrying 0.0 and -0.0 in both parts
+TIED_ROWS = [
+    (1.0, [complex(-0.5, H), 1 + 0j, complex(-0.5, -H)]),
+    (1.0, [complex(-0.5, -H), complex(-0.5, H), 1 + 0j]),
+    (0.0, [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]),
+    (0.0, [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]),
+]
+
+
+def test_fiber_rows_sort_as_lexsort_did(monkeypatch):
+    # eigvals hands back the rows in a chosen order; every row, ties on the
+    # real part and signed zeros kept bit for bit, comes out in lexsort's order
+    fam = make_family(3, 4, {})
+    xs, rows = zip(*TIED_ROWS)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array(rows))
+    got = fam.fiber_roots(list(xs))
+    assert got.tobytes() == np.array([lexsorted(row) for row in rows]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [complex(NAN, 0.0), 1 + 0j, -1 + 0j],
+        [complex(NAN, NAN), 1 + 0j, complex(NAN, -1.0)],
+        [complex(NAN, 2.0), complex(NAN, 1.0), complex(NAN, NAN)],
+        [complex(1.0, NAN), 2 + 0j, -1 + 0j],
+    ],
+    ids=["nan-real", "nan-both", "all-nan-real", "nan-imaginary"],
+)
+def test_a_fiber_row_holding_a_nan_is_refused_whatever_its_order(monkeypatch, row):
+    # a NaN real part sorts last under both sorts, as lexsort put it; a NaN
+    # imaginary part alone sorts after the finite roots under the complex
+    # sort, where lexsort left it by its real part.  Neither order leaves
+    # fiber_roots: a NaN root fails the residual check, which names the x
+    row = np.array(row)
+    if not (np.isnan(row.imag) & ~np.isnan(row.real)).any():
+        assert np.sort(row, kind="stable").tobytes() == lexsorted(row).tobytes()
+    fam = make_family(3, 4, {})
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([[1 + 0j, 1 + 0j, 1 + 0j], row]))
+    with pytest.raises(RootFindingFailure, match=r"at x=\(2\+0j\)"):
+        fam.fiber_roots([1.0, 2.0])
 
 
 def y_row_by_terms(fam, x):

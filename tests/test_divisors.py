@@ -39,6 +39,8 @@ from nscurves.errors import (
     NullSpaceDimensionError,
     RootFindingFailure,
     SpecialDivisor,
+    above,
+    at_most,
 )
 
 LAMBDAS = {
@@ -365,6 +367,32 @@ def test_construction_is_one_svd_and_one_qr(n, s, monkeypatch):
     assert np.all(residuals_at(sys, divisor.points) < 1e-10)
 
 
+def rfunctions_by_levels(fam, divisor):
+    """rfunctions_from_divisor's grid as it was filled before the per-shape
+    scatter: the monomial exponents read per call, one assignment per level."""
+    g, count = fam.genus, second_kind_count(fam)
+    j, i = np.array([(m.j, m.i) for m in fam.monomial_basis(g + count)]).T
+    x, y = np.array([(p.x, p.y) for p in divisor.points], dtype=complex).T
+    _, _, vh = np.linalg.svd(y[:, None] ** j * x[:, None] ** i)
+    null = vh[g:].conj().T
+    q, _ = np.linalg.qr(null[g:][::-1].conj().T)
+    coeffs = null @ q[:, ::-1]
+    rho = np.zeros(divisors._grid_caps(fam)[1].shape, dtype=complex)
+    for l in range(count):
+        rho[l, j[: g + l + 1], i[: g + l + 1]] = coeffs[: g + l + 1, l]
+    return rho
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+def test_construction_scatter_equals_the_per_level_fill(n, s, ext):
+    rng = np.random.default_rng([n, s, ext, 11])
+    fam = unit_family(n, s, ext, rng)
+    for _ in range(3):
+        divisor = random_divisor(fam, rng)
+        want = rfunctions_by_levels(fam, divisor)
+        assert rfunctions_from_divisor(fam, divisor).rho.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n,s", [(2, 5), (3, 4), (4, 5), (5, 7)])
 def test_row_l_has_pole_order_exactly_2g_plus_l(n, s):
     # row l's last monomial is the (g + l)-th, of weight 2g + l, and it is live
@@ -538,6 +566,69 @@ def test_grid_is_read_only_so_no_reading_goes_stale():
     assert np.array_equal(chi_polynomial(sys), [0, -1, 0, 1])  # x^3 - x
 
 
+def horner(grid, x):
+    """The grid reads before one product per read: Horner over the ascending
+    powers of x on grid's last axis, x's shape then (c, c)."""
+    x = np.asarray(x)[..., None, None]
+    out = np.zeros(x.shape[:-2] + grid.shape[:2], dtype=grid.dtype)
+    for layer in np.moveaxis(grid, -1, 0)[::-1]:
+        out = out * x + layer
+    return out
+
+
+def residuals_by_horner(sys, xs, ys):
+    """NumericRSystem.residuals as it read the grid and its sizes by Horner."""
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    powers = np.arange(sys.rho.shape[1])[:, None]
+    values = horner(sys.rho, xs) @ ys[:, None] ** powers
+    sizes = horner(np.abs(sys.rho), np.maximum(1.0, np.abs(xs)))
+    scale = sizes @ np.maximum(1.0, np.abs(ys))[:, None] ** powers
+    return np.max(np.abs(values) / np.maximum(scale, 1e-300), axis=1)
+
+
+def _complex_up_to(top):
+    return st.builds(
+        lambda r, a: r * np.exp(1j * a),
+        st.floats(0.0, top), st.floats(0.0, 2 * np.pi),
+    )
+
+
+@given(
+    shape=st.sampled_from([(2, 5), (3, 4), (4, 5), (5, 9)]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    xs=st.lists(_complex_up_to(1e3), min_size=1, max_size=5),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_grid_reads_match_horner(shape, seed, xs, data):
+    # a grid with every live cell drawn; the reads agree with Horner's within
+    # 1e-12 of the size of their terms, at |x| and |y| up to 1e3
+    fam = family(*shape)
+    above = divisors._grid_caps(fam)[1]
+    rng = np.random.default_rng(seed)
+    rho = rng.normal(size=above.shape) + 1j * rng.normal(size=above.shape)
+    sys = NumericRSystem(fam, np.where(above, 0, rho))
+    size = horner(np.abs(sys.rho), np.maximum(1.0, np.abs(xs)))
+    assert np.all(np.abs(sys.eval_grid(xs) - horner(sys.rho, xs)) <= 1e-12 * size)
+    assert np.all(np.abs(sys.eval_grid(xs[0]) - horner(sys.rho, xs[0])) <= 1e-12 * size[0])
+    m = data.draw(st.integers(1, fam.n))
+    ys = [data.draw(st.lists(_complex_up_to(1e3), min_size=m, max_size=m)) for _ in xs]
+    got, want = sys.residuals(xs, ys), residuals_by_horner(sys, xs, ys)
+    assert got.shape == (len(xs), m)
+    assert np.all(np.abs(got - want) <= 1e-12)
+
+
+def test_grid_reads_keep_a_nan():
+    sys = _grid_34([[[0, 0, 1], [1]], [[0, 1], [0, 1]]])
+    nan = float("nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isnan(sys.eval_grid([0.5, nan])[1]).all()
+        got = sys.residuals([0.5, 0.25], [[1.0, nan], [nan, 2.0]])
+    assert np.isnan(got).tolist() == [[False, True], [True, False]]
+    assert np.isnan(sys.residuals([nan], [[1.0]])).all()
+
+
 def test_float_grid_gives_the_chi_of_its_complex_twin():
     # det adds its complex running sum into each term in place, so a float64
     # grid must reach it as complex
@@ -692,6 +783,103 @@ def test_round_trip_random_divisors(n, s):
         recovered = solve_divisor(sys)
         assert max_point_error(recovered.points, divisor.points) < 1e-6
         assert max_point_error(recovered.points, solve_divisor_by_kernel(sys)) < 1e-6
+
+
+def solve_divisor_by_np_roots(sys):
+    """solve_divisor as it was before it solved chi's companion itself:
+    np.roots of chi, cluster means in numpy scalars, two sorts of the ranks."""
+    fam = sys.fam
+    chi = chi_polynomial(sys)
+    roots = np.roots(chi[::-1] / chi[-1])
+    clusters = _clusters(roots.tolist())
+    xs = [complex(sum(roots[i] for i in c) / len(c)) for c in clusters]
+    mus = np.array([len(c) for c in clusters])
+    ys = fam.fiber_roots(xs)
+    residuals = sys.residuals(xs, ys)
+    order = np.argsort(residuals, axis=1)
+    ranked = np.full((len(xs), fam.n + mus.max()), np.inf)
+    ranked[:, : fam.n] = np.sort(residuals, axis=1)
+    rows = np.arange(len(xs))
+    kept, rival = ranked[rows, mus - 1], ranked[rows, mus]
+    k = np.argmax(kept)
+    at_most(kept[k], divisors.FIBER_RESIDUAL_TOL, NullSpaceDimensionError,
+            lambda: f"no fiber point fits the grid over x={xs[k]:.6g} at multiplicity {mus[k]}: "
+            "relative residual")
+    k = np.argmin(rival)
+    above(rival[k], divisors.FIBER_RESIDUAL_TOL, NullSpaceDimensionError,
+          lambda: f"fiber over x={xs[k]:.6g} is ambiguous: next candidate's relative residual")
+    return [
+        CurvePoint(x, fiber[i])
+        for x, fiber, mu, best in zip(xs, ys.tolist(), mus, order) for i in best[:mu]
+    ]
+
+
+def point_bytes(points):
+    return np.array([(p.x, p.y) for p in points], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n,s,ext", SHAPES)
+def test_solve_divisor_equals_the_np_roots_path(n, s, ext):
+    rng = np.random.default_rng([n, s, ext, 12])
+    fam = unit_family(n, s, ext, rng)
+    for _ in range(3):
+        sys = rfunctions_from_divisor(fam, random_divisor(fam, rng))
+        assert point_bytes(solve_divisor(sys).points) == point_bytes(solve_divisor_by_np_roots(sys))
+
+
+def test_solve_divisor_keeps_np_roots_zeros_of_chi():
+    # chi = x^3 - x: np.roots drops the zero constant term as a root at 0
+    sys = _grid_34([[[0, 0, 1], [1]], [[0, 1], [0, 1]]])
+    with pytest.raises(NSCurveError) as got:
+        solve_divisor(sys)
+    with pytest.raises(NSCurveError) as want:
+        solve_divisor_by_np_roots(sys)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    chi = chi_polynomial(sys)
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        calls.append(a.copy())
+        return eigvals(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", spy)
+        with pytest.raises(NSCurveError):
+            solve_divisor(sys)
+    # np.roots' companion of p = x^2 - 1, -0.0 included, and the dropped root 0
+    assert np.array_equal(chi, [0, -1, 0, 1])
+    p = (chi[::-1] / chi[-1])[:3]
+    companion = np.diag(np.ones(1, dtype=complex), -1)
+    companion[0, :] = -p[1:] / p[0]
+    assert calls[0].tobytes() == companion.tobytes()
+
+
+@given(st.lists(
+    st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_cluster_mean_is_numpys_bit_for_bit(xs):
+    # the mean in Python complex times 1 / len is numpy's complex division
+    # by len; dividing by len would differ in the last bit at len 3 and 5
+    want = complex(sum(np.array(xs)[i] for i in range(len(xs))) / len(xs))
+    got = sum(xs) * (1 / len(xs))
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize("n,s", [(2, 5), (3, 4), (5, 9)])
+def test_round_trip_is_three_eigensolves_and_no_np_roots(n, s, monkeypatch):
+    # the machine-free work counter of one pass: two fiber lifts (the draw and
+    # the recovery) and chi's companion; np.roots is never called
+    fam = family(n, s)
+    calls = []
+    for owner, name in ((np.linalg, "eigvals"), (np, "roots")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: (
+            calls.append(name) or real(*a)))
+    divisor = random_divisor(fam, np.random.default_rng(5))
+    recovered = solve_divisor(rfunctions_from_divisor(fam, divisor))
+    assert calls == ["eigvals"] * 3
+    assert max_point_error(recovered.points, divisor.points) < 1e-6
 
 
 # (n, s, lambda, op seed) of the divisor-roundtrip ops with the least margin

@@ -990,15 +990,17 @@ def test_non_symmetric_tau_refused_by_both(parts):
     [
         (np.array([[1j, 0.5], [0.2, 1j]]), r"symmetry defect 2\.804e-01"),
         (-1j * np.eye(2), r"sym\(Im tau\) has least eigenvalue -1\.000e\+00"),
-        (np.full((2, 2), complex(np.nan, np.nan)), "symmetry defect nan"),
+        # refused before the defect and the eigenvalues are read
+        (np.full((2, 2), complex(np.nan, np.nan)), r"of an entry nan, tolerance 1e\+300$"),
     ],
     ids=["non-symmetric", "im-negative-definite", "nan"],
 )
 def test_tau_gate_reports_its_margins(tau, margin):
     with pytest.raises(NonSymmetricTau, match=margin) as info:
         theta_context(tau)
-    assert "tolerance 1e-08" in str(info.value)
-    assert "needs > 0" in str(info.value)
+    if np.isfinite(tau).all():
+        assert "tolerance 1e-08" in str(info.value)
+        assert "needs > 0" in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -1034,17 +1036,74 @@ def test_compute_periods_gates_tau_as_soon_as_it_is_oriented(monkeypatch, tau):
 @pytest.mark.parametrize(
     "tau, margin",
     [
-        (-1j * np.eye(2), r"-1\.000e\+00"),
-        (np.full((2, 2), complex(np.nan, np.nan)), "nan"),
+        (-1j * np.eye(2), r"least eigenvalue -1\.000e\+00"),
+        # a NaN is refused before eigvalsh, which reads a NaN diagonal as 0
+        (np.full((2, 2), complex(np.nan, np.nan)), "of an entry nan"),
         # eigvalsh of Im tau alone would read 1 and 1 off the lower triangle
-        (np.array([[1j, 5j], [0, 1j]]), r"-1\.500e\+00"),
+        (np.array([[1j, 5j], [0, 1j]]), r"least eigenvalue -1\.500e\+00"),
     ],
     ids=["im-negative-definite", "nan", "non-symmetric-indefinite"],
 )
 def test_theta_context_refuses_im_tau_not_positive(tau, margin):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonSymmetricTau, match=f"least eigenvalue {margin}"):
+        with pytest.raises(NonSymmetricTau, match=margin):
+            theta_context(tau)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "tau, value",
+    [
+        (np.array([[1j, INF], [INF, 1j]]), "inf"),
+        (np.array([[complex(0.0, INF)]]), "inf"),
+        (np.array([[complex(NAN, 0.0), 0.0], [0.0, 1j]]), "nan"),
+        (np.array([[1j, 0.0], [0.0, complex(0.0, NAN)]]), "nan"),
+        (np.array([[1e308j]]), r"1\.000e\+308"),
+        (np.array([[1e301 + 1j]]), r"1\.000e\+301"),
+    ],
+    ids=["inf-entry", "inf-imaginary", "nan-real-diagonal", "nan-imaginary-diagonal",
+         "past-the-limit", "real-part-past-the-limit"],
+)
+def test_theta_context_refuses_a_non_finite_tau_before_reading_it(monkeypatch, tau, value):
+    # an inf used to raise "invalid value encountered in subtract" in the
+    # defect, and eigvalsh reads a NaN diagonal as 0 and -0 without an error
+    eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonSymmetricTau, match=(
+                rf"^tau is not a Riemann matrix: largest \|Re\|, \|Im\| of an entry {value}, "
+                rf"tolerance 1e\+300$")):
+            theta_context(tau)
+    eigvalsh.assert_not_called()
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [np.array([[1e300j]]), np.diag([1e200j, 1e200j]), np.array([[1e300 + 1j]])],
+    ids=["1e300i", "diagonal-1e200i", "real-part-1e300"],
+)
+def test_theta_context_takes_an_extreme_finite_tau_without_overflow(tau):
+    # the symmetry defect's norms used to overflow in dot on the first two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ctx = theta_context(tau)
+        (value,), scale = theta_with_derivs(np.zeros(len(tau)), ctx)
+    assert np.isfinite(value) and np.isfinite(scale)
+    if not tau.real.any():
+        # every term but m = 0 is below 1e-100000
+        assert (ctx.radius, value, scale) == (1, 1.0, 1.0)
+
+
+def test_theta_context_reads_the_defect_of_an_extreme_tau():
+    # |tau| near the limit: the defect is read on tau / 2^k, not overflowed
+    tau = np.array([[1e300j, 1e300], [0.0, 1e300j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonSymmetricTau, match=r"symmetry defect 8\.165e-01, tolerance 1e-08$"):
             theta_context(tau)
 
 
