@@ -382,6 +382,40 @@ def _system_symbols(system: InversionSystem) -> tuple[AbelianSymbol, ...]:
     ))
 
 
+def _compile_plan(system: InversionSystem):
+    """What compile_system adds into its matrix, and where; lambda-free.
+
+    (symbols, the matrix's shape, terms): each term is (flat index into the
+    matrix, coefficient polynomial), in the order compile_system adds them.
+    It depends on the system alone, so one plan serves every curve of a shape.
+    """
+    symbols = _system_symbols(system)
+    column = {sym: 1 + k for k, sym in enumerate(symbols)}
+    shape = _grid_caps(system.fam)[1].shape + (1 + len(symbols),)
+    _, c, d, width = shape
+    terms = []
+    for fn in system.r_functions:
+        for mono, coeff in fn.terms.items():
+            row = (((fn.level - 1) * c + mono.j) * d + mono.i) * width
+            terms.append((row, coeff.constant))
+            terms.extend((row + column[sym], poly) for sym, poly in coeff.terms.items())
+    # a zero polynomial adds +0j, which leaves every sum's bits as they are
+    return symbols, shape, tuple((index, poly) for index, poly in terms if poly.nums)
+
+
+def _compile_from_plan(plan, fam: CurveFamily) -> CompiledSystem:
+    """The plan's system at fam's lambda: its terms summed in its order."""
+    symbols, shape, terms = plan
+    lam = fam.numeric_lambda()
+    # Python complex sums are numpy's, part by part, so the bits are the same
+    flat = [0j] * math.prod(shape)
+    for index, poly in terms:
+        flat[index] += poly.eval_numeric(lam)
+    matrix = np.array(flat).reshape(shape)
+    matrix.flags.writeable = False
+    return CompiledSystem(fam, symbols, matrix)
+
+
 def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
     """Substitute fam's lambda into a derived system of fam's shape, once.
 
@@ -393,18 +427,26 @@ def compile_system(system: InversionSystem, fam: CurveFamily) -> CompiledSystem:
             f"system of {system.fam.family_label()} cannot be evaluated on "
             f"{fam.family_label()}"
         )
-    lam = fam.numeric_lambda()
-    symbols = _system_symbols(system)
-    column = {sym: 1 + k for k, sym in enumerate(symbols)}
-    matrix = np.zeros(_grid_caps(fam)[1].shape + (1 + len(symbols),), dtype=complex)
-    for fn in system.r_functions:
-        for mono, coeff in fn.terms.items():
-            row = matrix[fn.level - 1, mono.j, mono.i]
-            row[0] += coeff.constant.eval_numeric(lam)
-            for sym, c in coeff.terms.items():
-                row[column[sym]] += c.eval_numeric(lam)
-    matrix.flags.writeable = False
-    return CompiledSystem(fam, symbols, matrix)
+    return _compile_from_plan(_compile_plan(system), fam)
+
+
+def _companion_roots(p: np.ndarray) -> np.ndarray:
+    """np.roots(p) for a descending p that is not all zero, without its wrapper.
+
+    The same companion matrix, first row -p[1:] / p[0] after the leading
+    zeros are dropped, so the same bits.  As np.roots does, the zero low
+    coefficients are roots at 0 that drop out of the companion, and a
+    constant solves no eigenproblem: its roots are float zeros.
+    """
+    nonzero = np.flatnonzero(p)
+    zeros = len(p) - 1 - nonzero[-1]
+    p = p[nonzero[0] : nonzero[-1] + 1]
+    if len(p) == 1:
+        return np.zeros(zeros)
+    companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+    companion[:1] = -p[1:] / p[0]
+    roots = np.linalg.eigvals(companion)
+    return np.concatenate([roots, np.zeros(zeros, roots.dtype)])
 
 
 # -- elimination and recovery ------------------------------------------------
@@ -470,14 +512,9 @@ def solve_divisor(sys: NumericRSystem) -> Divisor:
     fam = sys.fam
     chi = chi_polynomial(sys)
     # chi is finite with |chi_k / chi_g| < 1 / COLLAPSE_TOL, so its roots are
-    # finite.  As np.roots does, the monic p's zero low coefficients are roots
-    # at 0 and drop out of the companion, whose first row is -p[1:] / p[0]
-    p = chi[::-1] / chi[-1]
-    zeros = len(p) - 1 - np.flatnonzero(p)[-1]
-    p = p[: len(p) - zeros]
-    companion = np.eye(len(p) - 1, k=-1, dtype=complex)
-    companion[:1] = -p[1:] / p[0]
-    roots = np.concatenate([np.linalg.eigvals(companion), np.zeros(zeros, dtype=complex)]).tolist()
+    # finite; they are those of the monic chi, as np.roots finds them, and
+    # complex even where np.roots gives float zeros (chi = x^g)
+    roots = _companion_roots(chi[::-1] / chi[-1]).astype(complex, copy=False).tolist()
     clusters = _clusters(roots)
     # times 1 / len, as numpy divides a complex scalar by len, bit for bit
     xs = [sum(roots[i] for i in c) * (1 / len(c)) for c in clusters]

@@ -17,15 +17,19 @@ inversion system that the exact layer derives for the shape, with lambda
 symbolic, at the wp values of A(D); the du numerators come from that system
 too.
 
-Per shape, cached and read-only: the derived system, the du numerators,
-the branch points' half characteristics and each symbol's place among the
-wp values; per branch point count, the leg tables.  Per curve, kept in
-PeriodData: one curve polynomial, one batch of legs, one omega^-1 for the
-b-cycle flips, kappa, wp and the characteristic check, the theta context
-(whose constructor, theta_context, is the one gate on tau: nothing here
-checks tau) and the system compiled at lambda.  Per divisor: one batch of
-legs, one theta evaluation to order 3 and one gather of the wp values the
-system reads.  Gates format messages only on failure.
+Per shape, cached and read-only: the derived system and its compile plan,
+the du numerators, the branch points' half characteristics and each
+symbol's place among the wp values; per branch point count, the leg tables;
+per genus, the Riemann constants' characteristic.  Per curve, kept in
+PeriodData: one curve polynomial, its roots from one companion eigensolve,
+one batch of legs, one omega^-1 for the b-cycle flips, kappa, wp and the
+characteristic check, the theta context (whose constructor, theta_context,
+is the one gate on tau: nothing here checks tau), the system compiled at
+lambda, and that system folded with -kappa, the z-to-u map and the gather
+of the wp values it reads into one affine map from the log theta
+derivatives to the R-grid.  Per divisor: one batch of legs, one theta
+evaluation to order 3, its log derivatives and one product from them to the
+grid.  Gates format messages only on failure.
 """
 from __future__ import annotations
 
@@ -37,12 +41,13 @@ import numpy as np
 
 from .abelian import InversionSystem, build_inversion_system
 from .curves import CurveFamily, CurvePoint, _closest_pair, make_family
-from .divisors import (CompiledSystem, Divisor, _system_symbols, compile_system,
-                       require_finite_points)
-from .errors import (BranchCollision, ComplexBranchPoints, NotTwoSheeted, OnThetaDivisor,
-                     QuadratureNotConverged, SheetLoss, SpecialDivisor, UnsupportedGenus,
-                     above, at_most)
-from .theta import ThetaContext, _reduce_modulo_lattice, theta_context, theta_with_derivs
+from .divisors import (CompiledSystem, Divisor, _companion_roots, _compile_from_plan,
+                       _compile_plan, require_finite_points)
+from .errors import (BranchCollision, ComplexBranchPoints, NonFiniteValue, NotTwoSheeted,
+                     OnThetaDivisor, QuadratureNotConverged, SheetLoss, SpecialDivisor,
+                     UnsupportedGenus, above, at_most)
+from .theta import (ThetaContext, _frobenius, _reduce_modulo_lattice, theta_context,
+                    theta_with_derivs)
 
 # kappa = KAPPA_SIGN * sym(eta omega^-1); the sign is a convention constant
 # tied to the orientation of Baker's dr rows, fixed once against the genus-1
@@ -107,8 +112,12 @@ def branch_points(fam: CurveFamily) -> np.ndarray:
 
 
 def _sorted_roots(p: np.ndarray) -> np.ndarray:
-    """The ascending p's roots, sorted; BranchCollision if two meet."""
-    roots = np.roots(p[::-1])
+    """The ascending p's roots, sorted; BranchCollision if two meet.
+
+    The roots are np.roots', bit for bit: the eigenvalues of the same
+    companion matrix, solved directly (see divisors._companion_roots).
+    """
+    roots = _companion_roots(p[::-1])
     scale = max(1.0, float(np.abs(roots).max()))
     a, b = _closest_pair(roots)
     above(abs(roots[a] - roots[b]), COLLISION_TOL * scale, BranchCollision,
@@ -138,33 +147,35 @@ def hyperelliptic_from_branch_points(es: Sequence[complex]) -> CurveFamily:
 @functools.lru_cache(maxsize=8)
 def _shape_tables(
     n: int, s: int, extended: bool
-) -> tuple[InversionSystem, np.ndarray, np.ndarray, np.ndarray]:
-    """The shape's derived system and its tables; cached, so read-only.
+) -> tuple[InversionSystem, tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The shape's derived system, its compile plan and tables; cached, so read-only.
 
-    The system is the exact layer's, lambda symbolic.  Its du numerators,
-    one x^i per gap in ascending gap order, are the columns of the first
-    table.  Row j of the second is [eps'_j | eps''_j], so A(e_j) = omega
-    eps'_j + omega' eps''_j for the 0-indexed branch point j is that row times
-    [omega omega']^T.  With j' = j + 1, 2 eps'_j has ones in its first
+    The system is the exact layer's, lambda symbolic, and the plan what
+    compile_system adds into its matrix (see divisors._compile_plan).  The
+    system's du numerators, one x^i per gap in ascending gap order, are the
+    columns of the first table.  Row j of the second is [eps'_j | eps''_j],
+    so A(e_j) = omega eps'_j + omega' eps''_j for the 0-indexed branch point
+    j is that row times [omega omega']^T.  With j' = j + 1, 2 eps'_j has ones in its first
     floor(j'/2) entries and 2 eps''_j is the unit vector at ceil(j'/2), zero
     for j' = 2g + 1 (Buchstaber, Enolski and Leykin 1997, for the a/b basis
     of compute_periods): half periods, so the cycle signs do not matter.
     The third holds each symbol's index into [wp2 | wp3], as WpValues.wp reads.
     """
     system = build_inversion_system(make_family(n, s, "sym", extended=extended))
+    plan = _compile_plan(system)
     g = system.fam.genus
     j, k, flat = np.arange(2 * g + 1)[:, None], np.arange(g), np.arange(g * g * (g + 1))
     halves = np.concatenate([k < (j + 1) // 2, k == j // 2], axis=1) / 2
     places = WpValues(flat[: g * g].reshape(g, g), flat[g * g :].reshape(g, g, g),
                       tuple(system.fam.gaps))
-    index = np.array([int(places.wp(*sym.indices).real) for sym in _system_symbols(system)])
+    index = np.array([int(places.wp(*sym.indices).real) for sym in plan[0]])
     powers = [mono.i for mono in system.first.numerators]
     du = np.zeros((max(powers) + 1, g), dtype=complex)
     du[powers, np.arange(g)] = 1.0
     tables = (du, halves, index)
     for table in tables:
         table.flags.writeable = False
-    return system, *tables
+    return system, plan, *tables
 
 
 def _dr_numerators(p: np.ndarray) -> np.ndarray:
@@ -272,7 +283,10 @@ def _interval_integrals(es: np.ndarray, coeffs: np.ndarray, x0: complex) -> tupl
 class PeriodData:
     """One curve's constants: everything verify_inversion does not recompute.
 
-    du and symbol_index are the shape's (see _shape_tables), the rest the curve's.
+    du and symbol_index are the shape's (see _shape_tables), the rest the
+    curve's.  verify_inversion reads the grid through grid_base and grid_map
+    alone; wp_from_theta reads kappa and to_u, and system with symbol_index
+    names the symbol of a wp value that is not finite.
     """
 
     fam: CurveFamily
@@ -292,9 +306,15 @@ class PeriodData:
     # the du numerators as columns, and A(e_j) as row j (see _shape_tables)
     du: np.ndarray
     branch_images: np.ndarray
-    # the shape's derived inversion system at this curve's lambda
+    # the shape's derived inversion system at this curve's lambda, and each
+    # of its symbols' index into [wp2 | wp3] (see _shape_tables)
     system: CompiledSystem
     symbol_index: np.ndarray
+    # the system's grid, flattened, is grid_base + [d2 | d3] @ grid_map at the
+    # log theta derivatives [d2 | d3] in z: -kappa, to_u, the gather and the
+    # system folded into one affine map
+    grid_base: np.ndarray
+    grid_map: np.ndarray
 
 
 def _orient_b_cycles(
@@ -337,7 +357,7 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     scale = float(np.abs(es).max()) + 1.0
     at_most(float(np.abs(es.imag).max()), REAL_AXIS_TOL * scale, ComplexBranchPoints,
             "interval periods need real branch points; largest |Im e|")
-    system, du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
+    _, plan, du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
     # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i, of the du
     # and dr numerators side by side
     dr = _dr_numerators(p)
@@ -359,23 +379,36 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     to_u[: g * g, : g * g] = w2
     to_u[g * g :, g * g :] = (w2[:, None, :, None] * omega_inv[:, None]).reshape(g ** 3, -1)
     raw = eta @ omega_inv
-    defect = float(np.linalg.norm(raw - raw.T))
+    defect = _frobenius(raw - raw.T)
     kappa = KAPPA_SIGN * (raw + raw.T) / 2
     images = halves @ np.concatenate([omega, omega_prime], axis=1).T
     # A(P0): the image of e_2g+1 plus the du columns of its leg
     _check_riemann_characteristic(ctx, omega_inv, images[-1] + leg[:g])
+    system = _compile_from_plan(plan, fam)
+    # rho = M [1 | wp[symbol_index]] with wp = [-kappa | 0] - [d2 | d3] to_u
+    matrix = system.matrix.reshape(-1, system.matrix.shape[-1])
+    shift = np.zeros(len(to_u), dtype=complex)
+    shift[: g * g] = -kappa.ravel()
+    grid_base = matrix[:, 0] + matrix[:, 1:] @ shift[symbol_index]
+    grid_map = -(to_u[:, symbol_index] @ matrix[:, 1:].T)
+    for array in (grid_base, grid_map):
+        array.flags.writeable = False
     return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect, omega_inv,
-                      to_u, du, images, compile_system(system, fam), symbol_index)
+                      to_u, du, images, system, symbol_index, grid_base, grid_map)
 
 
+@functools.lru_cache(maxsize=8)
 def _riemann_characteristic(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """delta' = (1/2, ..., 1/2), delta''_k = (g - k + 1)/2 mod 1.
+    """delta' = (1/2, ..., 1/2), delta''_k = (g - k + 1)/2 mod 1; cached, so read-only.
 
     The half characteristic of the vector of Riemann constants for the
     a/b basis of compute_periods (Buchstaber, Enolski and Leykin 1997):
     genus 1 gives the odd [1/2; 1/2], genus 2 gives [1/2 1/2; 0 1/2].
     """
-    return np.full(g, 0.5), np.arange(g, 0, -1) / 2.0 % 1.0
+    halves = np.full(g, 0.5), np.arange(g, 0, -1) / 2.0 % 1.0
+    for half in halves:
+        half.flags.writeable = False
+    return halves
 
 
 def _check_riemann_characteristic(
@@ -418,15 +451,12 @@ class WpValues:
         return complex((self.wp2 if len(key) == 2 else self.wp3)[key])
 
 
-def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
-    """All second and third wp values at u, as tensors over the gaps.
+def _log_theta_derivatives(u: np.ndarray, periods: PeriodData) -> np.ndarray:
+    """[d2 | d3] flattened: the second and third z-derivatives of log theta[delta].
 
-    log sigma = (1/2) u^T kappa u + log theta[d](omega^-1 u) up to gauge
-    terms killed by the derivatives; wp_{ij} = -d_i d_j log sigma.  The
-    z-derivatives of log theta go to u in one product (see PeriodData.to_u).
+    At z = omega^-1 u, reduced modulo the lattice, which moves log theta by
+    a linear term only.  OnThetaDivisor where theta nearly vanishes.
     """
-    g = periods.fam.genus
-    u = np.asarray(u, dtype=complex)
     z = _reduce_modulo_lattice(periods.omega_inv @ u, periods.theta)
     (val, grad, hess, third), scale = theta_with_derivs(z, periods.theta, order=3)
     above(abs(val), THETA_DIVISOR_TOL * scale, OnThetaDivisor,
@@ -438,7 +468,18 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     hg = np.multiply.outer(hess, grad)
     log3 = (third / val - (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)) / val ** 2
             + 2.0 * np.multiply.outer(outer, log1))
-    in_u = np.concatenate([log2.ravel(), log3.ravel()]) @ periods.to_u
+    return np.concatenate([log2.ravel(), log3.ravel()])
+
+
+def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
+    """All second and third wp values at u, as tensors over the gaps.
+
+    log sigma = (1/2) u^T kappa u + log theta[d](omega^-1 u) up to gauge
+    terms killed by the derivatives; wp_{ij} = -d_i d_j log sigma.  The
+    z-derivatives of log theta go to u in one product (see PeriodData.to_u).
+    """
+    g = periods.fam.genus
+    in_u = _log_theta_derivatives(np.asarray(u, dtype=complex), periods) @ periods.to_u
     return WpValues(-periods.kappa - in_u[: g * g].reshape(g, g),
                     -in_u[g * g :].reshape(g, g, g), tuple(periods.fam.gaps))
 
@@ -512,11 +553,13 @@ def verify_inversion(
 ) -> list[IdentityCheck]:
     """Check a concrete divisor against the derived inversion system.
 
-    Computes u = A(D) and the wp values there, and evaluates the exact
-    layer's system at them.  Its y-free function R_2g is monic of degree g
-    in x with roots the x_k, so its coefficients must give the elementary
-    symmetric functions e_k(x); R_2g+1 = rho_0(x) + rho_1(x) y vanishes on
-    D, so each y_k must be -rho_0(x_k)/rho_1(x_k).
+    Computes u = A(D) and the exact layer's system at the wp values there,
+    in one product from the log theta derivatives (see PeriodData.grid_map).
+    A grid that is not finite is refused as NonFiniteValue, which names the
+    first symbol whose wp value is not finite.  The system's y-free function
+    R_2g is monic of degree g in x with roots the x_k, so its coefficients
+    must give the elementary symmetric functions e_k(x); R_2g+1 = rho_0(x) +
+    rho_1(x) y vanishes on D, so each y_k must be -rho_0(x_k)/rho_1(x_k).
     """
     _require_two_sheets(fam, periods)
     g = fam.genus
@@ -526,10 +569,19 @@ def verify_inversion(
         raise SpecialDivisor("inversion identities exclude special divisors")
     require_finite_points(divisor.points)
     # abel_map_divisor's guards have run above
-    vals = wp_from_theta(_abel_images(periods, divisor.points).sum(axis=0), periods)
-    wp = np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])
-    system = periods.system.evaluate(wp[periods.symbol_index])
-    chi, (rho0, rho1) = system.rho[0, 0], system.rho[1]
+    u = _abel_images(periods, divisor.points).sum(axis=0)
+    rho = periods.grid_base + _log_theta_derivatives(u, periods) @ periods.grid_map
+    # every log reaches every grid entry (a NaN or an inf times 0 is a NaN),
+    # so this one check refuses a log vector that is not finite too; only
+    # then are the wp values gathered, and evaluate names the symbol unless
+    # they are finite and the product alone overflowed
+    if not np.isfinite(rho).all():
+        vals = wp_from_theta(u, periods)
+        wp = np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])
+        periods.system.evaluate(wp[periods.symbol_index])
+        raise NonFiniteValue("the grid of the inversion system at A(D) is not finite")
+    rho = rho.reshape(periods.system.matrix.shape[:-1])
+    chi, (rho0, rho1) = rho[0, 0], rho[1]
     e = [1 + 0j] + [0j] * g  # prod (X + x_k) = sum e_k X^(g-k)
     for p in divisor.points:
         for k in range(g, 0, -1):

@@ -6,9 +6,10 @@ below THETA_TAIL at a reduced argument (Deconinck, Heil, Bobenko, van Hoeij
 and Schmies, Computing Riemann theta functions, Math. Comp. 2004, bound the
 same tail over an ellipsoid).  Per genus, cube radius and delta', cached and
 read-only: the lattice table [1 | 2 pi i m' | pairs].  Per tau: the one
-gate on tau, which refuses a non-finite entry first and then reads one
-eigvalsh of Y = sym(Im tau) for both the Riemann-matrix check and the
-radius, then the quadratic exponents and (Im tau)^-1.  Per argument: one
+gate on tau, which reads tau as a C-ordered complex array, refuses a
+non-finite entry first, in one pass, and then reads one eigvalsh of
+Y = sym(Im tau) for both the Riemann-matrix check and the radius, then the
+quadratic exponents and (Im tau)^-1.  Per argument: one
 exp per term and one product of the phases with the table.
 """
 from __future__ import annotations
@@ -81,6 +82,13 @@ class ThetaContext:
             object.__setattr__(self, name, value)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a complex a, by the same sums, without its wrapper."""
+    flat = a.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _log_tail(r: int, g: int, lam_min: float) -> float:
     """log of theta_context's bound on the terms outside [-r, r]^g."""
     # each shell past r is at most q < 1 times the one before
@@ -109,19 +117,22 @@ def theta_context(
     tau = np.asarray(tau, dtype=complex)
     if tau.ndim != 2 or tau.shape[0] != tau.shape[1] or not tau.size:
         raise NonSymmetricTau(f"tau must be a non-empty square matrix, not of shape {tau.shape}")
+    # a transposed or strided tau is read, and rounds, as its contiguous copy
+    tau = np.ascontiguousarray(tau)
     g = tau.shape[0]
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
     # a NaN or an inf would reach the defect as a numpy warning and eigvalsh
-    # as a silent 0, so it is refused first
-    largest = float(np.abs(np.stack([tau.real, tau.imag])).max())
+    # as a silent 0, so it is refused first; the float view holds every Re
+    # and Im, so one pass reads the largest
+    largest = float(np.abs(tau.view(float)).max())
     at_most(largest, TAU_ENTRY_LIMIT, NonSymmetricTau,
             "tau is not a Riemann matrix: largest |Re|, |Im| of an entry")
     # the defect of tau / 2^k, |entries| <= 1, cannot overflow; scaling by a
     # power of two rounds nothing, so it is the defect of tau itself
     unit = math.ldexp(1.0, -max(0, math.frexp(largest)[1]))
     scaled = tau * unit
-    defect = float(np.linalg.norm(scaled - scaled.T)) / max(unit, float(np.linalg.norm(scaled)))
+    defect = _frobenius(scaled - scaled.T) / max(unit, _frobenius(scaled))
     # eigvalsh reads only one triangle of its input, so it is given sym(Im tau),
     # halved before the sum, which is exact and cannot overflow
     lam = np.linalg.eigvalsh(tau.imag / 2 + tau.imag.T / 2)

@@ -3,6 +3,7 @@ import re
 import warnings
 from fractions import Fraction
 from itertools import permutations
+import math
 from math import gcd
 
 import numpy as np
@@ -710,6 +711,34 @@ def test_compiled_system_matches_per_coefficient_evaluation(n, s, extended):
             assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
 
 
+def compile_by_rows(system, fam):
+    """compile_system before its plan: the matrix filled row by row."""
+    lam = fam.numeric_lambda()
+    symbols = divisors._system_symbols(system)
+    column = {sym: 1 + k for k, sym in enumerate(symbols)}
+    matrix = np.zeros(divisors._grid_caps(fam)[1].shape + (1 + len(symbols),), dtype=complex)
+    for fn in system.r_functions:
+        for mono, coeff in fn.terms.items():
+            row = matrix[fn.level - 1, mono.j, mono.i]
+            row[0] += coeff.constant.eval_numeric(lam)
+            for sym, c in coeff.terms.items():
+                row[column[sym]] += c.eval_numeric(lam)
+    return symbols, matrix
+
+
+@pytest.mark.parametrize("n,s,extended", SHAPES)
+def test_compile_plan_fills_the_matrix_row_by_row_bit_for_bit(n, s, extended):
+    # the plan sums each entry's terms in the rows' order, so the bits agree
+    fam = unit_family(n, s, extended, np.random.default_rng([n, s, extended, 1]))
+    system = build_inversion_system(fam.symbolic_twin())
+    compiled = compile_system(system, fam)
+    symbols, matrix = compile_by_rows(system, fam)
+    assert compiled.symbols == symbols
+    assert compiled.matrix.shape == matrix.shape
+    assert compiled.matrix.tobytes() == matrix.tobytes()
+    assert not compiled.matrix.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
 def test_compiled_system_refuses_a_non_finite_value(bad):
     fam = make_family(2, 5, LAMBDAS[2, 5])
@@ -853,6 +882,16 @@ def test_solve_divisor_keeps_np_roots_zeros_of_chi():
     companion = np.diag(np.ones(1, dtype=complex), -1)
     companion[0, :] = -p[1:] / p[0]
     assert calls[0].tobytes() == companion.tobytes()
+
+
+def test_solve_divisor_reads_chi_equal_to_x_as_a_complex_root_at_zero():
+    # genus 1, the point (0, sqrt(0.4)): chi = x, whose monic companion is
+    # empty; np.roots would give a float zero, and the x stays complex
+    fam = make_family(2, 3, LAMBDAS[2, 3])
+    y0 = math.sqrt(0.4)
+    (point,) = solve_divisor(NumericRSystem(fam, [[[0, 1], [0, 0]], [[-y0, 0], [1, 0]]])).points
+    assert type(point.x) is complex and point.x == 0
+    assert abs(point.y - y0) < 1e-14
 
 
 @given(st.lists(

@@ -9,16 +9,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from test_divisors import per_coefficient_system
-from nscurves import hyperell
+from nscurves import cli, hyperell
 from nscurves.algebra import WeightedPoly, residue_of_product
 from nscurves.curves import CurvePoint, make_family
 from nscurves.divisors import Divisor, make_divisor, rfunctions_from_divisor
 from nscurves.errors import (
     BranchCollision,
     ComplexBranchPoints,
+    NonFiniteValue,
     NonSymmetricTau,
     NotTwoSheeted,
     NSCurveError,
@@ -83,13 +84,13 @@ def random_point(fam, rng, scale=1.4):
 def _du_numerators(fam):
     # the exact layer's du numerators as compute_periods reads them: the
     # columns of the shape's table, zero-padded to one length
-    return list(hyperell._shape_tables(fam.n, fam.s, fam.extended)[1].T)
+    return list(hyperell._shape_tables(fam.n, fam.s, fam.extended)[2].T)
 
 
 def _period_numerators(fam):
     # compute_periods' numerators: the du table's columns, zero-padded to the
     # length of Baker's dr rows, then those rows
-    table = hyperell._shape_tables(fam.n, fam.s, fam.extended)[1]
+    table = hyperell._shape_tables(fam.n, fam.s, fam.extended)[2]
     dr = _dr_numerators(curve_polynomial(fam))
     du = np.zeros((len(dr), fam.genus), dtype=complex)
     du[: len(table)] = table
@@ -169,9 +170,32 @@ def test_branch_collision_detected():
 
 
 def test_all_branch_points_at_zero_collide():
-    # y^2 = x^5: np.roots solves no eigenproblem and returns five float zeros
+    # y^2 = x^5: as in np.roots, a constant companion solves no eigenproblem,
+    # and the roots are five float zeros
     with pytest.raises(BranchCollision, match="^branch points 0 and 0 collide"):
         branch_points(make_family(2, 5, {}))
+
+
+@st.composite
+def real_rooted_polynomials(draw):
+    # ascending p of degree 3, 5 or 7, real or complex, with real roots at
+    # least 0.1 apart; subtracting one root from all puts that one at 0
+    degree = draw(st.sampled_from([3, 5, 7]))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=degree - 1, max_size=degree - 1))
+    roots = draw(st.floats(-3.0, 0.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    zero = draw(st.none() | st.integers(0, degree - 1))
+    if zero is not None:
+        roots = roots - roots[zero]
+    p = np.poly(roots)[::-1]
+    return p.astype(complex) if draw(st.booleans()) else p
+
+
+@given(real_rooted_polynomials())
+@example(np.poly([-1.0, 0.0, 2.0])[::-1] + 0j)  # a zero constant coefficient
+@settings(max_examples=200, deadline=None)
+def test_sorted_roots_are_np_roots_bit_for_bit(p):
+    got, want = hyperell._sorted_roots(p), np.sort(np.roots(p[::-1]))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_complex_branch_geometry_refused():
@@ -1633,8 +1657,10 @@ def test_verify_inversion_runs_each_guard_once():
 
 def test_shape_tables_are_read_only():
     per = compute_periods(genus2_family())
-    _, *tables = hyperell._shape_tables(2, 5, False)
+    _, _, *tables = hyperell._shape_tables(2, 5, False)
     tables += hyperell._leg_tables(5)
+    # and the genus's characteristic, and the curve's grid map
+    tables += (*_riemann_characteristic(2), per.grid_base, per.grid_map)
     assert per.du is tables[0] and per.symbol_index is tables[2]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
@@ -1721,3 +1747,186 @@ def test_each_curve_constant_is_built_once(monkeypatch):
     assert inverted[0] is per.omega and np.array_equal(inverted[1], per.tau.imag)
     assert spies["solve"].call_args.args[0] is per.omega
     assert spies["curve_polynomial"].call_count == 1
+
+
+# -- the grid through wp values and the gather, kept as oracle ---------------
+
+
+def _grid_by_gather(u, per):
+    # the grid as verify_inversion read it before the fold into grid_map:
+    # wp_from_theta, the gather by symbol_index, then the compiled system
+    vals = wp_from_theta(u, per)
+    wp = np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])
+    return per.system.evaluate(wp[per.symbol_index]).rho
+
+
+def _report_by_gather(fam, divisor, per):
+    # verify_inversion's (lhs, rhs) pairs, read off that grid as it read them
+    g = fam.genus
+    rho = _grid_by_gather(abel_map_divisor(fam, per, divisor), per)
+    chi, (rho0, rho1) = rho[0, 0], rho[1]
+    e = [1 + 0j] + [0j] * g
+    for p in divisor.points:
+        for k in range(g, 0, -1):
+            e[k] += p.x * e[k - 1]
+    pairs = [(e[k], complex((-1) ** k * chi[g - k] / chi[g])) for k in range(1, g + 1)]
+    rho0, rho1 = rho0[::-1].tolist(), rho1[::-1].tolist()
+    for p in divisor.points:
+        num = den = 0j
+        for a, b in zip(rho0, rho1):
+            num, den = num * p.x + a, den * p.x + b
+        pairs.append((p.y, -num / den))
+    return pairs
+
+
+@given(st.one_of(spaced_branch_points(), genus3_branch_points()), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fused_grid_equals_the_gathered_grid(es, seed):
+    fam = hyperelliptic_from_branch_points(es)
+    per = compute_periods(fam)
+    rng = np.random.default_rng(seed)
+    D = make_divisor(fam, [random_point(fam, rng) for _ in range(fam.genus)])
+    u = abel_map_divisor(fam, per, D)
+    want = _grid_by_gather(u, per)
+    got = per.grid_base + hyperell._log_theta_derivatives(u, per) @ per.grid_map
+    assert got.shape == (want.size,)
+    assert np.max(np.abs(got - want.ravel())) <= 1e-13 * np.max(np.abs(want))
+
+
+def _hyper_loop_pool(seed):
+    # the curves and divisors of the hyper-loop benchmark pool (nsbench) at a
+    # seed, drawn in its order: 21 curves of genus 1 and 2 in turn, real branch
+    # points more than 0.25 apart, and three divisors on each
+    rng = np.random.default_rng([seed, 4])
+    for idx in range(21):
+        genus = 1 + idx % 2
+        while True:
+            es = np.sort(rng.uniform(-2.2, 2.2, size=2 * genus + 1))
+            es -= es.mean()
+            if min(np.diff(es)) > 0.25:
+                break
+        fam = hyperelliptic_from_branch_points(es)
+        divisors = []
+        for _ in range(3):
+            points = []
+            for _ in range(genus):
+                x = complex(rng.normal(0.0, 1.4), rng.normal(0.0, 1.4))
+                y = np.sqrt(np.prod(x - es)) * (1 if rng.integers(2) else -1)
+                points.append(CurvePoint(x, complex(y)))
+            divisors.append(make_divisor(fam, points))
+        yield fam, divisors
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_inversion_equals_the_gathered_path_bit_for_bit(seed):
+    for fam, divisors in _hyper_loop_pool(seed):
+        per = compute_periods(fam)
+        for D in divisors:
+            got = [(c.lhs, c.rhs) for c in verify_inversion(fam, D, per)]
+            want = _report_by_gather(fam, D, per)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("which", [2, 3], ids=["hessian", "third"])
+def test_a_non_finite_theta_derivative_names_its_symbol(monkeypatch, which):
+    # one NaN entry in one derivative tensor
+    fam = genus2_family()
+    per = compute_periods(fam)
+    D = make_divisor(fam, [random_point(fam, np.random.default_rng(5)) for _ in range(2)])
+    theta_sums = hyperell.theta_with_derivs
+
+    def poisoned(z, ctx, order=0):
+        out, scale = theta_sums(z, ctx, order)
+        if order == 3:
+            out[which] = out[which].copy()
+            out[which].flat[1] = complex(NAN, 0.0)
+        return out, scale
+
+    monkeypatch.setattr(hyperell, "theta_with_derivs", poisoned)
+    u = abel_map_divisor(fam, per, D)
+    with pytest.raises(NonFiniteValue) as want:
+        _grid_by_gather(u, per)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue) as got:
+            verify_inversion(fam, D, per)
+    assert str(got.value) == str(want.value)
+    assert any(str(got.value).startswith(f"{sym.to_text()} = ") for sym in per.system.symbols)
+
+
+# -- a tau in any layout reads as its contiguous complex copy -----------------
+
+
+def _gate_reads(tau):
+    # every value and limit the tau gate reads, then the context or the refusal
+    reads = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("at_most", "above"):
+            def spy(value, limit, *rest, gate=getattr(theta_module, name)):
+                reads.append(repr((value, limit)))
+                return gate(value, limit, *rest)
+            mp.setattr(theta_module, name, spy)
+        try:
+            ctx = theta_context(tau)
+        except NonSymmetricTau as refusal:
+            return reads, str(refusal)
+    return reads, (ctx.radius, ctx.tau.tobytes(), ctx.quad.tobytes(), ctx.im_tau_inv.tobytes())
+
+
+_LAYOUT_TAUS = [
+    _random_riemann_matrix(np.random.default_rng(1), 1),
+    _random_riemann_matrix(np.random.default_rng(2), 2),
+    _random_riemann_matrix(np.random.default_rng(3), 3),
+    np.array([[1j, 0.5], [0.2, 1j]]),
+    -1j * np.eye(2),
+    np.array([[1e300j, 1e300], [0.0, 1e300j]]),
+]
+
+
+@pytest.mark.parametrize("tau", _LAYOUT_TAUS,
+                         ids=["g1", "g2", "g3", "non-symmetric", "im-negative", "extreme"])
+def test_theta_context_reads_any_layout_as_its_contiguous_copy(tau):
+    g = len(tau)
+    want = _gate_reads(np.array(tau, dtype=complex, order="C"))
+    strided = np.zeros((2 * g, 3 * g), dtype=complex)
+    strided[::2, ::3] = tau
+    for layout in (np.asfortranarray(tau), strided[::2, ::3]):
+        assert not layout.flags.c_contiguous or g == 1
+        assert _gate_reads(layout) == want
+    # a real tau is refused, with the reads of its complex copy
+    real = np.ascontiguousarray(tau.real)
+    want = _gate_reads(real.astype(complex))
+    assert "needs > 0" in want[1]
+    assert _gate_reads(real) == want and _gate_reads(np.asfortranarray(real)) == want
+
+
+# -- Legendre's relation ------------------------------------------------------
+
+
+# the worst |eta omega'^T - eta' omega^T + 2 pi i I| on five demo curves per
+# genus (one rng, seed 5, genus 1 then 2 then 3; numpy 2.4.6 on x86-64) is
+# 1.8e-15, 4.6e-14 and 2.0e-13; each bound is 10 times its genus's
+LEGENDRE_BOUND = {1: 1.8e-14, 2: 4.6e-13, 3: 2.0e-12}
+
+
+def _legendre_defect(fam):
+    # eta' from the dr columns of the same interval integrals, summed over the
+    # same tails and flipped by the same signs as omega'
+    with mock.patch.object(hyperell, "_interval_integrals",
+                           wraps=hyperell._interval_integrals) as integrals:
+        per = compute_periods(fam)
+    ints, _ = _interval_integrals(*integrals.call_args.args)
+    g = fam.genus
+    b = -2.0 * np.cumsum(ints[-1::-2], axis=0)[::-1]
+    flips = np.sign((per.omega_inv @ b[:, :g].T).diagonal().imag)
+    assert (b[:, :g].T * flips).tobytes() == per.omega_prime.tobytes()
+    eta_prime = b[:, g:].T * flips
+    legendre = per.eta @ per.omega_prime.T - eta_prime @ per.omega.T
+    return float(np.max(np.abs(legendre + 2j * math.pi * np.eye(g))))
+
+
+def test_legendre_relation_on_the_demo_curves():
+    rng = np.random.default_rng(5)
+    for g in (1, 2, 3):
+        worst = max(_legendre_defect(cli._demo_family(g, rng)) for _ in range(5))
+        assert worst <= LEGENDRE_BOUND[g], (g, worst)
