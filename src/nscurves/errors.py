@@ -29,6 +29,10 @@ class NSCurveError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(NSCurveError, ValueError):
+    """An argument has the wrong shape, or lies where the routine cannot read it."""
+
+
 # --- exact algebra ---
 
 class NonUnitLeadingCoefficient(NSCurveError):
@@ -100,7 +104,7 @@ class DegreeCollapse(NSCurveError):
 
 
 class NonFiniteValue(NSCurveError, ValueError):
-    """A symbol value handed to a compiled system is NaN or infinite."""
+    """A value that must be finite is NaN or infinite."""
 
 
 class MalformedGrid(NSCurveError, ValueError):

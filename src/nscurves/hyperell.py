@@ -17,19 +17,18 @@ inversion system that the exact layer derives for the shape, with lambda
 symbolic, at the wp values of A(D); the du numerators come from that system
 too.
 
-Per shape, cached and read-only: the derived system and its compile plan,
-the du numerators, the branch points' half characteristics and each
-symbol's place among the wp values; per branch point count, the leg tables;
-per genus, the Riemann constants' characteristic.  Per curve, kept in
-PeriodData: one curve polynomial, its roots from one companion eigensolve,
-one batch of legs, one omega^-1 for the b-cycle flips, kappa, wp and the
-characteristic check, the theta context (whose constructor, theta_context,
-is the one gate on tau: nothing here checks tau), the system compiled at
-lambda, and that system folded with -kappa, the z-to-u map and the gather
-of the wp values it reads into one affine map from the log theta
-derivatives to the R-grid.  Per divisor: one batch of legs, one theta
-evaluation to order 3, its log derivatives and one product from them to the
-grid.  Gates format messages only on failure.
+Per shape, cached and read-only: the derived system's compile plan, the du
+numerators, the branch points' half characteristics and each symbol's place
+among the wp values; per branch point count, the leg tables; per genus, the
+Riemann constants' characteristic.  Per curve, kept in PeriodData: one curve
+polynomial, its roots from one companion eigensolve, one batch of legs, one
+omega^-1 for the b-cycle flips, kappa, wp and the characteristic check, the
+theta context (whose constructor, theta_context, is the one gate on tau:
+nothing here checks tau), and one affine map from the log theta derivatives
+to the R-grid, which folds -kappa, the z-to-u map, the gather of the wp
+values the system reads and the system compiled at lambda.  Per divisor:
+one batch of legs, one theta evaluation to order 3, its log derivatives and
+one product from them to the grid.  Gates format messages only on failure.
 """
 from __future__ import annotations
 
@@ -39,13 +38,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .abelian import InversionSystem, build_inversion_system
+from .abelian import build_inversion_system
 from .curves import CurveFamily, CurvePoint, _closest_pair, make_family
-from .divisors import (CompiledSystem, Divisor, _companion_roots, _compile_from_plan,
-                       _compile_plan, require_finite_points)
-from .errors import (BranchCollision, ComplexBranchPoints, NonFiniteValue, NotTwoSheeted,
-                     OnThetaDivisor, QuadratureNotConverged, SheetLoss, SpecialDivisor,
-                     UnsupportedGenus, above, at_most)
+from .divisors import (Divisor, _companion_roots, _compile_from_plan, _compile_plan,
+                       require_finite_points)
+from .errors import (BranchCollision, ComplexBranchPoints, InvalidArgument, NonFiniteValue,
+                     NotTwoSheeted, OnThetaDivisor, QuadratureNotConverged, SheetLoss,
+                     SpecialDivisor, UnsupportedGenus, above, at_most)
 from .theta import (ThetaContext, _frobenius, _reduce_modulo_lattice, theta_context,
                     theta_with_derivs)
 
@@ -73,6 +72,9 @@ QUADRATURE_TOL = 1e-10
 LANDING_TOL = 1e-4
 CHARACTERISTIC_TOL = 1e-6
 THETA_DIVISOR_TOL = 1e-10
+# periods a u given to wp_from_theta may lie from the period cell in each
+# coordinate: up to 2^52, the reduction's round is exact
+SHIFT_LIMIT = 2.0 ** 52
 # relative to the branch points' size: least distance (over a double root's
 # ~sqrt(eps) smear), largest |Im e|, and |mean| and dropped coefficients
 COLLISION_TOL = 1e-6
@@ -147,8 +149,8 @@ def hyperelliptic_from_branch_points(es: Sequence[complex]) -> CurveFamily:
 @functools.lru_cache(maxsize=8)
 def _shape_tables(
     n: int, s: int, extended: bool
-) -> tuple[InversionSystem, tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """The shape's derived system, its compile plan and tables; cached, so read-only.
+) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The compile plan of the shape's derived system, and tables; cached, so read-only.
 
     The system is the exact layer's, lambda symbolic, and the plan what
     compile_system adds into its matrix (see divisors._compile_plan).  The
@@ -175,7 +177,7 @@ def _shape_tables(
     tables = (du, halves, index)
     for table in tables:
         table.flags.writeable = False
-    return system, plan, *tables
+    return plan, *tables
 
 
 def _dr_numerators(p: np.ndarray) -> np.ndarray:
@@ -283,10 +285,9 @@ def _interval_integrals(es: np.ndarray, coeffs: np.ndarray, x0: complex) -> tupl
 class PeriodData:
     """One curve's constants: everything verify_inversion does not recompute.
 
-    du and symbol_index are the shape's (see _shape_tables), the rest the
-    curve's.  verify_inversion reads the grid through grid_base and grid_map
-    alone; wp_from_theta reads kappa and to_u, and system with symbol_index
-    names the symbol of a wp value that is not finite.
+    du is the shape's (see _shape_tables), the rest the curve's.
+    verify_inversion reads the grid through grid_base and grid_map alone;
+    wp_from_theta reads kappa and to_u.
     """
 
     fam: CurveFamily
@@ -306,13 +307,11 @@ class PeriodData:
     # the du numerators as columns, and A(e_j) as row j (see _shape_tables)
     du: np.ndarray
     branch_images: np.ndarray
-    # the shape's derived inversion system at this curve's lambda, and each
-    # of its symbols' index into [wp2 | wp3] (see _shape_tables)
-    system: CompiledSystem
-    symbol_index: np.ndarray
-    # the system's grid, flattened, is grid_base + [d2 | d3] @ grid_map at the
-    # log theta derivatives [d2 | d3] in z: -kappa, to_u, the gather and the
-    # system folded into one affine map
+    # the grid of the shape's derived system at this curve's lambda is
+    # grid_base + [d2 | d3] @ grid_map at the log theta derivatives [d2 | d3]
+    # in z, the product reshaped to grid_base's (c, c, d): -kappa, to_u, the
+    # gather of the wp values the system reads and the system compiled at
+    # lambda folded into one affine map
     grid_base: np.ndarray
     grid_map: np.ndarray
 
@@ -357,7 +356,7 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     scale = float(np.abs(es).max()) + 1.0
     at_most(float(np.abs(es.imag).max()), REAL_AXIS_TOL * scale, ComplexBranchPoints,
             "interval periods need real branch points; largest |Im e|")
-    _, plan, du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
+    plan, du, halves, symbol_index = _shape_tables(fam.n, fam.s, fam.extended)
     # the I_j, and the leg from e_2g+1 to P0 over e_2g+1 + 1 + i, of the du
     # and dr numerators side by side
     dr = _dr_numerators(p)
@@ -384,17 +383,18 @@ def compute_periods(fam: CurveFamily) -> PeriodData:
     images = halves @ np.concatenate([omega, omega_prime], axis=1).T
     # A(P0): the image of e_2g+1 plus the du columns of its leg
     _check_riemann_characteristic(ctx, omega_inv, images[-1] + leg[:g])
-    system = _compile_from_plan(plan, fam)
-    # rho = M [1 | wp[symbol_index]] with wp = [-kappa | 0] - [d2 | d3] to_u
-    matrix = system.matrix.reshape(-1, system.matrix.shape[-1])
+    # rho = M [1 | wp[symbol_index]] with wp = [-kappa | 0] - [d2 | d3] to_u,
+    # M the system compiled at lambda, one row per grid entry
+    shape = plan[1]
+    matrix = _compile_from_plan(plan, fam).matrix.reshape(-1, shape[-1])
     shift = np.zeros(len(to_u), dtype=complex)
     shift[: g * g] = -kappa.ravel()
-    grid_base = matrix[:, 0] + matrix[:, 1:] @ shift[symbol_index]
+    grid_base = (matrix[:, 0] + matrix[:, 1:] @ shift[symbol_index]).reshape(shape[:-1])
     grid_map = -(to_u[:, symbol_index] @ matrix[:, 1:].T)
     for array in (grid_base, grid_map):
         array.flags.writeable = False
     return PeriodData(fam, es, omega, omega_prime, eta, tau, kappa, ctx, defect, omega_inv,
-                      to_u, du, images, system, symbol_index, grid_base, grid_map)
+                      to_u, du, images, grid_base, grid_map)
 
 
 @functools.lru_cache(maxsize=8)
@@ -477,9 +477,27 @@ def wp_from_theta(u: np.ndarray, periods: PeriodData) -> WpValues:
     log sigma = (1/2) u^T kappa u + log theta[d](omega^-1 u) up to gauge
     terms killed by the derivatives; wp_{ij} = -d_i d_j log sigma.  The
     z-derivatives of log theta go to u in one product (see PeriodData.to_u).
+
+    u must be a vector of length g with finite entries, at most SHIFT_LIMIT
+    periods from the period cell in each coordinate; else InvalidArgument.
+    Below that, a u k periods out reads the wp values of its reduction, which
+    lose about k eps of their digits (1e-7 at 1e8 periods): u itself holds
+    no more of them there, so that loss is how u is conditioned.
     """
     g = periods.fam.genus
-    in_u = _log_theta_derivatives(np.asarray(u, dtype=complex), periods) @ periods.to_u
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (g,):
+        raise InvalidArgument(f"u must be a vector of length {g}, not of shape {u.shape}")
+    # the b- and a-periods that _reduce_modulo_lattice takes off; a u that
+    # is not finite, or so far out that they overflow, reads inf or NaN here
+    ctx = periods.theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = periods.omega_inv @ u
+        k2 = (ctx.im_tau_inv @ z.imag).round()
+        k1 = (z - ctx.tau @ k2).real.round()
+    at_most(float(np.abs(np.concatenate([k1, k2])).max()), SHIFT_LIMIT, InvalidArgument,
+            "u must be finite and near the period cell: periods in its lattice shift")
+    in_u = _log_theta_derivatives(u, periods) @ periods.to_u
     return WpValues(-periods.kappa - in_u[: g * g].reshape(g, g),
                     -in_u[g * g :].reshape(g, g, g), tuple(periods.fam.gaps))
 
@@ -555,11 +573,11 @@ def verify_inversion(
 
     Computes u = A(D) and the exact layer's system at the wp values there,
     in one product from the log theta derivatives (see PeriodData.grid_map).
-    A grid that is not finite is refused as NonFiniteValue, which names the
-    first symbol whose wp value is not finite.  The system's y-free function
-    R_2g is monic of degree g in x with roots the x_k, so its coefficients
-    must give the elementary symmetric functions e_k(x); R_2g+1 = rho_0(x) +
-    rho_1(x) y vanishes on D, so each y_k must be -rho_0(x_k)/rho_1(x_k).
+    A grid that is not finite is refused as NonFiniteValue before any
+    identity is read.  The system's y-free function R_2g is monic of degree
+    g in x with roots the x_k, so its coefficients must give the elementary
+    symmetric functions e_k(x); R_2g+1 = rho_0(x) + rho_1(x) y vanishes on
+    D, so each y_k must be -rho_0(x_k)/rho_1(x_k).
     """
     _require_two_sheets(fam, periods)
     g = fam.genus
@@ -570,17 +588,12 @@ def verify_inversion(
     require_finite_points(divisor.points)
     # abel_map_divisor's guards have run above
     u = _abel_images(periods, divisor.points).sum(axis=0)
-    rho = periods.grid_base + _log_theta_derivatives(u, periods) @ periods.grid_map
+    logs = _log_theta_derivatives(u, periods)
+    rho = periods.grid_base + (logs @ periods.grid_map).reshape(periods.grid_base.shape)
     # every log reaches every grid entry (a NaN or an inf times 0 is a NaN),
-    # so this one check refuses a log vector that is not finite too; only
-    # then are the wp values gathered, and evaluate names the symbol unless
-    # they are finite and the product alone overflowed
+    # so this one check refuses a log vector that is not finite too
     if not np.isfinite(rho).all():
-        vals = wp_from_theta(u, periods)
-        wp = np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])
-        periods.system.evaluate(wp[periods.symbol_index])
         raise NonFiniteValue("the grid of the inversion system at A(D) is not finite")
-    rho = rho.reshape(periods.system.matrix.shape[:-1])
     chi, (rho0, rho1) = rho[0, 0], rho[1]
     e = [1 + 0j] + [0j] * g  # prod (X + x_k) = sum e_k X^(g-k)
     for p in divisor.points:

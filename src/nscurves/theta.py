@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonSymmetricTau, above, at_most
+from .errors import InvalidArgument, NonFiniteValue, NonSymmetricTau, above, at_most
 
 THETA_TAIL = 1e-13
 # tau gate: relative symmetry defect of tau; the largest |Re|, |Im| of an
@@ -57,7 +57,10 @@ class ThetaContext:
     genus, radius and delta' (see _theta_table).  The constructor builds what
     depends on tau: the exponents i pi m'^T tau m' of m' = m + delta' and
     (Im tau)^-1 for reducing arguments.  The context is frozen and its arrays
-    read-only, so they always match its radius.
+    read-only, so they always match its radius.  NonSymmetricTau unless tau
+    is a non-empty square matrix with Im tau invertible, InvalidArgument
+    unless delta', delta'' are vectors of tau's size, and NonFiniteValue
+    unless they are finite: a NaN would make every theta NaN.
     """
 
     tau: np.ndarray
@@ -70,16 +73,34 @@ class ThetaContext:
     im_tau_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        tau = np.array(self.tau, dtype=complex)
+        tau = _square(np.array(self.tau, dtype=complex))
+        g = len(tau)
         d1, d2 = (np.array(d, dtype=float) for d in self.characteristic)
-        products, factor, table, pairs = _theta_table(len(tau), self.radius, tuple(d1.tolist()))
+        if d1.shape != (g,) or d2.shape != (g,):
+            raise InvalidArgument(f"the characteristic of a genus-{g} tau must be two vectors "
+                                  f"of length {g}, not of shapes {d1.shape} and {d2.shape}")
+        if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+            raise NonFiniteValue(f"the characteristic must be finite, not {d1}, {d2}")
+        try:
+            im_tau_inv = np.linalg.inv(tau.imag)
+        except np.linalg.LinAlgError:
+            raise NonSymmetricTau("tau is not a Riemann matrix: Im tau is singular") from None
+        products, factor, table, pairs = _theta_table(g, self.radius, tuple(d1.tolist()))
         derived = {"tau": tau, "quad": 1j * math.pi * (products @ tau.ravel()),
-                   "im_tau_inv": np.linalg.inv(tau.imag)}
+                   "im_tau_inv": im_tau_inv}
         for value in (d1, d2, *derived.values()):
             value.flags.writeable = False
         derived.update(characteristic=(d1, d2), factor=factor, table=table, pairs=pairs)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+
+def _square(tau) -> np.ndarray:
+    """tau as a complex array; NonSymmetricTau unless it is a non-empty square matrix."""
+    tau = np.asarray(tau, dtype=complex)
+    if tau.ndim != 2 or tau.shape[0] != tau.shape[1] or not tau.size:
+        raise NonSymmetricTau(f"tau must be a non-empty square matrix, not of shape {tau.shape}")
+    return tau
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -106,7 +127,9 @@ def theta_context(
     The one gate on tau: NonSymmetricTau unless tau is a square matrix with
     finite entries whose parts are at most TAU_ENTRY_LIMIT in size,
     symmetric within TAU_SYMMETRY_TOL and with Y = sym(Im tau) positive
-    definite, and unless the cube's radius is at most 64.  At a reduced z
+    definite, and unless the cube's radius is at most 64; the constructor
+    refuses a characteristic (zero if None) that is not finite or not of
+    tau's size.  At a reduced z
     (see _reduce_modulo_lattice) Im z = Y c, |c_i| <= 1/2, and the term of
     m + delta' = v - c has modulus exp(pi c^T Y c - pi v^T Y v), so the sum
     of moduli (the scale) is at least exp(pi c^T Y c - pi g lam_max / 4).
@@ -114,11 +137,8 @@ def theta_context(
     most (2s + 2)^g terms, each below exp(pi c^T Y c - pi lam_min s^2) and
     weighted by at most (2 pi (s + 3/2))^3 in derivatives to order 3.
     """
-    tau = np.asarray(tau, dtype=complex)
-    if tau.ndim != 2 or tau.shape[0] != tau.shape[1] or not tau.size:
-        raise NonSymmetricTau(f"tau must be a non-empty square matrix, not of shape {tau.shape}")
     # a transposed or strided tau is read, and rounds, as its contiguous copy
-    tau = np.ascontiguousarray(tau)
+    tau = np.ascontiguousarray(_square(tau))
     g = tau.shape[0]
     if characteristic is None:
         characteristic = (np.zeros(g), np.zeros(g))
@@ -175,9 +195,12 @@ def theta_with_derivs(z: np.ndarray, ctx: ThetaContext, order: int = 0):
     table gives the sum and its derivatives to order 2, and the third order
     is one product of the weighted factors with the pairs.  theta_context
     sizes the cube for reduced z; another z needs a wider ThetaContext.
+    InvalidArgument unless z is a vector of tau's size.
     """
     z = np.asarray(z, dtype=complex)
-    g = len(z)
+    g = len(ctx.tau)
+    if z.shape != (g,):
+        raise InvalidArgument(f"z must be a vector of length {g}, not of shape {z.shape}")
     phases = np.exp(ctx.quad + (z + ctx.characteristic[1]) @ ctx.factor)
     sums = phases @ ctx.table
     out = [complex(sums[0]), sums[1 : g + 1], sums[g + 1 :].reshape(g, g)][: order + 1]

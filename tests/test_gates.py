@@ -14,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 import nscurves.theta as theta
 from nscurves import curves, divisors, hyperell
@@ -25,7 +26,9 @@ from nscurves.errors import (
     CoordinateOverflow,
     DegenerateDeterminant,
     DegreeCollapse,
+    InvalidArgument,
     NSCurveError,
+    NonFiniteValue,
     NonSymmetricTau,
     NullSpaceDimensionError,
     OnThetaDivisor,
@@ -144,7 +147,7 @@ CASES = [
          PERIODS.theta, PERIODS.omega_inv, np.array([NAN, 0.0])),
      OnThetaDivisor, True),
     ("theta-context", lambda mp: hyperell.theta_context(NAN_TAU), NonSymmetricTau, True),
-    ("wp", lambda mp: hyperell.wp_from_theta(np.array([NAN, 0]), PERIODS), OnThetaDivisor, True),
+    ("wp", lambda mp: hyperell.wp_from_theta(np.array([NAN, 0]), PERIODS), InvalidArgument, True),
     ("sheet", _nan_sheet, SheetLoss, True),
     # divisors
     ("make-divisor", lambda mp: divisors.make_divisor(QUINTIC, [CurvePoint(NAN, 1.0)]),
@@ -328,3 +331,145 @@ def test_theta_on_a_thin_lattice_meets_its_tail_bound():
     assert ctx.radius < 64
     (val,), scale = hyperell.theta_with_derivs(np.zeros(1), ctx)
     assert abs(val - 10.0) <= theta.THETA_TAIL * scale
+
+
+# -- the input contract of wp_from_theta and of theta's entries ----------------
+#
+# u, a characteristic, tau or z of the wrong shape, with a NaN or an inf, or u
+# too far from the period cell, is refused with a typed error, with no numpy
+# warning on the way
+
+CONTRACT_PERIODS = hyperell.compute_periods(
+    hyperell.hyperelliptic_from_branch_points([-1.9, -1.1, -0.3, 0.6, 2.7]))
+# a Riemann matrix per genus: i I plus a small real symmetric part
+CONTRACT_TAUS = {g: 1j * np.eye(g) + 0.1 * np.add.outer(np.arange(g), np.arange(g))
+                 for g in (1, 2, 3)}
+NON_FINITE = st.sampled_from([NAN, float("inf"), -float("inf")])
+# the wp values 2^30 periods out lose at most 1.7e-14 per period of their
+# scale on 4,000 draws of the cell (|wp| <= 1e3; numpy 2.4.6, x86-64)
+SHIFT_LOSS = 1e-12
+
+
+def _refused(error, call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(*args)
+    return str(info.value)
+
+
+def _wp_vector(u):
+    vals = hyperell.wp_from_theta(u, CONTRACT_PERIODS)
+    return np.concatenate([vals.wp2.ravel(), vals.wp3.ravel()])
+
+
+@given(st.lists(st.integers(0, 4), max_size=3).filter(lambda shape: shape != [2]))
+@example([1])
+@example([3])
+@example([1, 2])
+def test_wp_from_theta_refuses_a_u_of_the_wrong_shape(shape):
+    message = _refused(InvalidArgument, hyperell.wp_from_theta,
+                       np.full(shape, 0.1 + 0.2j), CONTRACT_PERIODS)
+    assert message.startswith("u must be a vector of length 2")
+
+
+@given(st.integers(0, 1), st.booleans(), NON_FINITE, st.complex_numbers(max_magnitude=2.0))
+@example(0, True, NAN, 0j)
+@example(0, True, float("inf"), 0j)
+def test_wp_from_theta_refuses_a_u_that_is_not_finite(place, real, bad, other):
+    u = np.full(2, other)
+    u[place] = complex(bad, u[place].imag) if real else complex(u[place].real, bad)
+    message = _refused(InvalidArgument, hyperell.wp_from_theta, u, CONTRACT_PERIODS)
+    assert message.startswith("u must be finite and near the period cell")
+
+
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=4, max_size=4),
+       st.integers(0, 3), st.integers(2 ** 53, 2 ** 62), st.booleans(),
+       st.complex_numbers(max_magnitude=1.0))
+def test_wp_from_theta_refuses_a_u_past_the_shift_limit(k, place, far, negative, u0):
+    # u0 plus a lattice point more than 2^52 periods out in some coordinate
+    k[place] = -far if negative else far
+    per = CONTRACT_PERIODS
+    u = u0 + per.omega @ np.array(k[:2], float) + per.omega_prime @ np.array(k[2:], float)
+    message = _refused(InvalidArgument, hyperell.wp_from_theta, u, per)
+    assert message.startswith("u must be finite and near the period cell")
+
+
+@given(st.integers(0, 1), st.floats(1e17, 1e308), st.complex_numbers(max_magnitude=1.0))
+@example(1, 1e18, 0j)
+def test_wp_from_theta_refuses_a_far_imaginary_u(place, far, other):
+    # far out along Im u, as at u = (1e18 i, 0), theta's exp would overflow
+    u = np.full(2, other)
+    u[place] += 1j * far
+    _refused(InvalidArgument, hyperell.wp_from_theta, u, CONTRACT_PERIODS)
+
+
+@given(st.lists(st.integers(-2 ** 30, 2 ** 30), min_size=4, max_size=4),
+       st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
+def test_wp_from_theta_reads_a_shifted_u_as_its_reduction(k, parts):
+    # below the limit, the wp values lose about |shift| eps of their scale
+    per = CONTRACT_PERIODS
+    u0 = np.array(parts[:2]) + 1j * np.array(parts[2:])
+    try:
+        want = _wp_vector(u0)
+    except OnThetaDivisor:
+        assume(False)
+    assume(np.abs(want).max() <= 1e3)
+    u = u0 + per.omega @ np.array(k[:2], float) + per.omega_prime @ np.array(k[2:], float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _wp_vector(u)
+    loss = np.abs(got - want).max() / max(1.0, np.abs(want).max())
+    assert loss <= SHIFT_LOSS * max(1, max(map(abs, k)))
+
+
+# theta's two ways to a context: the gate, and the constructor it ends in
+BUILDS = pytest.mark.parametrize(
+    "build", [theta.theta_context, lambda tau, d: theta.ThetaContext(tau, d, 3)],
+    ids=["theta-context", "constructor"])
+
+
+@BUILDS
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
+@example(2, 3, 3)
+def test_a_characteristic_of_the_wrong_size_is_refused(build, g, n1, n2):
+    assume((n1, n2) != (g, g))
+    message = _refused(InvalidArgument, build, CONTRACT_TAUS[g], (np.zeros(n1), np.zeros(n2)))
+    assert message.startswith(f"the characteristic of a genus-{g} tau must be two vectors")
+
+
+@BUILDS
+@given(st.integers(1, 3), st.data())
+def test_a_characteristic_that_is_not_finite_is_refused(build, g, data):
+    half = data.draw(st.integers(0, 1))
+    place = data.draw(st.integers(0, g - 1))
+    characteristic = [np.full(g, 0.5), np.zeros(g)]
+    characteristic[half][place] = data.draw(NON_FINITE)
+    message = _refused(NonFiniteValue, build, CONTRACT_TAUS[g], characteristic)
+    assert message.startswith("the characteristic must be finite")
+
+
+@given(st.lists(st.integers(0, 4), max_size=3))
+def test_theta_context_constructor_refuses_a_tau_that_is_not_square(shape):
+    assume(len(shape) != 2 or shape[0] != shape[1] or not shape[0])
+    tau = np.full(shape, 1j)
+    message = _refused(NonSymmetricTau, theta.ThetaContext, tau, (np.zeros(2), np.zeros(2)), 3)
+    assert message.startswith("tau must be a non-empty square matrix")
+
+
+@pytest.mark.parametrize("tau", [
+    np.array([[0j]]), np.array([[1j, 1j], [1j, 1j]]), np.array([[1 + 0j, 0.5], [0.5, 2.0]]),
+], ids=["zero", "rank-one", "real"])
+def test_theta_context_constructor_refuses_a_singular_im_tau(tau):
+    message = _refused(NonSymmetricTau, theta.ThetaContext, tau,
+                       (np.zeros(len(tau)), np.zeros(len(tau))), 3)
+    assert message == "tau is not a Riemann matrix: Im tau is singular"
+
+
+@given(st.integers(1, 3), st.lists(st.integers(0, 4), max_size=3))
+@example(2, [3])
+def test_theta_with_derivs_refuses_a_z_of_the_wrong_shape(g, shape):
+    assume(shape != [g])
+    ctx = theta.theta_context(CONTRACT_TAUS[g])
+    message = _refused(InvalidArgument, theta.theta_with_derivs, np.zeros(shape), ctx, 3)
+    assert message.startswith(f"z must be a vector of length {g}")
